@@ -103,8 +103,9 @@ double MedianUs(int reps, const Before& before, const Fn& fn) {
 /// single-thread sort of 256k doubles (compute on cached data) plus 200k
 /// dependent loads through a 16 MiB random cycle (memory latency).
 /// End-to-end times are reported at the reference speed, measured time x
-/// kReferenceUs / MedianUs(), so runs made under different host load
-/// compare. Raw times are printed too.
+/// kReferenceUs / probe time, the probe taken just before and just after
+/// each measurement window or set-up, so runs made under different host
+/// load compare. Raw times are printed too.
 class HostSpeed {
  public:
   /// Nominal probe time defining the reference speed: about what the
@@ -133,30 +134,24 @@ class HostSpeed {
     }
   }
 
-  void Sample(int reps) {
-    for (int rep = 0; rep < reps; ++rep) {
-      std::copy(input_.begin(), input_.end(), work_.begin());
-      const int64_t start = NowNs();
-      std::sort(work_.begin(), work_.end());
-      uint32_t at = cursor_;
-      for (int step = 0; step < 200000; ++step) at = next_[at];
-      cursor_ = at;  // keeps the chase observable
-      samples_.push_back(static_cast<double>(NowNs() - start) / 1e3);
-    }
-    last_ = Clock::now();
-  }
-
-  /// One sample when at least `every_s` passed since the last one: called
-  /// between ops, outside their clocks.
-  void MaybeSample(double every_s) {
-    if (SecondsSince(last_) >= every_s) Sample(1);
+  /// Takes one sample and returns its time in microseconds.
+  double SampleUs() {
+    std::copy(input_.begin(), input_.end(), work_.begin());
+    const int64_t start = NowNs();
+    std::sort(work_.begin(), work_.end());
+    uint32_t at = cursor_;
+    for (int step = 0; step < 200000; ++step) at = next_[at];
+    cursor_ = at;  // keeps the chase observable
+    samples_.push_back(static_cast<double>(NowNs() - start) / 1e3);
+    return samples_.back();
   }
 
   double MedianUs() const { return Median(samples_); }
   size_t samples() const { return samples_.size(); }
 
-  /// Factor from measured time to reference-speed time.
-  double Scale() const { return kReferenceUs / MedianUs(); }
+  /// Factor from a time measured at probe time `probe_us` to
+  /// reference-speed time.
+  static double ScaleFor(double probe_us) { return kReferenceUs / probe_us; }
 
  private:
   std::vector<double> input_;
@@ -164,7 +159,6 @@ class HostSpeed {
   std::vector<uint32_t> next_;
   uint32_t cursor_ = 0;
   std::vector<double> samples_;
-  Clock::time_point last_ = Clock::now();
 };
 
 /// The traced run's span log, kept in memory and summarized at the end.

@@ -129,9 +129,13 @@ void ProbeReadRoad(nb::BackboneEngine& engine, const ReadSet& set,
 
   // engine contention: per-request time at HostThreads() clients over
   // the time at one client, same requests.
-  const Phase one = RunReadClients(engine, set, 1, 0.5, nullptr);
-  const Phase many = RunReadClients(engine, set, threads, 0.5, nullptr);
-  out->engine_contention_x = Median(many.latency_us) / Median(one.latency_us);
+  Phase one;
+  Phase many;
+  std::vector<double> one_us;
+  std::vector<double> many_us;
+  RunReadClients(engine, set, 1, 0.5, nullptr, &one, &one_us);
+  RunReadClients(engine, set, threads, 0.5, nullptr, &many, &many_us);
+  out->engine_contention_x = Median(many_us) / Median(one_us);
   if (one.failed + one.wrong + many.failed + many.wrong > 0) {
     Fail(out, "contention clients got wrong answers");
   }

@@ -24,10 +24,9 @@ namespace perfbench {
 namespace {
 
 constexpr int kSetUpReps = 15;
-/// Host-probe samples taken before set-up, after set-up and after the
-/// measured phase (single-client workloads add one every two seconds in
-/// between).
-constexpr int kHostSamples = 7;
+/// Ops right after set-up pay for page faults and cold caches: they are
+/// checked, but not measured.
+constexpr double kWarmUpSeconds = 1.0;
 
 struct Args {
   std::string workload;
@@ -73,12 +72,14 @@ void PrintPhase(const char* label, const Phase& phase) {
       phase.attempted > 0 ? static_cast<double>(bad) /
                                 static_cast<double>(phase.attempted)
                           : 0.0);
-  const size_t n = phase.latency_us.size();
-  std::printf("  %-10s latency us: p50 %.2f, p95 %.2f, p99 %.2f over %zu "
-              "ops (%zu / %zu / %zu beyond); %d client(s)\n",
-              "", Median(phase.latency_us), Quantile(phase.latency_us, 0.95),
-              Quantile(phase.latency_us, 0.99), n, n / 2, n / 20, n / 100,
-              phase.clients);
+  std::printf("  %-10s latency us (raw, median over %zu windows): p50 %.2f, "
+              "p95 %.2f, p99 %.2f over %lld ops; %d client(s); host probe "
+              "%.1f us\n",
+              "", phase.windows.size(), phase.MedianOf(&Window::p50_us, false),
+              phase.MedianOf(&Window::p95_us, false),
+              phase.MedianOf(&Window::p99_us, false),
+              static_cast<long long>(phase.ops()), phase.clients,
+              phase.MedianOf(&Window::probe_us, false));
 }
 
 }  // namespace
@@ -113,12 +114,18 @@ int main(int argc, char** argv) {
   // memory does not.
   ResetPeakRss();
 
+  // Each set-up is scaled by the host probe taken around it.
   HostSpeed host;
-  host.Sample(kHostSamples);
   std::vector<double> setups;
-  for (int rep = 0; rep < kSetUpReps; ++rep) setups.push_back(workload->SetUp());
-  const double setup_s = Median(setups);
-  host.Sample(kHostSamples);
+  std::vector<double> scaled_setups;
+  double probe_before = host.SampleUs();
+  for (int rep = 0; rep < kSetUpReps; ++rep) {
+    setups.push_back(workload->SetUp());
+    const double probe_after = host.SampleUs();
+    scaled_setups.push_back(
+        setups.back() * HostSpeed::ScaleFor((probe_before + probe_after) / 2));
+    probe_before = probe_after;
+  }
 
   Report report;
   int64_t attempted = 0;
@@ -127,41 +134,48 @@ int main(int argc, char** argv) {
     attempted += phase.attempted;
     bad += phase.failed + phase.wrong;
   };
+  const Phase warmup = Measure(*workload, kWarmUpSeconds, nullptr, &host);
+  account(warmup);
 
   if (!args.trace) {
-    const Phase phase = workload->Run(args.seconds, nullptr, &host);
-    host.Sample(kHostSamples);
+    const Phase phase = Measure(*workload, args.seconds, nullptr, &host);
     account(phase);
     std::printf("\nmeasured phase\n");
-    PrintPhase("untraced", phase);
-    const double scale = host.Scale();
-    std::printf("  host probe median %.1f us over %zu samples: times below "
-                "are x %.4f (reference %.0f us)\n",
-                host.MedianUs(), host.samples(), scale,
-                HostSpeed::kReferenceUs);
-    const double p50 = Median(phase.latency_us);
-    const double p95 = Quantile(phase.latency_us, 0.95);
-    const std::string samples =
-        std::to_string(phase.latency_us.size()) + " samples";
-    report.Add("latency_p50_us", p50 * scale, "us",
-               samples + ", raw " + std::to_string(p50));
-    report.Add("latency_p95_us", p95 * scale, "us",
-               samples + ", raw " + std::to_string(p95));
-    report.Add("throughput_ops", phase.Throughput() / scale, "1/s",
-               std::to_string(phase.clients) + " closed-loop client(s), raw " +
-                   std::to_string(phase.Throughput()));
-    report.Add("setup_s", setup_s * scale, "s",
+    PrintPhase("warm-up", warmup);
+    PrintPhase("measured", phase);
+    std::printf("  host probe median %.1f us over %zu samples (reference "
+                "%.0f us): each window's times below are x reference / "
+                "its probe\n",
+                host.MedianUs(), host.samples(), HostSpeed::kReferenceUs);
+    const std::string samples = std::to_string(phase.ops()) + " ops in " +
+                                std::to_string(phase.windows.size()) +
+                                " windows";
+    const auto add = [&](const char* name, double Window::*field,
+                         const char* unit) {
+      report.Add(name, phase.MedianOf(field, true), unit,
+                 samples + ", raw " +
+                     std::to_string(phase.MedianOf(field, false)));
+    };
+    add("latency_p50_us", &Window::p50_us, "us");
+    add("throughput_ops", &Window::throughput, "1/s");
+    report.Add("setup_s", Median(scaled_setups), "s",
                "median of " + std::to_string(kSetUpReps) + " set-ups, raw " +
-                   std::to_string(setup_s));
+                   std::to_string(Median(setups)));
     report.Add("peak_rss_mb", PeakRssMb(), "MiB");
-    std::printf("  latency_p99_us %.2f raw (%zu samples; reported for "
-                "warm_hot)\n",
-                Quantile(phase.latency_us, 0.99), phase.latency_us.size());
     report.PrintTable("end-to-end metrics (times at the reference speed)");
+    // Tails are printed but not gated: on the single-client workloads they
+    // follow the neighbours' bursts more than the program.
+    for (const auto& [name, field] :
+         {std::pair{"latency_p95_us", &Window::p95_us},
+          std::pair{"latency_p99_us", &Window::p99_us}}) {
+      std::printf("  %-28s %16.4f us        %s, raw %.2f (not gated)\n", name,
+                  phase.MedianOf(field, true), samples.c_str(),
+                  phase.MedianOf(field, false));
+    }
   } else {
-    const Phase untraced = workload->Run(args.seconds / 2, nullptr, nullptr);
+    const Phase untraced = Measure(*workload, args.seconds / 2, nullptr, &host);
     SpanLog spans;
-    const Phase traced = workload->Run(args.seconds / 2, &spans, nullptr);
+    const Phase traced = Measure(*workload, args.seconds / 2, &spans, &host);
     account(untraced);
     account(traced);
     LayerTimes t;
@@ -171,14 +185,15 @@ int main(int argc, char** argv) {
     std::printf("\nmeasured phases (raw times; host probe median %.1f us, "
                 "reference %.0f us)\n",
                 host.MedianUs(), HostSpeed::kReferenceUs);
+    PrintPhase("warm-up", warmup);
     PrintPhase("untraced", untraced);
     PrintPhase("traced", traced);
     std::printf("\nspans of the traced phase (benchmark-side, around engine "
                 "calls)\n");
     spans.PrintSummary();
 
-    const double e2e_untraced = Median(untraced.latency_us);
-    const double e2e_traced = Median(traced.latency_us);
+    const double e2e_untraced = untraced.MedianOf(&Window::p50_us, false);
+    const double e2e_traced = traced.MedianOf(&Window::p50_us, false);
     std::printf("\nreconciliation against the untraced end-to-end median "
                 "%.2f us\n",
                 e2e_untraced);

@@ -288,7 +288,13 @@ Counts Counts::operator-(const Counts& before) const {
   return d;
 }
 
-double Phase::Throughput() const {
+Window Window::Of(const std::vector<double>& latency_us, int clients,
+                  double probe_us) {
+  Window w;
+  w.ops = static_cast<int64_t>(latency_us.size());
+  w.p50_us = Median(latency_us);
+  w.p95_us = Quantile(latency_us, 0.95);
+  w.p99_us = Quantile(latency_us, 0.99);
   double busy_us = 0.0;
   int64_t completed = 0;
   for (const double us : latency_us) {
@@ -297,13 +303,56 @@ double Phase::Throughput() const {
       ++completed;
     }
   }
-  return busy_us > 0.0 ? clients * static_cast<double>(completed) /
-                             (busy_us / 1e6)
-                       : 0.0;
+  w.throughput = busy_us > 0.0 ? clients * static_cast<double>(completed) /
+                                     (busy_us / 1e6)
+                               : 0.0;
+  w.probe_us = probe_us;
+  return w;
 }
 
-Phase RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
-                     int clients, double seconds, SpanLog* spans) {
+double Phase::MedianOf(double Window::*field, bool scaled) const {
+  std::vector<double> values;
+  for (const Window& w : windows) {
+    const double scale = scaled ? HostSpeed::ScaleFor(w.probe_us) : 1.0;
+    values.push_back(field == &Window::throughput ? w.*field / scale
+                                                  : w.*field * scale);
+  }
+  return Median(values);
+}
+
+int64_t Phase::ops() const {
+  int64_t n = 0;
+  for (const Window& w : windows) n += w.ops;
+  return n;
+}
+
+Phase Measure(Workload& workload, double seconds, SpanLog* spans,
+              HostSpeed* host) {
+  Phase phase;
+  phase.clients = workload.clients();
+  const Counts before = Counts::Read(workload.engine());
+  std::vector<double> latency_us;
+  // Reserved up front, as the clients' logs are.
+  latency_us.reserve(
+      static_cast<size_t>(kWindowSeconds * 200000.0 * phase.clients));
+  const int windows =
+      std::max(1, static_cast<int>(std::lround(seconds / kWindowSeconds)));
+  double probe_before = host->SampleUs();
+  for (int w = 0; w < windows; ++w) {
+    latency_us.clear();
+    workload.RunFor(seconds / windows, spans, &phase, &latency_us);
+    const double probe_after = host->SampleUs();
+    phase.windows.push_back(Window::Of(latency_us, phase.clients,
+                                       (probe_before + probe_after) / 2));
+    probe_before = probe_after;
+  }
+  phase.counts = Counts::Read(workload.engine()) - before;
+  return phase;
+}
+
+void RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
+                    int clients, double seconds, SpanLog* spans,
+                    Phase* phase, std::vector<double>* latency_us) {
   struct ClientLog {
     std::vector<double> latency_us;
     int64_t failed = 0;
@@ -313,7 +362,8 @@ Phase RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
   std::vector<ClientLog> logs(static_cast<size_t>(clients));
   std::atomic<bool> stop{false};
   std::atomic<int> ready{0};
-  const Counts before = Counts::Read(engine);
+  // Later windows of a phase start further along the sequences.
+  const size_t offset = static_cast<size_t>(phase->attempted);
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -323,11 +373,10 @@ Phase RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
       const int name = log.spans.Intern("engine.Execute");
       // Reserved up front (untouched pages cost no RSS): growth by
       // doubling would make peak RSS jump with throughput.
-      log.latency_us.reserve(static_cast<size_t>(
-          seconds * 200000.0 * (c == 0 ? clients : 1)));
+      log.latency_us.reserve(static_cast<size_t>(seconds * 200000.0));
       ++ready;
       while (ready.load() < clients) std::this_thread::yield();
-      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      for (size_t i = offset; !stop.load(std::memory_order_relaxed); ++i) {
         const int r = sequence[i % sequence.size()];
         const int64_t start = NowNs();
         const int span = spans != nullptr ? log.spans.Open(name) : -1;
@@ -353,25 +402,14 @@ Phase RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
   stop = true;
   for (std::thread& thread : threads) thread.join();
 
-  Phase phase;
-  phase.clients = clients;
-  phase.counts = Counts::Read(engine) - before;
-  // Client 0's buffer, reserved for every client, takes the others in
-  // place, so the samples are never held twice.
-  phase.latency_us = std::move(logs[0].latency_us);
-  for (size_t c = 0; c < logs.size(); ++c) {
-    ClientLog& log = logs[c];
-    if (c > 0) {
-      phase.latency_us.insert(phase.latency_us.end(),
-                              log.latency_us.begin(), log.latency_us.end());
-      std::vector<double>().swap(log.latency_us);
-    }
-    phase.failed += log.failed;
-    phase.wrong += log.wrong;
+  for (const ClientLog& log : logs) {
+    latency_us->insert(latency_us->end(), log.latency_us.begin(),
+                       log.latency_us.end());
+    phase->attempted += static_cast<int64_t>(log.latency_us.size());
+    phase->failed += log.failed;
+    phase->wrong += log.wrong;
     if (spans != nullptr) spans->Append(log.spans);
   }
-  phase.attempted = static_cast<int64_t>(phase.latency_us.size());
-  return phase;
 }
 
 namespace {
@@ -505,9 +543,13 @@ class WarmHot final : public Workload {
     return seconds;
   }
 
-  Phase Run(double seconds, SpanLog* spans, HostSpeed*) override {
-    return RunReadClients(*engine_, set_, HostThreads(), seconds, spans);
+  void RunFor(double seconds, SpanLog* spans, Phase* phase,
+              std::vector<double>* latency_us) override {
+    RunReadClients(*engine_, set_, clients(), seconds, spans, phase,
+                   latency_us);
   }
+
+  int clients() const override { return HostThreads(); }
 
   void Probe(LayerTimes* out) override {
     ProbeReadRoad(*engine_, set_, out);
@@ -561,7 +603,6 @@ class WarmHot final : public Workload {
 
   std::vector<GraphSpec> specs_;
   ReadSet set_;
-  std::unique_ptr<nb::BackboneEngine> engine_;
 };
 
 // ---------------------------------------------------------------------------
@@ -618,7 +659,7 @@ class IngestWorkload : public Workload {
   /// One op: submit `graph` (as a revision of `base_fp` when non-zero),
   /// then one TopShare per method. Records latency and correctness.
   void Ingest(nb::Graph graph, uint64_t base_fp, const Answers& want,
-              SpanLog* spans, Phase* phase) {
+              SpanLog* spans, Phase* phase, std::vector<double>* latency_us) {
     std::vector<nb::Result<nb::BackboneResponse>> responses;
     responses.reserve(kMethods.size());
     const int64_t start = NowNs();
@@ -657,9 +698,9 @@ class IngestWorkload : public Workload {
     }
     if (!ok) {
       ++phase->failed;
-      phase->latency_us.push_back(kInf);
+      latency_us->push_back(kInf);
     } else {
-      phase->latency_us.push_back(static_cast<double>(end - start) / 1e3);
+      latency_us->push_back(static_cast<double>(end - start) / 1e3);
       if (!same) ++phase->wrong;
     }
     current_fp_ = fingerprint;
@@ -686,7 +727,6 @@ class IngestWorkload : public Workload {
   }
 
   nb::BackboneEngineOptions options_;
-  std::unique_ptr<nb::BackboneEngine> engine_;
   uint64_t current_fp_ = 0;
 };
 
@@ -724,18 +764,15 @@ class RevisionChurn final : public IngestWorkload {
     return SetUpWith(base_, answers_[0]);
   }
 
-  Phase Run(double seconds, SpanLog* spans, HostSpeed* host) override {
-    Phase phase;
-    const Counts before = Counts::Read(*engine_);
+  void RunFor(double seconds, SpanLog* spans, Phase* phase,
+              std::vector<double>* latency_us) override {
     const Clock::time_point start = Clock::now();
     while (SecondsSince(start) < seconds) {
-      if (host != nullptr) host->MaybeSample(2.0);
       Step(state_, &current_);
       state_ = (state_ + 1) % (2 * kHalfCycle);
-      Ingest(current_.Build(), current_fp_, answers_[state_], spans, &phase);
+      Ingest(current_.Build(), current_fp_, answers_[state_], spans, phase,
+             latency_us);
     }
-    phase.counts = Counts::Read(*engine_) - before;
-    return phase;
   }
 
   void Probe(LayerTimes* out) override {
@@ -798,18 +835,15 @@ class ColdIngest final : public IngestWorkload {
     return SetUpWith(pool_[0], answers_[0]);
   }
 
-  Phase Run(double seconds, SpanLog* spans, HostSpeed* host) override {
-    Phase phase;
-    const Counts before = Counts::Read(*engine_);
+  void RunFor(double seconds, SpanLog* spans, Phase* phase,
+              std::vector<double>* latency_us) override {
     const Clock::time_point start = Clock::now();
     while (SecondsSince(start) < seconds) {
-      if (host != nullptr) host->MaybeSample(2.0);
       last_ = next_;
       next_ = (next_ + 1) % kPool;
-      Ingest(pool_[last_].Build(), 0, answers_[last_], spans, &phase);
+      Ingest(pool_[last_].Build(), 0, answers_[last_], spans, phase,
+             latency_us);
     }
-    phase.counts = Counts::Read(*engine_) - before;
-    return phase;
   }
 
   void Probe(LayerTimes* out) override {

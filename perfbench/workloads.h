@@ -129,26 +129,54 @@ struct Counts {
   Counts operator-(const Counts& before) const;
 };
 
-/// Outcome of one closed-loop phase.
+/// Order statistics of one measurement window of a phase, in raw
+/// microseconds, and the host-probe time measured around it.
+struct Window {
+  int64_t ops = 0;
+  double p50_us = 0;
+  double p95_us = 0;
+  double p99_us = 0;
+  /// Little's law on the closed loop: clients / mean op latency, so
+  /// client-side input building and answer checks are excluded.
+  double throughput = 0;
+  double probe_us = 0;  ///< mean of the samples just before and after
+
+  /// The statistics of `latency_us` (+inf for a failed op, which counts
+  /// in the percentiles but not in the throughput).
+  static Window Of(const std::vector<double>& latency_us, int clients,
+                   double probe_us);
+};
+
+/// Outcome of one closed-loop phase: its ops, split into equal windows
+/// of about kWindowSeconds each.
 struct Phase {
-  std::vector<double> latency_us;  ///< per op; +inf for a failed op
   int64_t attempted = 0;
   int64_t failed = 0;  ///< non-OK Status
   int64_t wrong = 0;   ///< OK but different from the reference answer
   int clients = 1;
   Counts counts;
+  std::vector<Window> windows;
 
-  /// Little's law on the closed loop: clients / mean op latency, so
-  /// client-side input building and answer checks are excluded.
-  double Throughput() const;
+  /// Median over the windows of `field`, each window's value multiplied
+  /// by its host scale when `scaled` (HostSpeed::ScaleFor), so that times
+  /// read at the reference speed. A throughput takes the inverse scale.
+  double MedianOf(double Window::*field, bool scaled) const;
+  int64_t ops() const;
 };
+
+/// Length of one measurement window. The host is probed between windows
+/// and every window is reduced to its own order statistics, so a burst of
+/// host load touches few windows and moves no median over windows.
+inline constexpr double kWindowSeconds = 2.0;
 
 /// Runs `clients` closed-loop client threads against `engine` for
 /// `seconds`, each walking its own sequence of `set`'s requests and
-/// checking every answer (all must be cache hits). Spans go to `spans`
-/// when non-null.
-Phase RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
-                     int clients, double seconds, SpanLog* spans);
+/// checking every answer (all must be cache hits). Appends every op's
+/// latency (+inf for a failed op) to `latency_us` and counts the ops in
+/// `phase`. Spans go to `spans` when non-null.
+void RunReadClients(nb::BackboneEngine& engine, const ReadSet& set,
+                    int clients, double seconds, SpanLog* spans,
+                    Phase* phase, std::vector<double>* latency_us);
 
 /// Layer times of the traced run; see README.md for each one's meaning.
 struct LayerTimes {
@@ -196,13 +224,20 @@ class Workload {
   virtual void Prepare(uint64_t seed) = 0;
 
   /// One engine set-up from scratch (construct, ingest, warm); returns
-  /// its wall seconds. The last set-up's engine serves the next Run.
+  /// its wall seconds. The last set-up's engine serves the next RunFor.
   virtual double SetUp() = 0;
 
-  /// Closed-loop phase of `seconds`; records spans when `spans` is set.
-  /// Single-client workloads also sample `host` every two seconds,
-  /// between ops.
-  virtual Phase Run(double seconds, SpanLog* spans, HostSpeed* host) = 0;
+  /// Closed-loop ops for about `seconds`: appends each op's latency (+inf
+  /// for a failed op) to `latency_us` and counts the ops in `phase`.
+  /// Records spans when `spans` is set.
+  virtual void RunFor(double seconds, SpanLog* spans, Phase* phase,
+                      std::vector<double>* latency_us) = 0;
+
+  /// Closed-loop clients RunFor drives at once.
+  virtual int clients() const { return 1; }
+
+  /// The engine the last SetUp built.
+  const nb::BackboneEngine& engine() const { return *engine_; }
 
   /// Runs the layer probes on this workload's inputs.
   virtual void Probe(LayerTimes* out) = 0;
@@ -215,8 +250,15 @@ class Workload {
   int64_t setup_failures() const { return setup_failures_; }
 
  protected:
+  std::unique_ptr<nb::BackboneEngine> engine_;
   int64_t setup_failures_ = 0;
 };
+
+/// One closed-loop phase of `workload` lasting `seconds`, in equal windows
+/// of about kWindowSeconds, with one `host` sample before the first window
+/// and one after each.
+Phase Measure(Workload& workload, double seconds, SpanLog* spans,
+              HostSpeed* host);
 
 /// "warm_hot", "revision_churn" or "cold_ingest"; nullptr otherwise.
 std::unique_ptr<Workload> MakeWorkload(const std::string& name);
