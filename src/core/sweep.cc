@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 
+#include "common/parallel.h"
 #include "graph/edge_columns.h"
 #include "graph/union_find.h"
 
@@ -16,23 +16,57 @@ namespace {
 /// method.
 std::atomic<int64_t> g_sorts_performed{0};
 
-/// The one comparator every score ordering uses: (score desc, weight
+/// The one comparison every score ordering uses: (score desc, weight
 /// desc, id asc). Total order — ids are unique — so the sorted sequence
 /// is unique and patch-merged orders are bit-identical to sorted ones.
+bool Precedes(double sa, double wa, EdgeId a, double sb, double wb,
+              EdgeId b) {
+  if (sa != sb) return sa > sb;
+  if (wa != wb) return wa > wb;
+  return a < b;
+}
+
+/// Precedes over edge ids, loading each side's score and weight from the
+/// tables: the comparator of the patch merge and of permutation
+/// validation, which only ever compare O(d log n) or O(E) adjacent pairs.
 struct DescendingScore {
   const ScoredEdges* scored;
   const Graph* graph;
 
   bool operator()(EdgeId a, EdgeId b) const {
-    const double sa = scored->at(a).score;
-    const double sb = scored->at(b).score;
-    if (sa != sb) return sa > sb;
-    const double wa = graph->edge(a).weight;
-    const double wb = graph->edge(b).weight;
-    if (wa != wb) return wa > wb;
-    return a < b;
+    return Precedes(scored->at(a).score, graph->edge(a).weight, a,
+                    scored->at(b).score, graph->edge(b).weight, b);
   }
 };
+
+/// One element of the full sort: the comparison keys of an edge,
+/// materialized next to its id so the O(E log E) comparisons read
+/// contiguous memory instead of two random loads per side.
+struct SortKey {
+  double score;
+  double weight;
+  EdgeId id;
+};
+
+/// The full sort, and the only place a ScoreOrder's permutation is sorted
+/// from scratch. ParallelSort is bit-identical to std::sort for a total
+/// order, so the result does not depend on `num_threads`.
+std::vector<EdgeId> SortedIds(const ScoredEdges& scored, int num_threads) {
+  const size_t n = static_cast<size_t>(scored.size());
+  const std::vector<Edge>& edges = scored.graph().edges();
+  std::vector<SortKey> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = SortKey{scored.scores()[i].score, edges[i].weight,
+                      static_cast<EdgeId>(i)};
+  }
+  ParallelSort(&keys, num_threads, [](const SortKey& a, const SortKey& b) {
+    return Precedes(a.score, a.weight, a.id, b.score, b.weight, b.id);
+  });
+  std::vector<EdgeId> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = keys[i].id;
+  g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
+  return ids;
+}
 
 /// Counters the connect-index walk hands back to its caller.
 struct WalkResult {
@@ -52,24 +86,33 @@ struct WalkResult {
 /// columns (graph/edge_columns.h): the walk visits edges in rank order —
 /// random edge ids — and the dense int32/double columns touch half the
 /// bytes per probe that striding 16-byte Edge structs would.
+///
+/// Union-find runs only while connectivity is undecided. The columns
+/// record whether the whole edge set connects the non-isolated nodes; if
+/// it does not, connect_k is |E| before the walk starts, and if it does,
+/// the prefix that connects them settles it and later Unions could change
+/// nothing the walk reports.
 template <typename Visit>
 WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
                      const Visit& visit) {
   const Graph& g = order.graph();
+  const EdgeColumns& cols = g.edge_columns();
   WalkResult result;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.out_degree(v) > 0 || g.in_degree(v) > 0) ++result.target_nodes;
-  }
-  const int64_t num_edges = order.size();
+  result.target_nodes = cols.non_isolated_nodes;
   if (result.target_nodes == 0) return result;  // no edges to walk either
 
-  const EdgeColumns& cols = g.edge_columns();
-  UnionFind uf(g.num_nodes());
+  const int64_t num_edges = order.size();
+  result.connect_k = num_edges;
+  bool settled = !cols.spans_one_component;
+  if (settled && stop_at_connect) return result;
+
+  UnionFind uf(settled ? 0 : g.num_nodes());
   std::vector<bool> touched(static_cast<size_t>(g.num_nodes()), false);
   int64_t touched_count = 0;
-  int64_t largest = 1;
-  result.connect_k = num_edges;
-  bool connected = false;
+  // Successful merges so far. The prefix connects the target exactly when
+  // its merges form a spanning tree of it: target_nodes - 1 of them (a
+  // merge only ever joins touched nodes, so all of them are touched then).
+  int64_t merges = 0;
 
   for (int64_t rank = 0; rank < num_edges; ++rank) {
     const size_t id = static_cast<size_t>(order.id_at(rank));
@@ -81,16 +124,11 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
         ++touched_count;
       }
     }
-    // SetSize is only consulted when a merge actually happened — a failed
-    // Union cannot grow any set, and skipping the extra Find pays on the
-    // later ranks where most edges close cycles.
-    if (uf.Union(src, dst)) {
-      largest = std::max(largest, uf.SetSize(src));
-    }
     visit(rank, cols.weight[id], touched_count);
-    if (!connected && touched_count == result.target_nodes &&
-        largest == result.target_nodes) {
-      connected = true;
+    if (settled) continue;
+    if (uf.Union(src, dst)) ++merges;
+    if (merges == result.target_nodes - 1) {
+      settled = true;
       result.connect_k = rank + 1;
       if (stop_at_connect) break;
     }
@@ -100,13 +138,8 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
 
 }  // namespace
 
-ScoreOrder::ScoreOrder(const ScoredEdges& scored) : scored_(&scored) {
-  ids_.resize(static_cast<size_t>(scored.size()));
-  std::iota(ids_.begin(), ids_.end(), EdgeId{0});
-  std::sort(ids_.begin(), ids_.end(),
-            DescendingScore{&scored, &scored.graph()});
-  g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
-}
+ScoreOrder::ScoreOrder(const ScoredEdges& scored, int num_threads)
+    : scored_(&scored), ids_(SortedIds(scored, num_threads)) {}
 
 Result<ScoreOrder> ScoreOrder::FromPermutation(const ScoredEdges& scored,
                                                std::vector<EdgeId> ids) {
@@ -165,11 +198,7 @@ ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
     // Inconsistent patch inputs (a dirty list missing an inserted edge,
     // a stale base). Degrade to the plain sort: correct, and visible on
     // the counter so zero-sort tests catch the misuse.
-    ids_.resize(n);
-    std::iota(ids_.begin(), ids_.end(), EdgeId{0});
-    std::sort(ids_.begin(), ids_.end(),
-              DescendingScore{&scored, &scored.graph()});
-    g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
+    ids_ = SortedIds(scored, /*num_threads=*/0);
     return;
   }
 

@@ -7,11 +7,13 @@
 // P * (E log E + E a(E)) per method: a fresh sort for each TopK/TopShare
 // call plus a fresh isolate scan for each Coverage. This engine computes
 // the deterministic (score desc, weight desc, id asc) permutation exactly
-// once per ScoredEdges (ScoreOrder), then answers the entire descending
-// sweep in a single linear pass: an incremental union-find with live
-// component/coverage counters yields Coverage, kept-weight share, and the
-// GrowUntilConnected stopping index for all P thresholds in
-// O(E log E + E a(E) + P) total (SweepProfile).
+// once per ScoredEdges (ScoreOrder) — a parallel sort over materialized
+// keys, O(E log E / W) plus the merges at width W — then answers the
+// entire descending sweep in a single linear pass: live coverage counters
+// plus an incremental union-find that runs only until connectivity is
+// settled yield Coverage, kept-weight share, and the GrowUntilConnected
+// stopping index for all P thresholds in O(E log E / W + E a(E) + P)
+// total (SweepProfile).
 //
 // The single-point entry points in core/filter.h (TopK, TopShare,
 // GrowUntilConnected) are thin wrappers over the overloads below, so every
@@ -41,8 +43,16 @@ namespace netbone {
 class ScoreOrder {
  public:
   /// Sorts once. This is the only place in the library that orders edges
-  /// by score; the process-wide counter below observes every call.
-  explicit ScoreOrder(const ScoredEdges& scored);
+  /// by score; the process-wide counter below observes every call. The
+  /// sort runs over materialized (score, weight, id) keys, so comparisons
+  /// read contiguous memory, and goes through ParallelSort
+  /// (common/parallel.h) on `num_threads` workers (0 = hardware
+  /// concurrency, 1 = serial): chunk sorts plus pairwise merges, O(E log E
+  /// / W) plus O(E log W) merge work at width W, with ~56 transient bytes
+  /// per edge for the keys and the merge scratch. The comparator is a
+  /// total order, so the permutation is the same at every width,
+  /// including for -0.0/+0.0 and tied scores.
+  explicit ScoreOrder(const ScoredEdges& scored, int num_threads = 0);
 
   /// Patch construction for the incremental rescoring path
   /// (core/delta_rescore.h): builds the order of `scored` from `base` —
@@ -59,7 +69,8 @@ class ScoreOrder {
   /// identical to sorting from scratch (the comparator is a total order).
   /// SortsPerformed() does not advance: patching is not a sort. If the
   /// inputs are inconsistent (clean + dirty does not cover the table) the
-  /// constructor falls back to the full sort — correct, counted, slow.
+  /// constructor falls back to the full sort of the sorting constructor
+  /// (at hardware width) — correct, counted, slow.
   ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
              std::span<const EdgeId> base_to_next,
              std::span<const EdgeId> dirty);
@@ -123,8 +134,8 @@ class ScoreOrder {
 };
 
 /// Prefix profile of the full descending sweep, computed by one linear
-/// incremental union-find pass over a ScoreOrder. Index k describes the
-/// backbone that keeps the first k edges of the order (k in [0, |E|]).
+/// pass over a ScoreOrder. Index k describes the backbone that keeps the
+/// first k edges of the order (k in [0, |E|]).
 struct SweepProfile {
   /// covered_nodes[k]: distinct endpoints among the first k edges — the
   /// Coverage numerator at prefix k.
@@ -159,7 +170,12 @@ struct SweepProfile {
 };
 
 /// Runs the single O(E a(E)) pass. The profile answers any number of
-/// sweep points afterwards in O(1) each.
+/// sweep points afterwards in O(1) each. Union-find only runs while the
+/// connect index is undecided: the graph's edge columns record, once per
+/// graph, whether the whole edge set connects its non-isolated nodes. If
+/// it does not, connect_k is |E| and the pass does no union-find at all;
+/// if it does, union-find stops at connect_k. Either way the profile is
+/// identical to a walk that unions every edge.
 SweepProfile BuildSweepProfile(const ScoreOrder& order);
 
 /// TopK riding a precomputed order: no sort, O(E) mask build.
@@ -170,7 +186,8 @@ BackboneMask TopShare(const ScoreOrder& order, double share);
 
 /// The Doubly Stochastic stopping rule riding a precomputed order: walks
 /// the order with an incremental union-find and stops at the connect
-/// index (early exit — it does not build a full profile).
+/// index (early exit — it does not build a full profile). On a graph whose
+/// edges never connect it, it keeps every edge without walking.
 BackboneMask GrowUntilConnected(const ScoreOrder& order);
 
 }  // namespace netbone

@@ -56,7 +56,8 @@ std::vector<MethodCoverageSweep> CoverageSweepByMethod(
             continue;
           }
           Result<std::vector<double>> coverage =
-              CoverageSweep(ScoreOrder(*scored), shares);
+              CoverageSweep(ScoreOrder(*scored, options.num_threads),
+                            shares);
           if (!coverage.ok()) {
             out.status = coverage.status();
             continue;
@@ -99,7 +100,7 @@ Result<std::vector<Result<double>>> StabilitySweep(
             continue;
           }
           // The one sort this snapshot pays for the whole grid.
-          const ScoreOrder order(*scored);
+          const ScoreOrder order(*scored, options.num_threads);
           auto& row = stability[static_cast<size_t>(t)];
           row.reserve(num_shares);
           for (const double share : shares) {

@@ -3,7 +3,7 @@
 // Batch evaluation over threshold sweeps. The paper's Fig. 7 (Coverage vs
 // share retained) and Fig. 8 (Stability vs share retained) evaluate every
 // method at many retention levels; these entry points price an entire
-// share grid at one sort + one linear union-find pass per scored table
+// share grid at one sort + one linear profile pass per scored table
 // (core/sweep.h), instead of a fresh sort and a fresh O(E) isolate scan
 // per point. Independent methods (CoverageSweepByMethod) and independent
 // snapshot pairs (StabilitySweep) run as work-stealing tasks that share

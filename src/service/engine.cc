@@ -1,6 +1,7 @@
 #include "service/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <optional>
 #include <unordered_map>
@@ -36,6 +37,35 @@ std::vector<Result<BackboneResponse>> FailAll(size_t n,
     failed.push_back(Result<BackboneResponse>(status));
   }
   return failed;
+}
+
+/// Rejects a request whose retention share is not a finite number. The
+/// share is clamped into [0, 1] downstream, but a NaN passes the clamp
+/// and rounds to an edge budget of INT64_MIN, so it is refused before any
+/// resolution — an argument error, never scored and never negative-cached.
+Status ValidateShares(const BackboneRequest& request) {
+  switch (request.kind) {
+    case RequestKind::kTopShare:
+    case RequestKind::kCoveragePoint:
+    case RequestKind::kStabilityPoint:
+      if (!std::isfinite(request.share)) {
+        return Status::InvalidArgument("share must be a finite number");
+      }
+      break;
+    case RequestKind::kSweep:
+      for (const double share : request.shares) {
+        if (!std::isfinite(share)) {
+          return Status::InvalidArgument(
+              "every sweep share must be a finite number");
+        }
+      }
+      break;
+    case RequestKind::kTopK:
+    case RequestKind::kScoreThreshold:
+    case RequestKind::kGrowUntilConnected:
+      break;
+  }
+  return Status::OK();
 }
 
 /// Deterministic backoff jitter in [0.5, 1.0): a pure Mix64 hash of
@@ -429,7 +459,8 @@ BackboneEngine::ScoreResult BackboneEngine::ComputeScoreWithRetry(
       scores_computed_.Increment();
       Result<ScoredEdges> scored = RunMethod(key.method, *graph, run);
       if (!scored.ok()) return ScoreResult(scored.status());
-      return ScoreResult(CachedScore::Build(graph, std::move(*scored)));
+      return ScoreResult(CachedScore::Build(graph, std::move(*scored),
+                                            options_.num_threads));
     }();
     if (result.ok() || !result.status().IsTransient() ||
         attempt >= options_.max_retries) {
@@ -677,6 +708,11 @@ Result<BackboneResponse> BackboneEngine::Execute(
   info.timed = tracer_.enabled();
   const SteadyClock::time_point deadline =
       DeadlineFor(request, SteadyClock::now());
+  if (Status invalid = ValidateShares(request); !invalid.ok()) {
+    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
+                  deadline, /*queue_wait_ns=*/0);
+    return invalid;
+  }
   const std::shared_ptr<const Graph> graph = graphs_.Find(request.graph);
   if (graph == nullptr) {
     RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
@@ -851,6 +887,7 @@ BackboneEngine::ExecuteBatchWithDeadlines(
     std::shared_ptr<const Graph> graph;  // nullptr = unknown fingerprint
     size_t key_slot = 0;
     bool expired = false;  // pre-answered kDeadlineExceeded
+    Status invalid;        // non-OK = pre-answered argument error
   };
   std::vector<Resolved> resolved(static_cast<size_t>(n));
   std::vector<ScoreKey> keys;
@@ -863,6 +900,10 @@ BackboneEngine::ExecuteBatchWithDeadlines(
     const BackboneRequest& request = requests[static_cast<size_t>(i)];
     if (deadlines[static_cast<size_t>(i)] <= entry_now) {
       resolved[static_cast<size_t>(i)].expired = true;
+      continue;
+    }
+    if (Status invalid = ValidateShares(request); !invalid.ok()) {
+      resolved[static_cast<size_t>(i)].invalid = std::move(invalid);
       continue;
     }
     std::shared_ptr<const Graph> graph = graphs_.Find(request.graph);
@@ -878,7 +919,8 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       key_deadlines[it->second] = std::max(
           key_deadlines[it->second], deadlines[static_cast<size_t>(i)]);
     }
-    resolved[static_cast<size_t>(i)] = Resolved{std::move(graph), it->second};
+    resolved[static_cast<size_t>(i)].graph = std::move(graph);
+    resolved[static_cast<size_t>(i)].key_slot = it->second;
   }
 
   // One cancel source per key (latest member deadline, chained under
@@ -1007,6 +1049,8 @@ BackboneEngine::ExecuteBatchWithDeadlines(
             deadline_hits_.Increment();
             out[slot] = Result<BackboneResponse>(Status::DeadlineExceeded(
                 "deadline expired before batch execution"));
+          } else if (!r.invalid.ok()) {
+            out[slot] = Result<BackboneResponse>(r.invalid);
           } else if (r.graph == nullptr) {
             out[slot] = Result<BackboneResponse>(Status::NotFound(
                 "unknown graph fingerprint (AddGraph first)"));

@@ -148,7 +148,10 @@ struct BackboneRequest {
 
   RequestKind kind = RequestKind::kTopShare;
   int64_t k = 0;            ///< kTopK
-  double share = 0.0;       ///< kTopShare / kCoveragePoint / kStabilityPoint
+  /// kTopShare / kCoveragePoint / kStabilityPoint; clamped to [0, 1].
+  /// A non-finite share (and, for kSweep, any non-finite grid entry) is
+  /// answered InvalidArgument before resolution.
+  double share = 0.0;
   double threshold = 0.0;   ///< kScoreThreshold
   std::vector<double> shares;  ///< kSweep grid
   uint64_t next_graph = 0;  ///< kStabilityPoint: the t+1 snapshot

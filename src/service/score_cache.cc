@@ -25,14 +25,15 @@ void CachedScore::PriceBytes() {
 }
 
 std::shared_ptr<const CachedScore> CachedScore::Build(
-    std::shared_ptr<const Graph> graph, ScoredEdges scored) {
+    std::shared_ptr<const Graph> graph, ScoredEdges scored,
+    int num_threads) {
   // Two-phase construction: the ScoreOrder keeps a pointer to the
   // ScoredEdges, so the table must reach its final heap address before
   // the order is built.
   std::shared_ptr<CachedScore> entry(new CachedScore());
   entry->graph_ = std::move(graph);
   entry->scored_ = std::move(scored);
-  entry->order_.emplace(entry->scored_);
+  entry->order_.emplace(entry->scored_, num_threads);
   entry->FinishBuild();
   return entry;
 }

@@ -6,7 +6,7 @@
 // coverage point from a cached sweep profile is O(1). The cache therefore
 // holds, per (graph fingerprint, method, scoring options) key, the full
 // amortizable artifact chain: the ScoredEdges table, its one-sort
-// ScoreOrder permutation, and the SweepProfile from the single union-find
+// ScoreOrder permutation, and the SweepProfile from the single linear
 // pass — everything a warm request needs with zero rescoring and zero
 // sorts (pinned by ScoreOrder::SortsPerformed in the tests and the
 // serving benchmark).
@@ -107,16 +107,18 @@ class CachedScore {
   };
 
   /// Builds the artifact chain: moves `scored` in, computes the
-  /// ScoreOrder (the one sort) and the SweepProfile (the one union-find
-  /// pass). Precondition: scored.graph() is *graph.
+  /// ScoreOrder (the one sort, on `num_threads` workers; 0 = hardware
+  /// concurrency) and the SweepProfile (the one linear pass).
+  /// Precondition: scored.graph() is *graph.
   static std::shared_ptr<const CachedScore> Build(
-      std::shared_ptr<const Graph> graph, ScoredEdges scored);
+      std::shared_ptr<const Graph> graph, ScoredEdges scored,
+      int num_threads = 0);
 
   /// Builds the artifact chain incrementally from an ancestor entry: the
   /// ScoreOrder is patched (remove + merge over `base.order()`, zero
   /// global sorts — see ScoreOrder's patch constructor) and the
-  /// SweepProfile is rebuilt from the patched order (union-find is
-  /// inherently batch; the rebuild is cheap next to scoring).
+  /// SweepProfile is rebuilt from the patched order (one linear pass;
+  /// its union-find stops once connectivity is settled).
   /// Preconditions: scored.graph() is *graph, `scored` was produced by
   /// DeltaRescore against base.scored(), and base_to_next / dirty are
   /// that rescore's bookkeeping. The result is bit-identical to

@@ -398,6 +398,84 @@ TEST(BackboneEngineTest, UnknownFingerprintIsNotFound) {
   EXPECT_TRUE(response.status().IsNotFound());
 }
 
+// A non-finite share used to pass the [0, 1] clamp and round to an edge
+// budget of INT64_MIN, served as OK. Every entry point must refuse it
+// before resolution: nothing scored, nothing negative-cached, and a
+// finite sibling in the same batch still answered.
+void ExpectNonFiniteShareRejected(BackboneRequest bad,
+                                  BackboneEngine& engine) {
+  BackboneRequest good = bad;
+  good.share = 0.5;
+  good.shares = {0.25, 0.5};
+
+  const Result<BackboneResponse> direct = engine.Execute(bad);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status().IsInvalidArgument())
+      << direct.status().ToString();
+  const auto batch = engine.ExecuteBatch(std::vector<BackboneRequest>{bad});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_TRUE(batch[0].status().IsInvalidArgument())
+      << batch[0].status().ToString();
+  const auto async = engine.Submit({bad}).get();
+  ASSERT_EQ(async.size(), 1u);
+  EXPECT_TRUE(async[0].status().IsInvalidArgument())
+      << async[0].status().ToString();
+  EXPECT_EQ(engine.stats().scores_computed, 0);
+  EXPECT_EQ(engine.stats().negative_entries, 0);
+
+  const auto mixed =
+      engine.ExecuteBatch(std::vector<BackboneRequest>{bad, good});
+  ASSERT_EQ(mixed.size(), 2u);
+  EXPECT_TRUE(mixed[0].status().IsInvalidArgument())
+      << mixed[0].status().ToString();
+  EXPECT_TRUE(mixed[1].ok()) << mixed[1].status().ToString();
+  EXPECT_EQ(engine.stats().scores_computed, 1);
+  EXPECT_EQ(engine.stats().negative_entries, 0);
+}
+
+BackboneRequest ShareRequest(uint64_t graph, RequestKind kind) {
+  BackboneRequest request;
+  request.graph = graph;
+  request.method = Method::kNoiseCorrected;
+  request.kind = kind;
+  return request;
+}
+
+TEST(BackboneEngineTest, NonFiniteTopShareIsInvalidArgument) {
+  for (const double share : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    BackboneEngine engine;
+    BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(90)),
+                                       RequestKind::kTopShare);
+    bad.share = share;
+    ExpectNonFiniteShareRejected(bad, engine);
+  }
+}
+
+TEST(BackboneEngineTest, NonFiniteCoveragePointShareIsInvalidArgument) {
+  BackboneEngine engine;
+  BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(91)),
+                                     RequestKind::kCoveragePoint);
+  bad.share = std::nan("");
+  ExpectNonFiniteShareRejected(bad, engine);
+}
+
+TEST(BackboneEngineTest, NonFiniteSweepShareIsInvalidArgument) {
+  BackboneEngine engine;
+  BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(92)),
+                                     RequestKind::kSweep);
+  bad.shares = {0.25, std::nan(""), 0.75};
+  ExpectNonFiniteShareRejected(bad, engine);
+}
+
+TEST(BackboneEngineTest, NonFiniteStabilityPointShareIsInvalidArgument) {
+  BackboneEngine engine;
+  BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(93)),
+                                     RequestKind::kStabilityPoint);
+  bad.next_graph = engine.AddGraph(BenchGraph(94));
+  bad.share = std::nan("");
+  ExpectNonFiniteShareRejected(bad, engine);
+}
+
 TEST(BackboneEngineTest, CoalescesConcurrentIdenticalRequests) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(BenchGraph(43, /*num_nodes=*/800));

@@ -7,7 +7,9 @@
 
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,10 +20,12 @@
 #include "eval/edge_budget.h"
 #include "eval/stability.h"
 #include "eval/sweep_metrics.h"
+#include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/components.h"
 #include "graph/temporal.h"
+#include "graph/union_find.h"
 
 namespace netbone {
 namespace {
@@ -380,6 +384,214 @@ TEST(SweepProfileTest, TargetExcludesIsolates) {
   ASSERT_TRUE(nt.ok());
   const SweepProfile profile = BuildSweepProfile(ScoreOrder(*nt));
   EXPECT_EQ(profile.target_nodes, 6);
+}
+
+// ---------------------------------------------------------------------------
+// The parallel key sort against a plain std::sort, and the early-stopping
+// profile walk against a plain union-find walk, on tables large enough
+// (>= 8192 edges) that ParallelSort takes its parallel branch.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kParallelSortMin = 8192;
+
+/// The reference order: std::sort over edge ids with the (score desc,
+/// weight desc, id asc) comparator.
+std::vector<EdgeId> ReferenceOrder(const ScoredEdges& scored) {
+  std::vector<EdgeId> ids(static_cast<size_t>(scored.size()));
+  std::iota(ids.begin(), ids.end(), EdgeId{0});
+  const Graph& g = scored.graph();
+  std::sort(ids.begin(), ids.end(), [&](EdgeId a, EdgeId b) {
+    const double sa = scored.at(a).score;
+    const double sb = scored.at(b).score;
+    if (sa != sb) return sa > sb;
+    const double wa = g.edge(a).weight;
+    const double wb = g.edge(b).weight;
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  return ids;
+}
+
+void ExpectSortMatchesReference(const ScoredEdges& scored) {
+  ASSERT_GE(scored.size(), kParallelSortMin);
+  const std::vector<EdgeId> expected = ReferenceOrder(scored);
+  for (const int threads : {1, 2, 4}) {
+    const int64_t sorts_before = ScoreOrder::SortsPerformed();
+    const ScoreOrder order(scored, threads);
+    EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 1)
+        << "threads=" << threads;
+    ASSERT_EQ(order.size(), scored.size());
+    EXPECT_TRUE(std::equal(order.ids().begin(), order.ids().end(),
+                           expected.begin()))
+        << "threads=" << threads;
+    const Result<ScoreOrder> adopted = ScoreOrder::FromPermutation(
+        scored, std::vector<EdgeId>(order.ids().begin(), order.ids().end()));
+    EXPECT_TRUE(adopted.ok()) << "threads=" << threads;
+  }
+}
+
+/// A fig9-style ER graph (average degree 3) re-weighted to small integer
+/// counts, so NT scores and weights tie heavily and most of the order is
+/// decided by the id tie-break.
+Graph MakeIntegerWeightedEr(int64_t weight_levels) {
+  const Result<Graph> er = GenerateErdosRenyi(
+      {.num_nodes = 6000, .average_degree = 3.0, .seed = 21});
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.ReserveNodes(er->num_nodes());
+  for (const Edge& e : er->edges()) {
+    builder.AddEdge(e.src, e.dst,
+                    1.0 + std::fmod(std::floor(e.weight), weight_levels));
+  }
+  return *builder.Build();
+}
+
+TEST(ScoreOrderSortTest, NaiveThresholdOnIntegerWeightsMatchesStdSort) {
+  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/4);
+  const auto nt = NaiveThreshold(g);
+  ASSERT_TRUE(nt.ok());
+  ExpectSortMatchesReference(*nt);
+}
+
+TEST(ScoreOrderSortTest, NoiseCorrectedMatchesStdSort) {
+  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/100);
+  const auto nc = RunMethod(Method::kNoiseCorrected, g);
+  ASSERT_TRUE(nc.ok());
+  ExpectSortMatchesReference(*nc);
+}
+
+TEST(ScoreOrderSortTest, SignedZeroAndEqualScoresMatchStdSort) {
+  // +0.0 and -0.0 compare equal, so they must fall through to the weight
+  // and id tie-breaks exactly as in the reference; equal nonzero scores
+  // on different weights order by weight.
+  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/7);
+  std::vector<EdgeScore> scores(static_cast<size_t>(g.num_edges()));
+  for (size_t i = 0; i < scores.size(); ++i) {
+    switch (i % 5) {
+      case 0: scores[i].score = 0.0; break;
+      case 1: scores[i].score = -0.0; break;
+      case 2: scores[i].score = 0.5; break;
+      case 3: scores[i].score = -0.5; break;
+      default: scores[i].score = static_cast<double>(i % 11); break;
+    }
+  }
+  const ScoredEdges scored(&g, "hand_built", std::move(scores), false);
+  ExpectSortMatchesReference(scored);
+}
+
+/// The profile a plain walk produces: union every edge, test for one
+/// component covering the target after each, never stop early.
+SweepProfile ReferenceProfile(const ScoreOrder& order) {
+  const Graph& g = order.graph();
+  SweepProfile profile;
+  const size_t n = static_cast<size_t>(order.size());
+  profile.covered_nodes.assign(n + 1, 0);
+  profile.kept_weight.assign(n + 1, 0.0);
+  profile.target_nodes = g.num_nodes() - g.CountIsolates();
+  if (profile.target_nodes == 0) return profile;
+  profile.connect_k = order.size();
+  UnionFind uf(g.num_nodes());
+  std::vector<bool> touched(static_cast<size_t>(g.num_nodes()), false);
+  int64_t covered = 0;
+  double weight = 0.0;
+  bool connected = false;
+  for (int64_t rank = 0; rank < order.size(); ++rank) {
+    const Edge& e = g.edge(order.id_at(rank));
+    for (const NodeId v : {e.src, e.dst}) {
+      if (!touched[static_cast<size_t>(v)]) {
+        touched[static_cast<size_t>(v)] = true;
+        ++covered;
+      }
+    }
+    uf.Union(e.src, e.dst);
+    weight += e.weight;
+    profile.covered_nodes[static_cast<size_t>(rank) + 1] = covered;
+    profile.kept_weight[static_cast<size_t>(rank) + 1] = weight;
+    if (!connected && covered == profile.target_nodes &&
+        uf.SetSize(e.src) == profile.target_nodes) {
+      connected = true;
+      profile.connect_k = rank + 1;
+    }
+  }
+  return profile;
+}
+
+void ExpectProfileMatchesReference(const Graph& g, bool spans) {
+  ASSERT_GE(g.num_edges(), kParallelSortMin);
+  EXPECT_EQ(g.edge_columns().spans_one_component, spans);
+  EXPECT_EQ(g.edge_columns().non_isolated_nodes,
+            g.num_nodes() - g.CountIsolates());
+  for (const Method method :
+       {Method::kNoiseCorrected, Method::kNaiveThreshold}) {
+    const auto scored = RunMethod(method, g);
+    ASSERT_TRUE(scored.ok());
+    const ScoreOrder order(*scored);
+    const SweepProfile expected = ReferenceProfile(order);
+    const SweepProfile profile = BuildSweepProfile(order);
+    EXPECT_EQ(profile.target_nodes, expected.target_nodes);
+    EXPECT_EQ(profile.connect_k, expected.connect_k);
+    EXPECT_EQ(profile.covered_nodes, expected.covered_nodes);
+    // Bit for bit: the cumulative sums run in the same rank order.
+    EXPECT_EQ(profile.kept_weight, expected.kept_weight);
+    EXPECT_EQ(GrowUntilConnected(order).keep,
+              order.PrefixMask(expected.connect_k).keep);
+    if (spans) {
+      EXPECT_LT(expected.connect_k, g.num_edges());
+    } else {
+      EXPECT_EQ(expected.connect_k, g.num_edges());
+    }
+  }
+}
+
+TEST(SweepProfileEarlyStopTest, DisconnectedErMatchesPlainWalk) {
+  // Average degree 3: a giant component plus small ones and isolates.
+  ExpectProfileMatchesReference(MakeIntegerWeightedEr(100), /*spans=*/false);
+}
+
+TEST(SweepProfileEarlyStopTest, ConnectedBarabasiAlbertMatchesPlainWalk) {
+  const Result<Graph> ba = GenerateBarabasiAlbert(
+      {.num_nodes = 5000, .average_degree = 4.0, .seed = 5});
+  ASSERT_TRUE(ba.ok());
+  ExpectProfileMatchesReference(*ba, /*spans=*/true);
+}
+
+TEST(SweepProfileEarlyStopTest, ConnectedWithIsolatesMatchesPlainWalk) {
+  // A connected core plus 500 isolates: the target excludes them, and the
+  // core still connects early.
+  const Result<Graph> ba = GenerateBarabasiAlbert(
+      {.num_nodes = 5000, .average_degree = 4.0, .seed = 6});
+  ASSERT_TRUE(ba.ok());
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.ReserveNodes(ba->num_nodes() + 500);
+  for (const Edge& e : ba->edges()) {
+    // Shift ids so the isolates are interleaved below the core.
+    builder.AddEdge(e.src + 500, e.dst + 500, e.weight);
+  }
+  const Graph g = *builder.Build();
+  ASSERT_EQ(g.CountIsolates(), 500);
+  ExpectProfileMatchesReference(g, /*spans=*/true);
+}
+
+TEST(SweepProfileEarlyStopTest, SelfLoopsOnlyMatchesPlainWalk) {
+  GraphBuilder builder(Directedness::kUndirected, DuplicateEdgePolicy::kSum,
+                       SelfLoopPolicy::kKeep);
+  for (NodeId v = 0; v < 9000; ++v) {
+    builder.AddEdge(v, v, 1.0 + static_cast<double>(v % 13));
+  }
+  ExpectProfileMatchesReference(*builder.Build(), /*spans=*/false);
+
+  // One node with one self-loop is the degenerate connected case: the
+  // first edge already covers the whole one-node target.
+  GraphBuilder single(Directedness::kUndirected, DuplicateEdgePolicy::kSum,
+                      SelfLoopPolicy::kKeep);
+  single.AddEdge(0, 0, 2.0);
+  const Graph g = *single.Build();
+  EXPECT_TRUE(g.edge_columns().spans_one_component);
+  const auto nt = NaiveThreshold(g);
+  ASSERT_TRUE(nt.ok());
+  const ScoreOrder order(*nt);
+  EXPECT_EQ(BuildSweepProfile(order).connect_k, 1);
+  EXPECT_EQ(ReferenceProfile(order).connect_k, 1);
+  EXPECT_EQ(GrowUntilConnected(order).kept, 1);
 }
 
 // ---------------------------------------------------------------------------
