@@ -87,25 +87,29 @@ struct WalkResult {
 /// random edge ids — and the dense int32/double columns touch half the
 /// bytes per probe that striding 16-byte Edge structs would.
 ///
-/// Union-find runs only while connectivity is undecided. The columns
-/// record whether the whole edge set connects the non-isolated nodes; if
-/// it does not, connect_k is |E| before the walk starts, and if it does,
-/// the prefix that connects them settles it and later Unions could change
-/// nothing the walk reports.
+/// Union-find runs only while connectivity is undecided. Once the prefix
+/// connects the non-isolated nodes, later Unions could change nothing the
+/// walk reports. A walk whose union-find ends without connecting them has
+/// proved the whole edge set never does, and records that on the graph
+/// (Graph::known_connectivity), so later walks of the same graph — the
+/// other methods' profiles — start with connect_k = |E| settled and run no
+/// union-find at all. No pass runs just to learn the fact, so a graph that
+/// connects pays nothing for it.
 template <typename Visit>
 WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
                      const Visit& visit) {
   const Graph& g = order.graph();
-  const EdgeColumns& cols = g.edge_columns();
   WalkResult result;
-  result.target_nodes = cols.non_isolated_nodes;
+  result.target_nodes = g.num_nodes() - g.CountIsolates();
   if (result.target_nodes == 0) return result;  // no edges to walk either
 
   const int64_t num_edges = order.size();
   result.connect_k = num_edges;
-  bool settled = !cols.spans_one_component;
+  bool settled =
+      g.known_connectivity() == Graph::Connectivity::kDisconnected;
   if (settled && stop_at_connect) return result;
 
+  const EdgeColumns& cols = g.edge_columns();
   UnionFind uf(settled ? 0 : g.num_nodes());
   std::vector<bool> touched(static_cast<size_t>(g.num_nodes()), false);
   int64_t touched_count = 0;
@@ -130,9 +134,11 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
     if (merges == result.target_nodes - 1) {
       settled = true;
       result.connect_k = rank + 1;
+      g.RecordConnectivity(Graph::Connectivity::kConnected);
       if (stop_at_connect) break;
     }
   }
+  if (!settled) g.RecordConnectivity(Graph::Connectivity::kDisconnected);
   return result;
 }
 
@@ -168,7 +174,7 @@ Result<ScoreOrder> ScoreOrder::FromPermutation(const ScoredEdges& scored,
 
 ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
                        std::span<const EdgeId> base_to_next,
-                       std::span<const EdgeId> dirty)
+                       std::span<const EdgeId> dirty, int num_threads)
     : scored_(&scored) {
   const size_t n = static_cast<size_t>(scored.size());
   std::vector<char> is_dirty(n, 0);
@@ -198,7 +204,7 @@ ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
     // Inconsistent patch inputs (a dirty list missing an inserted edge,
     // a stale base). Degrade to the plain sort: correct, and visible on
     // the counter so zero-sort tests catch the misuse.
-    ids_ = SortedIds(scored, /*num_threads=*/0);
+    ids_ = SortedIds(scored, num_threads);
     return;
   }
 

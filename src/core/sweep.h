@@ -51,7 +51,10 @@ class ScoreOrder {
   /// / W) plus O(E log W) merge work at width W, with ~56 transient bytes
   /// per edge for the keys and the merge scratch. The comparator is a
   /// total order, so the permutation is the same at every width,
-  /// including for -0.0/+0.0 and tied scores.
+  /// including for -0.0/+0.0 and tied scores. The default follows
+  /// RunMethodOptions::num_threads, so the wrappers in core/filter.h sort
+  /// at hardware width; called inside a ParallelFor fan-out, the chunk
+  /// sorts are tasks on the same work-stealing pool, not extra threads.
   explicit ScoreOrder(const ScoredEdges& scored, int num_threads = 0);
 
   /// Patch construction for the incremental rescoring path
@@ -69,11 +72,11 @@ class ScoreOrder {
   /// identical to sorting from scratch (the comparator is a total order).
   /// SortsPerformed() does not advance: patching is not a sort. If the
   /// inputs are inconsistent (clean + dirty does not cover the table) the
-  /// constructor falls back to the full sort of the sorting constructor
-  /// (at hardware width) — correct, counted, slow.
+  /// constructor falls back to the full sort of the sorting constructor,
+  /// on `num_threads` workers — correct, counted, slow.
   ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
              std::span<const EdgeId> base_to_next,
-             std::span<const EdgeId> dirty);
+             std::span<const EdgeId> dirty, int num_threads = 0);
 
   /// Restore construction for the snapshot path (service/snapshot.h):
   /// adopts a previously computed permutation instead of sorting. The
@@ -171,11 +174,12 @@ struct SweepProfile {
 
 /// Runs the single O(E a(E)) pass. The profile answers any number of
 /// sweep points afterwards in O(1) each. Union-find only runs while the
-/// connect index is undecided: the graph's edge columns record, once per
-/// graph, whether the whole edge set connects its non-isolated nodes. If
-/// it does not, connect_k is |E| and the pass does no union-find at all;
-/// if it does, union-find stops at connect_k. Either way the profile is
-/// identical to a walk that unions every edge.
+/// connect index is undecided: it stops at connect_k. A walk that ends
+/// without connecting the non-isolated nodes records on the graph that
+/// its edges never do (Graph::known_connectivity); later walks of the
+/// same graph read that, take connect_k = |E|, and run no union-find at
+/// all. Either way the profile is identical to a walk that unions every
+/// edge.
 SweepProfile BuildSweepProfile(const ScoreOrder& order);
 
 /// TopK riding a precomputed order: no sort, O(E) mask build.
@@ -186,8 +190,8 @@ BackboneMask TopShare(const ScoreOrder& order, double share);
 
 /// The Doubly Stochastic stopping rule riding a precomputed order: walks
 /// the order with an incremental union-find and stops at the connect
-/// index (early exit — it does not build a full profile). On a graph whose
-/// edges never connect it, it keeps every edge without walking.
+/// index (early exit — it does not build a full profile). On a graph an
+/// earlier walk found never connects, it keeps every edge without walking.
 BackboneMask GrowUntilConnected(const ScoreOrder& order);
 
 }  // namespace netbone

@@ -29,10 +29,12 @@ Result<BackboneMask> BudgetedBackbone(Method method, const Graph& graph,
   if (method == Method::kMaximumSpanningTree) {
     return FilterByScore(scored, 0.5);  // tree edges scored 1
   }
-  if (method == Method::kDoublyStochastic && budget <= 0) {
-    return GrowUntilConnected(scored);
+  if (budget <= 0 && method != Method::kDoublyStochastic) {
+    return TopK(scored, budget);  // empty mask, no sort
   }
-  return TopK(scored, budget);
+  const ScoreOrder order(scored, options.num_threads);
+  if (budget <= 0) return GrowUntilConnected(order);
+  return TopK(order, budget);
 }
 
 }  // namespace netbone

@@ -1,5 +1,6 @@
 #include "eval/sweep_metrics.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/parallel.h"
@@ -9,6 +10,13 @@ namespace netbone {
 
 Result<std::vector<double>> CoverageSweep(const ScoreOrder& order,
                                           std::span<const double> shares) {
+  // KForShare clamps to [0, 1], but a NaN passes the clamp and would round
+  // to an out-of-range edge budget.
+  for (const double share : shares) {
+    if (!std::isfinite(share)) {
+      return Status::InvalidArgument("share must be a finite number");
+    }
+  }
   const SweepProfile profile = BuildSweepProfile(order);
   if (profile.target_nodes == 0) {
     return Status::FailedPrecondition("original graph is all isolates");

@@ -27,8 +27,9 @@ namespace netbone {
 
 /// Coverage at every share of the grid, element-wise identical to
 /// CoverageOfMask(graph, TopShare(scored, share)) per point, in
-/// O(E a(E) + P) after the order's one sort. Fails when the original
-/// graph is all isolates (the Coverage denominator is zero).
+/// O(E a(E) + P) after the order's one sort. Fails with InvalidArgument
+/// on a non-finite share, and when the original graph is all isolates
+/// (the Coverage denominator is zero).
 Result<std::vector<double>> CoverageSweep(const ScoreOrder& order,
                                           std::span<const double> shares);
 

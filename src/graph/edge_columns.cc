@@ -2,7 +2,6 @@
 
 #include "common/bytes.h"
 #include "graph/graph.h"
-#include "graph/union_find.h"
 
 namespace netbone {
 
@@ -36,17 +35,6 @@ void MaterializeEdgeColumns(const Graph& graph, EdgeColumns* columns) {
         static_cast<double>(graph.out_degree(e.src) - 1);
     columns->dm1_j[k] = static_cast<double>(graph.in_degree(e.dst) - 1);
   }
-
-  // One union-find pass over the whole table, shared by every method's
-  // sweep profile on this graph. Isolated nodes stay singleton sets, so
-  // the non-isolated nodes form one component exactly when the sets left
-  // over number isolates + 1.
-  const int64_t isolates = graph.CountIsolates();
-  columns->non_isolated_nodes = graph.num_nodes() - isolates;
-  UnionFind uf(graph.num_nodes());
-  for (const Edge& e : edges) uf.Union(e.src, e.dst);
-  columns->spans_one_component =
-      columns->non_isolated_nodes > 0 && uf.num_sets() == isolates + 1;
 }
 
 }  // namespace netbone

@@ -10,14 +10,13 @@
 // those inputs into contiguous streams, which is what lets the batched
 // SIMD kernels (core/simd_kernels.h) consume whole lanes with nothing but
 // sequential loads — and what the delta-rescore dirty-run path and the
-// sweep engine's profile pass read instead of striding Edge structs.
+// sweep engine's union-find pass read instead of striding Edge structs.
 //
 // Contents are a pure function of the graph, derived bit-for-bit from the
 // same arrays the scalar kernels read (out_strength / in_strength /
 // degrees), so a kernel consuming columns sees exactly the inputs the
 // per-edge oracle sees. Copies of a Graph share one lazily-built cache;
-// materialization is one O(|E|) gather plus one union-find pass for the
-// connectivity summary, and happens at most once per graph.
+// materialization is O(|E|) and happens at most once per graph.
 
 #ifndef NETBONE_GRAPH_EDGE_COLUMNS_H_
 #define NETBONE_GRAPH_EDGE_COLUMNS_H_
@@ -34,7 +33,7 @@ class Graph;
 /// Contiguous per-edge input columns, index-aligned with the canonical
 /// (src, dst)-sorted edge table: entry k describes graph.edge(k).
 struct EdgeColumns {
-  /// Endpoint node ids (the sweep engine's profile pass reads these
+  /// Endpoint node ids (the sweep engine's union-find pass reads these
   /// instead of striding Edge structs).
   std::vector<int32_t> src;
   std::vector<int32_t> dst;
@@ -50,14 +49,6 @@ struct EdgeColumns {
   /// endpoints always have degree >= 1, so these are >= 0.
   std::vector<double> dm1_i;
   std::vector<double> dm1_j;
-
-  /// Connectivity summary of the whole edge table, for the sweep engine's
-  /// connect-index walk (core/sweep.h): the number of nodes with at least
-  /// one incident edge, and whether those nodes form a single (weakly)
-  /// connected component. When they do not, no prefix of any edge order
-  /// can connect them either, so the walk skips union-find entirely.
-  int64_t non_isolated_nodes = 0;
-  bool spans_one_component = false;
 
   /// Number of edges covered.
   int64_t size() const { return static_cast<int64_t>(weight.size()); }
@@ -76,10 +67,13 @@ namespace internal {
 /// The per-graph cache slot Graph holds by shared_ptr so copies share one
 /// materialization. call_once makes concurrent first readers safe; `ready`
 /// lets byte accounting ask "is it priced in yet?" without building it.
+/// `connectivity` backs Graph::known_connectivity(), a fact about the same
+/// shared edge table that a sweep walk records when it learns it.
 struct EdgeColumnsCache {
   std::once_flag once;
   EdgeColumns columns;
   std::atomic<bool> ready{false};
+  std::atomic<int8_t> connectivity{0};
 };
 
 }  // namespace internal

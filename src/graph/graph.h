@@ -86,6 +86,29 @@ class Graph {
     return columns_cache_->ready.load(std::memory_order_acquire);
   }
 
+  /// Whether the whole edge table connects the nodes that have an edge
+  /// into one (weakly) connected component, as far as it is known.
+  enum class Connectivity : int8_t { kUnknown, kConnected, kDisconnected };
+
+  /// Nothing computes this eagerly: the sweep engine's connect-index walk
+  /// (core/sweep.h) records what its union-find found, and later walks of
+  /// the same graph read it — a graph whose edges never connect needs no
+  /// union-find after the first walk. Copies of a Graph share the record.
+  /// Thread-safe.
+  Connectivity known_connectivity() const {
+    return static_cast<Connectivity>(
+        columns_cache_->connectivity.load(std::memory_order_relaxed));
+  }
+
+  /// Records a connectivity fact that a union-find over this graph's
+  /// edges established: a prefix of some edge order that connects the
+  /// non-isolated nodes proves kConnected, all edges failing to proves
+  /// kDisconnected. Every writer therefore writes the same value.
+  void RecordConnectivity(Connectivity connectivity) const {
+    columns_cache_->connectivity.store(static_cast<int8_t>(connectivity),
+                                       std::memory_order_relaxed);
+  }
+
   /// Sum of all edge weights as stored (undirected edges counted once).
   double total_weight() const { return total_weight_; }
 

@@ -566,7 +566,8 @@ std::shared_ptr<const CachedScore> BackboneEngine::TryDeltaRescore(
       graph,
       ScoredEdges(graph.get(), base->scored().method(),
                   std::move(patch.scores), base->scored().has_sdev()),
-      *base, patch.base_to_next, patch.dirty, base_fingerprint);
+      *base, patch.base_to_next, patch.dirty, base_fingerprint,
+      options_.num_threads);
 }
 
 BackboneEngine::ScoreResult BackboneEngine::GetOrComputeScore(

@@ -41,12 +41,14 @@ std::shared_ptr<const CachedScore> CachedScore::Build(
 std::shared_ptr<const CachedScore> CachedScore::BuildPatched(
     std::shared_ptr<const Graph> graph, ScoredEdges scored,
     const CachedScore& base, std::span<const EdgeId> base_to_next,
-    std::span<const EdgeId> dirty, uint64_t base_fingerprint) {
+    std::span<const EdgeId> dirty, uint64_t base_fingerprint,
+    int num_threads) {
   std::shared_ptr<CachedScore> entry(new CachedScore());
   entry->graph_ = std::move(graph);
   entry->scored_ = std::move(scored);
   // The patch constructor: no global sort (SortsPerformed stays flat).
-  entry->order_.emplace(entry->scored_, base.order(), base_to_next, dirty);
+  entry->order_.emplace(entry->scored_, base.order(), base_to_next, dirty,
+                        num_threads);
   entry->provenance_ = DeltaProvenance{base_fingerprint,
                                        static_cast<int64_t>(dirty.size()),
                                        entry->scored_.size()};

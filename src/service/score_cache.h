@@ -118,15 +118,17 @@ class CachedScore {
   /// ScoreOrder is patched (remove + merge over `base.order()`, zero
   /// global sorts — see ScoreOrder's patch constructor) and the
   /// SweepProfile is rebuilt from the patched order (one linear pass;
-  /// its union-find stops once connectivity is settled).
-  /// Preconditions: scored.graph() is *graph, `scored` was produced by
-  /// DeltaRescore against base.scored(), and base_to_next / dirty are
-  /// that rescore's bookkeeping. The result is bit-identical to
+  /// its union-find stops once connectivity is settled). `num_threads`
+  /// only sizes the full sort the patch falls back to on inconsistent
+  /// inputs. Preconditions: scored.graph() is *graph, `scored` was
+  /// produced by DeltaRescore against base.scored(), and base_to_next /
+  /// dirty are that rescore's bookkeeping. The result is bit-identical to
   /// Build(graph, full rescore).
   static std::shared_ptr<const CachedScore> BuildPatched(
       std::shared_ptr<const Graph> graph, ScoredEdges scored,
       const CachedScore& base, std::span<const EdgeId> base_to_next,
-      std::span<const EdgeId> dirty, uint64_t base_fingerprint);
+      std::span<const EdgeId> dirty, uint64_t base_fingerprint,
+      int num_threads = 0);
 
   /// Rebuilds an entry from snapshotted artifacts (service/snapshot.h):
   /// the stored permutation is adopted through ScoreOrder::FromPermutation

@@ -261,6 +261,22 @@ TEST(SweepEngineTest, CoverageAtShareMatchesCoverageOfMask) {
   }
 }
 
+TEST(SweepEngineTest, NonFiniteShareIsInvalidArgument) {
+  const Graph g = MakeUndirected();
+  const auto nt = NaiveThreshold(g);
+  ASSERT_TRUE(nt.ok());
+  const ScoreOrder order(*nt);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    const std::vector<double> shares = {0.1, bad, 0.5};
+    const auto sweep = CoverageSweep(order, shares);
+    ASSERT_FALSE(sweep.ok());
+    EXPECT_TRUE(sweep.status().IsInvalidArgument());
+    const auto at_share = CoverageAtShare(order, bad);
+    ASSERT_FALSE(at_share.ok());
+    EXPECT_TRUE(at_share.status().IsInvalidArgument());
+  }
+}
+
 TEST(SweepEngineTest, MethodFailureIsReportedPerMethod) {
   // DS cannot balance a directed graph where some node only sends; the
   // per-method status must carry that error while other methods succeed.
@@ -515,29 +531,60 @@ SweepProfile ReferenceProfile(const ScoreOrder& order) {
   return profile;
 }
 
+/// A fresh graph with `g`'s edges. Copies of a Graph share what walks
+/// learned about it; a rebuilt one starts with connectivity unknown.
+Graph Rebuilt(const Graph& g) {
+  GraphBuilder builder(g.directedness(), DuplicateEdgePolicy::kSum,
+                       SelfLoopPolicy::kKeep);
+  builder.ReserveNodes(g.num_nodes());
+  for (const Edge& e : g.edges()) builder.AddEdge(e.src, e.dst, e.weight);
+  return *builder.Build();
+}
+
+/// Checks the walk against ReferenceProfile on both of its roads: the
+/// first walk of a graph, which runs union-find and records what it found,
+/// and the later walks, which read the record. Each of BuildSweepProfile
+/// and GrowUntilConnected gets a turn at walking a fresh graph first.
 void ExpectProfileMatchesReference(const Graph& g, bool spans) {
   ASSERT_GE(g.num_edges(), kParallelSortMin);
-  EXPECT_EQ(g.edge_columns().spans_one_component, spans);
-  EXPECT_EQ(g.edge_columns().non_isolated_nodes,
-            g.num_nodes() - g.CountIsolates());
-  for (const Method method :
-       {Method::kNoiseCorrected, Method::kNaiveThreshold}) {
-    const auto scored = RunMethod(method, g);
-    ASSERT_TRUE(scored.ok());
-    const ScoreOrder order(*scored);
-    const SweepProfile expected = ReferenceProfile(order);
-    const SweepProfile profile = BuildSweepProfile(order);
-    EXPECT_EQ(profile.target_nodes, expected.target_nodes);
-    EXPECT_EQ(profile.connect_k, expected.connect_k);
-    EXPECT_EQ(profile.covered_nodes, expected.covered_nodes);
-    // Bit for bit: the cumulative sums run in the same rank order.
-    EXPECT_EQ(profile.kept_weight, expected.kept_weight);
-    EXPECT_EQ(GrowUntilConnected(order).keep,
-              order.PrefixMask(expected.connect_k).keep);
-    if (spans) {
-      EXPECT_LT(expected.connect_k, g.num_edges());
-    } else {
-      EXPECT_EQ(expected.connect_k, g.num_edges());
+  const Graph::Connectivity fact = spans
+                                       ? Graph::Connectivity::kConnected
+                                       : Graph::Connectivity::kDisconnected;
+  for (const bool profile_first : {true, false}) {
+    const Graph fresh = Rebuilt(g);
+    EXPECT_EQ(fresh.known_connectivity(), Graph::Connectivity::kUnknown);
+    for (const Method method :
+         {Method::kNoiseCorrected, Method::kNaiveThreshold}) {
+      const auto scored = RunMethod(method, fresh);
+      ASSERT_TRUE(scored.ok());
+      const ScoreOrder order(*scored);
+      const SweepProfile expected = ReferenceProfile(order);
+      const auto check_profile = [&] {
+        const SweepProfile profile = BuildSweepProfile(order);
+        EXPECT_EQ(profile.target_nodes, expected.target_nodes);
+        EXPECT_EQ(profile.connect_k, expected.connect_k);
+        EXPECT_EQ(profile.covered_nodes, expected.covered_nodes);
+        // Bit for bit: the cumulative sums run in the same rank order.
+        EXPECT_EQ(profile.kept_weight, expected.kept_weight);
+      };
+      const auto check_grow = [&] {
+        EXPECT_EQ(GrowUntilConnected(order).keep,
+                  order.PrefixMask(expected.connect_k).keep);
+      };
+      if (profile_first) {
+        check_profile();
+        EXPECT_EQ(fresh.known_connectivity(), fact);
+        check_grow();
+      } else {
+        check_grow();
+        EXPECT_EQ(fresh.known_connectivity(), fact);
+        check_profile();
+      }
+      if (spans) {
+        EXPECT_LT(expected.connect_k, g.num_edges());
+      } else {
+        EXPECT_EQ(expected.connect_k, g.num_edges());
+      }
     }
   }
 }
@@ -585,11 +632,11 @@ TEST(SweepProfileEarlyStopTest, SelfLoopsOnlyMatchesPlainWalk) {
                       SelfLoopPolicy::kKeep);
   single.AddEdge(0, 0, 2.0);
   const Graph g = *single.Build();
-  EXPECT_TRUE(g.edge_columns().spans_one_component);
   const auto nt = NaiveThreshold(g);
   ASSERT_TRUE(nt.ok());
   const ScoreOrder order(*nt);
   EXPECT_EQ(BuildSweepProfile(order).connect_k, 1);
+  EXPECT_EQ(g.known_connectivity(), Graph::Connectivity::kConnected);
   EXPECT_EQ(ReferenceProfile(order).connect_k, 1);
   EXPECT_EQ(GrowUntilConnected(order).kept, 1);
 }
