@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -246,6 +247,24 @@ BackboneMask ScoreOrder::PrefixMask(int64_t k) const {
   }
   mask.kept = limit;
   return mask;
+}
+
+std::vector<EdgeId> ScoreOrder::PrefixIds(int64_t k) const {
+  const size_t limit = static_cast<size_t>(std::clamp<int64_t>(k, 0, size()));
+  std::vector<uint64_t> words((ids_.size() + 63) / 64, 0);
+  for (size_t rank = 0; rank < limit; ++rank) {
+    const uint64_t id = static_cast<uint64_t>(ids_[rank]);
+    words[id / 64] |= uint64_t{1} << (id % 64);
+  }
+  std::vector<EdgeId> out(limit);
+  EdgeId* next = out.data();
+  for (size_t w = 0; w < words.size(); ++w) {
+    const EdgeId base = static_cast<EdgeId>(w * 64);
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      *next++ = base + std::countr_zero(bits);
+    }
+  }
+  return out;
 }
 
 int64_t ScoreOrder::CountAbove(double threshold) const {

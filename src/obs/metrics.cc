@@ -73,28 +73,45 @@ int64_t HistogramSnapshot::ValueAtQuantile(double q) const {
 
 namespace {
 
+/// Computed once: hardware_concurrency() reads sysfs, and an engine
+/// constructs dozens of histograms.
 int DefaultHistogramShards() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int shards = static_cast<int>(std::bit_ceil(hw == 0 ? 4u : hw));
-  return std::clamp(shards, 1, 16);
+  static const int shards = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::clamp(
+        static_cast<int>(std::bit_ceil(hw == 0 ? 4u : hw)), 1, 16);
+  }();
+  return shards;
 }
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram(int num_shards) {
-  if (num_shards <= 0) num_shards = DefaultHistogramShards();
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+LatencyHistogram::LatencyHistogram(int num_shards)
+    : num_shards_(num_shards > 0 ? num_shards : DefaultHistogramShards()) {}
+
+LatencyHistogram::~LatencyHistogram() {
+  delete[] shards_.load(std::memory_order_acquire);
+}
+
+LatencyHistogram::Shard* LatencyHistogram::Shards() {
+  Shard* block = shards_.load(std::memory_order_acquire);
+  if (block != nullptr) return block;
+  Shard* fresh = new Shard[static_cast<size_t>(num_shards_)]();
+  if (shards_.compare_exchange_strong(block, fresh,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+    return fresh;
   }
+  delete[] fresh;  // another recorder published first; `block` is theirs
+  return block;
 }
 
 void LatencyHistogram::Record(int64_t value) {
   if (value < 0) value = 0;
-  Shard& shard = *shards_[ThreadSlot() % shards_.size()];
+  Shard& shard =
+      Shards()[ThreadSlot() % static_cast<uint32_t>(num_shards_)];
   shard.buckets[HistogramBucketIndex(value)].fetch_add(
       1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
   int64_t seen = shard.min.load(std::memory_order_relaxed);
   while (value < seen && !shard.min.compare_exchange_weak(
@@ -108,31 +125,39 @@ void LatencyHistogram::Record(int64_t value) {
 
 HistogramSnapshot LatencyHistogram::Snapshot() const {
   HistogramSnapshot snap;
+  const Shard* const block = shards_.load(std::memory_order_acquire);
+  if (block == nullptr) return snap;  // never recorded
   int64_t min = INT64_MAX;
   int64_t max = INT64_MIN;
-  for (const auto& shard : shards_) {
-    snap.count += shard->count.load(std::memory_order_relaxed);
-    snap.sum += shard->sum.load(std::memory_order_relaxed);
-    min = std::min(min, shard->min.load(std::memory_order_relaxed));
-    max = std::max(max, shard->max.load(std::memory_order_relaxed));
+  for (int s = 0; s < num_shards_; ++s) {
+    const Shard& shard = block[s];
+    snap.sum += shard.sum.load(std::memory_order_relaxed);
+    min = std::min(min, shard.min.load(std::memory_order_relaxed));
+    max = std::max(max, shard.max.load(std::memory_order_relaxed));
     for (int i = 0; i < kHistogramBuckets; ++i) {
-      snap.buckets[i] += shard->buckets[i].load(std::memory_order_relaxed);
+      snap.buckets[i] += shard.buckets[i].load(std::memory_order_relaxed);
     }
   }
+  // The count is the bucket total rather than a counter of its own: one
+  // atomic fewer per Record, and the readout's count always agrees with
+  // its buckets.
+  for (const int64_t n : snap.buckets) snap.count += n;
   snap.min = snap.count > 0 ? min : 0;
   snap.max = snap.count > 0 ? max : 0;
   return snap;
 }
 
 void LatencyHistogram::Reset() {
-  for (const auto& shard : shards_) {
+  Shard* const block = shards_.load(std::memory_order_acquire);
+  if (block == nullptr) return;
+  for (int s = 0; s < num_shards_; ++s) {
+    Shard& shard = block[s];
     for (int i = 0; i < kHistogramBuckets; ++i) {
-      shard->buckets[i].store(0, std::memory_order_relaxed);
+      shard.buckets[i].store(0, std::memory_order_relaxed);
     }
-    shard->count.store(0, std::memory_order_relaxed);
-    shard->sum.store(0, std::memory_order_relaxed);
-    shard->min.store(INT64_MAX, std::memory_order_relaxed);
-    shard->max.store(INT64_MIN, std::memory_order_relaxed);
+    shard.sum.store(0, std::memory_order_relaxed);
+    shard.min.store(INT64_MAX, std::memory_order_relaxed);
+    shard.max.store(INT64_MIN, std::memory_order_relaxed);
   }
 }
 

@@ -142,12 +142,17 @@ struct HistogramSnapshot {
 
 /// Concurrent log2/linear-sub-bucket histogram. Record() touches one
 /// shard: a relaxed fetch_add on the bucket counter plus relaxed
-/// min/max/sum maintenance — no locks, no fences on the hot path.
+/// min/max/sum maintenance — no locks, no fences on the hot path. There
+/// is no count field to bump: Snapshot() sums the buckets. The shards
+/// (~4.8 KB each) are allocated by the first Record, so a histogram that
+/// never records costs a few bytes — an engine keeps one per (request
+/// kind, answer path) pair and uses a handful.
 class LatencyHistogram {
  public:
   /// num_shards <= 0 picks a default sized for concurrent recording;
   /// pass 1 for single-writer histograms (e.g. per-worker slots).
   explicit LatencyHistogram(int num_shards = 0);
+  ~LatencyHistogram();
 
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
@@ -161,17 +166,23 @@ class LatencyHistogram {
   /// Resets all shards. Callers must quiesce writers first.
   void Reset();
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return num_shards_; }
 
  private:
   struct alignas(64) Shard {
     std::array<std::atomic<int64_t>, kHistogramBuckets> buckets{};
-    std::atomic<int64_t> count{0};
     std::atomic<int64_t> sum{0};
     std::atomic<int64_t> min{INT64_MAX};
     std::atomic<int64_t> max{INT64_MIN};
   };
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The shard block, allocating it on first use. Racing first
+  /// recorders each build one; the loser of the publish frees its own.
+  Shard* Shards();
+
+  int num_shards_ = 0;
+  // One contiguous block (null until the first Record): Record reaches
+  // its shard with one load fewer than per-shard allocations would take.
+  std::atomic<Shard*> shards_{nullptr};
 };
 
 /// RAII timing gate: records the scope's wall time into `hist` on exit,

@@ -48,16 +48,17 @@ const char* AnswerPathName(AnswerPath path) {
 
 namespace {
 
-int64_t MonotonicNs() {
+int64_t SinceClockEpochNs(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             t.time_since_epoch())
       .count();
 }
 
 }  // namespace
 
 TraceRecorder::TraceRecorder(int64_t sample_rate, int64_t buffer_bytes)
-    : sample_rate_(sample_rate), epoch_ns_(MonotonicNs()) {
+    : sample_rate_(sample_rate),
+      epoch_ns_(SinceClockEpochNs(std::chrono::steady_clock::now())) {
   if (sample_rate_ <= 0) return;
   int64_t capacity = buffer_bytes / static_cast<int64_t>(sizeof(Slot));
   capacity = std::max<int64_t>(capacity, 1);
@@ -67,7 +68,13 @@ TraceRecorder::TraceRecorder(int64_t sample_rate, int64_t buffer_bytes)
   }
 }
 
-int64_t TraceRecorder::NowNs() const { return MonotonicNs() - epoch_ns_; }
+int64_t TraceRecorder::NowNs() const {
+  return ToNs(std::chrono::steady_clock::now());
+}
+
+int64_t TraceRecorder::ToNs(std::chrono::steady_clock::time_point t) const {
+  return SinceClockEpochNs(t) - epoch_ns_;
+}
 
 void TraceRecorder::Commit(const RequestTrace& trace) {
   if (slots_.empty()) return;

@@ -23,6 +23,7 @@
 #define NETBONE_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -138,6 +139,13 @@ class TraceRecorder {
   /// Monotonic ns since this recorder was built — the timebase every
   /// stored begin_ns/span uses.
   int64_t NowNs() const;
+
+  /// A steady_clock reading the caller already took, in the NowNs()
+  /// timebase. The timebase is steady_clock minus the recorder's epoch,
+  /// so converting needs no second clock read: a request that reads the
+  /// clock once at entry for its deadline reuses that reading as its
+  /// trace start.
+  int64_t ToNs(std::chrono::steady_clock::time_point t) const;
 
   /// Stable copy of the ring's current contents, oldest first. Slots
   /// mid-write are skipped (they will appear in a later snapshot).

@@ -130,14 +130,6 @@ BackboneEngine::BackboneEngine(const Options& options)
       cache_(options.cache_byte_budget) {
   cache_.set_metrics_timing(options_.enable_metrics);
   graphs_.set_metrics_timing(options_.enable_metrics);
-  if (options_.enable_metrics) {
-    for (auto& hist : kind_latency_) {
-      hist = std::make_unique<obs::LatencyHistogram>();
-    }
-    for (auto& hist : path_latency_) {
-      hist = std::make_unique<obs::LatencyHistogram>();
-    }
-  }
   if (!options_.snapshot_dir.empty()) {
     // Restore before the dispatcher exists: the store and cache are
     // mutated single-threaded. A missing snapshot is the normal first
@@ -333,7 +325,13 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
   // The lookup span covers the whole cache + negative + in-flight
   // resolution window (including the lock wait); it is closed before any
   // of the block's returns and once more on the compute fall-through.
-  if (info->timed) info->lookup_start_ns = tracer_.NowNs();
+  // Execute's lookup starts at its entry reading (store lookup and pin
+  // included) instead of a fresh one.
+  if (info->timed) {
+    info->lookup_start_ns = info->entry_ns >= 0
+                                ? std::exchange(info->entry_ns, -1)
+                                : tracer_.NowNs();
+  }
   const auto end_lookup = [&] {
     if (info->timed) {
       info->lookup_ns = tracer_.NowNs() - info->lookup_start_ns;
@@ -624,8 +622,8 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
   response.cache_hit = cache_hit;
 
   const auto fill_extraction = [&](int64_t k) {
-    // PrefixMask clamps the same way, so `kept` needs no mask; the O(E)
-    // mask walk only runs when the caller wants the edge list.
+    // PrefixIds clamps the same way, so `kept` needs no edge list; the
+    // O(k + |E|/64) bitmap walk only runs when the caller wants one.
     const int64_t kept = std::clamp<int64_t>(k, 0, order.size());
     response.kept = kept;
     if (profile.target_nodes > 0) {
@@ -633,7 +631,7 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
     }
     response.weight_share = profile.WeightShareAt(kept);
     if (request.include_edges) {
-      response.kept_edges = MaskToEdgeIds(order.PrefixMask(k));
+      response.kept_edges = order.PrefixIds(k);
     }
   };
 
@@ -704,11 +702,14 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
 Result<BackboneResponse> BackboneEngine::Execute(
     const BackboneRequest& request) {
   requests_.Increment();
-  const int64_t begin_ns = MetricsNowNs();
+  // The one clock read at entry: the deadline base, begin_ns, and the
+  // start of a traced request's cache_lookup span.
+  const SteadyClock::time_point entry = SteadyClock::now();
+  const SteadyClock::time_point deadline = DeadlineFor(request, entry);
+  const int64_t begin_ns = MetricsNs(entry);
   ResolveInfo info;
   info.timed = tracer_.enabled();
-  const SteadyClock::time_point deadline =
-      DeadlineFor(request, SteadyClock::now());
+  if (info.timed) info.entry_ns = begin_ns;
   if (Status invalid = ValidateShares(request); !invalid.ok()) {
     RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
                   deadline, /*queue_wait_ns=*/0);
@@ -762,11 +763,15 @@ Result<BackboneResponse> BackboneEngine::Execute(
                   deadline, /*queue_wait_ns=*/0);
     return status;
   }
-  Result<BackboneResponse> response = [&] {
-    SpanTimer span(tracer_, info.timed, &info.extract_start_ns,
-                   &info.extract_ns);
-    return BuildResponse(request, **score, info.cache_hit);
-  }();
+  // A warm hit's extract span starts at the lookup's end reading; the
+  // outcome's end reading closes it.
+  if (info.timed) {
+    info.extract_start_ns = info.cache_hit
+                                ? info.lookup_start_ns + info.lookup_ns
+                                : tracer_.NowNs();
+  }
+  Result<BackboneResponse> response =
+      BuildResponse(request, **score, info.cache_hit);
   RecordOutcome(request, response.ok(), /*degraded=*/false, info, begin_ns,
                 deadline, /*queue_wait_ns=*/0);
   return response;
@@ -876,8 +881,8 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   requests_.Add(n);
   obs::ScopedRecord batch_timing(options_.enable_metrics,
                                  &batch_execute_ns_);
-  const int64_t begin_ns = MetricsNowNs();
   const SteadyClock::time_point entry_now = SteadyClock::now();
+  const int64_t begin_ns = MetricsNs(entry_now);
 
   // Resolve graphs and collapse the batch onto its distinct score keys
   // (first-appearance order, so the scoring order is deterministic).
@@ -1080,8 +1085,7 @@ BackboneEngine::ExecuteBatchWithDeadlines(
                 }
               }
             } else {
-              SpanTimer span(tracer_, info.timed, &info.extract_start_ns,
-                             &info.extract_ns);
+              if (info.timed) info.extract_start_ns = tracer_.NowNs();
               out[slot] = BuildResponse(request, **score, info.cache_hit);
             }
           }
@@ -1179,6 +1183,7 @@ void BackboneEngine::DispatcherLoop() {
     if (queue_.empty()) continue;
     PendingBatch batch = std::move(queue_.front());
     queue_.pop_front();
+    dispatching_ = true;
     lock.unlock();
     // Fault-injection site: a stalled dispatcher. The stall is bounded
     // by engine shutdown (lifetime token), never by request deadlines —
@@ -1199,6 +1204,8 @@ void BackboneEngine::DispatcherLoop() {
     batch.promise.set_value(ExecuteBatchWithDeadlines(
         batch.requests, batch.deadlines, queue_wait_ns));
     lock.lock();
+    dispatching_ = false;
+    idle_cv_.notify_all();
   }
   // Shutdown: queued batches are *cancelled*, not executed — their
   // futures resolve immediately with a typed status instead of racing
@@ -1210,6 +1217,14 @@ void BackboneEngine::DispatcherLoop() {
         batch.requests.size(),
         Status::Unavailable("engine is shutting down")));
   }
+  idle_cv_.notify_all();
+}
+
+void BackboneEngine::WaitIdle() {
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  idle_cv_.wait(lock, [this] {
+    return shutdown_ || (queue_.empty() && !dispatching_);
+  });
 }
 
 BackboneEngine::Stats BackboneEngine::stats() const {
@@ -1285,8 +1300,7 @@ void BackboneEngine::RecordOutcome(const BackboneRequest& request, bool ok,
   const int64_t total_ns = std::max<int64_t>(end_ns - begin_ns, 0);
   const obs::AnswerPath path = ClassifyPath(ok, degraded, info);
   if (metrics) {
-    kind_latency_[static_cast<size_t>(request.kind)]->Record(total_ns);
-    path_latency_[static_cast<size_t>(path)]->Record(total_ns);
+    outcome_latency_[OutcomeSlot(request.kind, path)].Record(total_ns);
   }
   if (!tracing || !tracer_.ShouldSample()) return;
 
@@ -1306,10 +1320,7 @@ void BackboneEngine::RecordOutcome(const BackboneRequest& request, bool ok,
   trace.begin_ns = origin;
   trace.total_ns = end_ns - origin;
   if (deadline != SteadyClock::time_point::max()) {
-    trace.deadline_slack_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline - SteadyClock::now())
-            .count();
+    trace.deadline_slack_ns = tracer_.ToNs(deadline) - end_ns;
   }
   if (queue_wait_ns > 0) {
     trace.AddSpan(obs::SpanKind::kAdmission, 0, queue_wait_ns);
@@ -1327,7 +1338,7 @@ void BackboneEngine::RecordOutcome(const BackboneRequest& request, bool ok,
   add_span(obs::SpanKind::kDeltaPatch, info.patch_start_ns, info.patch_ns);
   add_span(obs::SpanKind::kColdScore, info.score_start_ns, info.score_ns);
   add_span(obs::SpanKind::kExtract, info.extract_start_ns,
-           info.extract_ns);
+           end_ns - info.extract_start_ns);
   tracer_.Commit(trace);
 }
 
@@ -1422,17 +1433,18 @@ void BackboneEngine::RegisterEngineMetrics() {
 
   if (options_.enable_metrics) {
     for (int k = 0; k < kNumRequestKinds; ++k) {
-      registry_.RegisterHistogram(
-          std::string("engine.latency.kind.") +
-              RequestKindName(static_cast<RequestKind>(k)),
-          kind_latency_[static_cast<size_t>(k)].get(), this);
-    }
-    for (int p = 0; p < obs::kNumAnswerPaths; ++p) {
-      const auto path = static_cast<obs::AnswerPath>(p);
-      if (path == obs::AnswerPath::kUnknown) continue;  // never recorded
-      registry_.RegisterHistogram(
-          std::string("engine.latency.path.") + obs::AnswerPathName(path),
-          path_latency_[static_cast<size_t>(p)].get(), this);
+      const auto kind = static_cast<RequestKind>(k);
+      for (int p = 1; p < obs::kNumAnswerPaths; ++p) {  // skip kUnknown
+        const auto path = static_cast<obs::AnswerPath>(p);
+        const obs::LatencyHistogram* hist =
+            &outcome_latency_[OutcomeSlot(kind, path)];
+        registry_.RegisterHistogram(
+            std::string("engine.latency.kind.") + RequestKindName(kind),
+            hist, this);
+        registry_.RegisterHistogram(
+            std::string("engine.latency.path.") + obs::AnswerPathName(path),
+            hist, this);
+      }
     }
   }
   registry_.RegisterHistogram("engine.queue_wait_ns", &queue_wait_ns_,

@@ -412,6 +412,14 @@ class BackboneEngine {
   std::future<std::vector<Result<BackboneResponse>>> Submit(
       std::vector<BackboneRequest> requests);
 
+  /// Blocks until the submit queue is empty and the dispatcher is not
+  /// running a batch: every Submit batch and every background refresh a
+  /// degraded serve queued before this call has finished (refreshes
+  /// those batches queue in turn are waited for too). Returns at once
+  /// after shutdown. For callers that need a quiescent read — a metrics
+  /// or fault-count comparison, a snapshot — not for the serving path.
+  void WaitIdle();
+
   /// Forgets all remembered scoring failures at once: the next request
   /// on a previously-failing key re-attempts it. For operators that
   /// fixed an environmental cause.
@@ -494,6 +502,10 @@ class BackboneEngine {
     bool coalesced = false;      ///< joined another request's computation
     int retries = 0;             ///< transient-failure re-attempts
     bool timed = false;          ///< span clocks on (tracer enabled)
+    /// A clock reading the caller already took at request entry: the
+    /// first cache lookup starts there instead of reading again (-1 =
+    /// none; consumed by that lookup).
+    int64_t entry_ns = -1;
     int64_t lookup_start_ns = -1;   ///< kCacheLookup
     int64_t lookup_ns = 0;
     int64_t lineage_start_ns = -1;  ///< kLineageWalk
@@ -502,8 +514,9 @@ class BackboneEngine {
     int64_t patch_ns = 0;
     int64_t score_start_ns = -1;    ///< kColdScore
     int64_t score_ns = 0;
-    int64_t extract_start_ns = -1;  ///< kExtract
-    int64_t extract_ns = 0;
+    /// kExtract. It has no duration field: the span runs until the
+    /// end read RecordOutcome takes anyway.
+    int64_t extract_start_ns = -1;
   };
 
   /// The non-blocking half of score resolution: positive cache, negative
@@ -604,12 +617,12 @@ class BackboneEngine {
 
   void DispatcherLoop();
 
-  /// tracer_ timebase now when any instrumentation wants a clock
-  /// (metrics or tracing), else 0 — the one branch the uninstrumented
-  /// hot path pays. The tracer's epoch is armed even at sample rate 0,
-  /// so its timebase is always valid to read.
-  int64_t MetricsNowNs() const {
-    return options_.enable_metrics || tracer_.enabled() ? tracer_.NowNs()
+  /// The entry reading `now` in tracer_ timebase when any
+  /// instrumentation wants it (metrics or tracing), else 0 — the one
+  /// branch the uninstrumented hot path pays. The tracer's epoch is
+  /// armed even at sample rate 0, so its timebase is always valid.
+  int64_t MetricsNs(std::chrono::steady_clock::time_point now) const {
+    return options_.enable_metrics || tracer_.enabled() ? tracer_.ToNs(now)
                                                         : 0;
   }
 
@@ -619,7 +632,8 @@ class BackboneEngine {
 
   /// Terminal accounting for one request: records the per-kind and
   /// per-path latency histograms (when enable_metrics) and commits a
-  /// trace span chain (when this request sampled). `begin_ns` is the
+  /// trace span chain (when this request sampled). Its one clock read
+  /// ends the request and closes the extract span. `begin_ns` is the
   /// request's dispatch time in tracer_ timebase (0 when tracing off);
   /// `deadline` as armed (time_point::max() = none).
   void RecordOutcome(const BackboneRequest& request, bool ok, bool degraded,
@@ -682,11 +696,18 @@ class BackboneEngine {
   obs::ShardedCounter snapshot_writes_;
   obs::ShardedCounter snapshot_failures_;
 
-  /// Latency distributions (populated when Options::enable_metrics).
-  std::array<std::unique_ptr<obs::LatencyHistogram>, kNumRequestKinds>
-      kind_latency_;
-  std::array<std::unique_ptr<obs::LatencyHistogram>, obs::kNumAnswerPaths>
-      path_latency_;
+  /// Latency distributions (populated when Options::enable_metrics), one
+  /// per (request kind, answer path) pair, so a request pays a single
+  /// Record. Each is registered under its kind's name and under its
+  /// path's name; the registry merges same-name histograms, which yields
+  /// the per-kind and per-path views. A pair that never occurs (and the
+  /// kUnknown path, which is never recorded) allocates no shards.
+  std::array<obs::LatencyHistogram, kNumRequestKinds * obs::kNumAnswerPaths>
+      outcome_latency_;
+  static size_t OutcomeSlot(RequestKind kind, obs::AnswerPath path) {
+    return static_cast<size_t>(kind) * obs::kNumAnswerPaths +
+           static_cast<size_t>(path);
+  }
   obs::LatencyHistogram queue_wait_ns_;      ///< Submit -> dispatch
   obs::LatencyHistogram batch_execute_ns_;   ///< batch dispatch -> done
   obs::LatencyHistogram snapshot_write_ns_;
@@ -721,6 +742,11 @@ class BackboneEngine {
   mutable std::mutex queue_mu_;  // mutable: stats() reads queue depth
   std::condition_variable queue_cv_;
   std::deque<PendingBatch> queue_;
+  /// True while the dispatcher runs a batch it popped (guarded by
+  /// queue_mu_); with an empty queue_, false means idle.
+  bool dispatching_ = false;
+  /// Signalled when the dispatcher finishes a batch, for WaitIdle.
+  std::condition_variable idle_cv_;
   bool shutdown_ = false;
   std::thread dispatcher_;
 };

@@ -187,8 +187,6 @@ StoredGraph GraphStore::Intern(Graph graph) {
 }
 
 std::shared_ptr<const Graph> GraphStore::Find(uint64_t fingerprint) const {
-  obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
-                           &find_ns_);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = graphs_.find(fingerprint);
   if (it == graphs_.end()) return nullptr;
@@ -272,7 +270,6 @@ void GraphStore::RegisterMetrics(obs::MetricRegistry& registry,
       },
       owner);
   registry.RegisterHistogram(prefix + ".intern_ns", &intern_ns_, owner);
-  registry.RegisterHistogram(prefix + ".find_ns", &find_ns_, owner);
   registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
 }
 

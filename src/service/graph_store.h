@@ -127,13 +127,15 @@ class GraphStore {
   Stats stats() const { return StatsSnapshot(); }
 
   /// Registers this store's stats as callback gauges and its operation
-  /// latency histograms (intern/find/evict, populated only while
-  /// set_metrics_timing(true)) under `<prefix>.<name>`. The caller owns
-  /// unregistration via the `owner` cookie.
+  /// latency histograms (intern/evict, populated only while
+  /// set_metrics_timing(true)) under `<prefix>.<name>`. Find is not
+  /// timed: a clock pair would cost about as much as the call, and a
+  /// traced request's cache_lookup span already covers it. The caller
+  /// owns unregistration via the `owner` cookie.
   void RegisterMetrics(obs::MetricRegistry& registry,
                        const std::string& prefix, const void* owner);
 
-  /// Turns on latency recording for Intern/Find/eviction.
+  /// Turns on latency recording for Intern and eviction.
   void set_metrics_timing(bool on) {
     metrics_timing_.store(on, std::memory_order_relaxed);
   }
@@ -166,7 +168,6 @@ class GraphStore {
 
   std::atomic<bool> metrics_timing_{false};
   obs::LatencyHistogram intern_ns_;  ///< Intern latency (fingerprint + insert)
-  mutable obs::LatencyHistogram find_ns_;  ///< Find latency
   obs::LatencyHistogram evict_ns_;   ///< per-Trim latency when it evicted
 };
 

@@ -84,8 +84,6 @@ std::shared_ptr<const CachedScore> ScoreCache::GetLocked(
 }
 
 std::shared_ptr<const CachedScore> ScoreCache::Get(const ScoreKey& key) {
-  obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
-                           &get_ns_);
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<const CachedScore> entry = GetLocked(key);
   ++(entry != nullptr ? hits_ : misses_);
@@ -243,7 +241,6 @@ void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
         };
       },
       owner);
-  registry.RegisterHistogram(prefix + ".get_ns", &get_ns_, owner);
   registry.RegisterHistogram(prefix + ".put_ns", &put_ns_, owner);
   registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
 }

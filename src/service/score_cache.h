@@ -276,13 +276,15 @@ class ScoreCache {
   Stats stats() const { return StatsSnapshot(); }
 
   /// Registers this cache's stats as callback gauges and its operation
-  /// latency histograms (get/put/evict, populated only while
-  /// set_metrics_timing(true)) under `<prefix>.<name>`. The caller owns
+  /// latency histograms (put/evict, populated only while
+  /// set_metrics_timing(true)) under `<prefix>.<name>`. Get is not
+  /// timed: a clock pair would cost about as much as a hit, and a traced
+  /// request's cache_lookup span already covers it. The caller owns
   /// unregistration via the `owner` cookie.
   void RegisterMetrics(obs::MetricRegistry& registry,
                        const std::string& prefix, const void* owner);
 
-  /// Turns on latency recording for Get/Put/eviction (two clock reads
+  /// Turns on latency recording for Put and eviction (two clock reads
   /// per operation). Off by default so uninstrumented users pay nothing.
   void set_metrics_timing(bool on) {
     metrics_timing_.store(on, std::memory_order_relaxed);
@@ -316,7 +318,6 @@ class ScoreCache {
   int64_t lineage_bytes_ = 0;  // lineage map share of bytes_
 
   std::atomic<bool> metrics_timing_{false};
-  obs::LatencyHistogram get_ns_;    ///< Get latency (hit or miss)
   obs::LatencyHistogram put_ns_;    ///< Put latency (including any trim)
   obs::LatencyHistogram evict_ns_;  ///< per-Trim latency when it evicted
 };

@@ -812,6 +812,117 @@ BackboneRequest DeltaShareRequest(uint64_t graph, Method method) {
   return request;
 }
 
+/// Every extraction-shaped request kind, with budgets on both sides of
+/// the clamp: TopK 0 / 1 / E / E+5, a threshold above every score (an
+/// empty prefix) and GrowUntilConnected.
+std::vector<BackboneRequest> ExtractionRequests(uint64_t graph,
+                                                Method method,
+                                                int64_t num_edges,
+                                                double above_max) {
+  std::vector<BackboneRequest> requests;
+  BackboneRequest request;
+  request.graph = graph;
+  request.method = method;
+  request.kind = RequestKind::kTopK;
+  for (const int64_t k : {int64_t{0}, int64_t{1}, num_edges, num_edges + 5}) {
+    request.k = k;
+    requests.push_back(request);
+  }
+  request.kind = RequestKind::kScoreThreshold;
+  request.threshold = above_max;
+  requests.push_back(request);
+  request.kind = RequestKind::kGrowUntilConnected;
+  requests.push_back(request);
+  return requests;
+}
+
+/// The mask oracle for one ExtractionRequests entry.
+std::vector<EdgeId> OracleEdges(const ScoreOrder& order,
+                                const SweepProfile& profile,
+                                const BackboneRequest& request) {
+  switch (request.kind) {
+    case RequestKind::kTopK:
+      return MaskToEdgeIds(order.PrefixMask(request.k));
+    case RequestKind::kScoreThreshold:
+      return MaskToEdgeIds(FilterByScore(order.scored(), request.threshold));
+    default:
+      return MaskToEdgeIds(order.PrefixMask(profile.connect_k));
+  }
+}
+
+TEST(BackboneEngineTest, ExtractionMatchesTheMaskOracleOffWordBoundaries) {
+  const Graph graph = IntWeightGraph(43);
+  const int64_t num_edges = graph.num_edges();
+  ASSERT_NE(num_edges % 64, 0);  // the last bitmap word is partial
+  BackboneEngine engine;
+  const uint64_t fingerprint = engine.AddGraph(IntWeightGraph(43));
+  for (const Method method :
+       {Method::kNaiveThreshold, Method::kNoiseCorrected}) {
+    const Result<ScoredEdges> scored = RunMethod(method, graph);
+    ASSERT_TRUE(scored.ok());
+    const ScoreOrder order(*scored);
+    const SweepProfile profile = BuildSweepProfile(order);
+    double max_score = -HUGE_VAL;
+    for (const EdgeScore& s : scored->scores()) {
+      max_score = std::max(max_score, s.score);
+    }
+    const std::vector<BackboneRequest> requests =
+        ExtractionRequests(fingerprint, method, num_edges, max_score + 1.0);
+    const std::vector<Result<BackboneResponse>> batch =
+        engine.ExecuteBatch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const std::vector<EdgeId> expected =
+          OracleEdges(order, profile, requests[i]);
+      const Result<BackboneResponse> single = engine.Execute(requests[i]);
+      ASSERT_TRUE(single.ok()) << "request " << i;
+      ASSERT_TRUE(batch[i].ok()) << "request " << i;
+      EXPECT_EQ(single->kept_edges, expected) << "request " << i;
+      EXPECT_EQ(batch[i]->kept_edges, expected) << "request " << i;
+      EXPECT_EQ(single->kept, static_cast<int64_t>(expected.size()));
+      EXPECT_EQ(batch[i]->kept, static_cast<int64_t>(expected.size()));
+    }
+  }
+}
+
+TEST(BackboneEngineTest, TracedWarmHitExtractStartsWhereLookupEnds) {
+  BackboneEngineOptions options;
+  options.trace_sample_rate = 1;
+  BackboneEngine engine(options);
+  BackboneRequest request;
+  request.graph = engine.AddGraph(BenchGraph(44));
+  request.method = Method::kDisparityFilter;
+  request.kind = RequestKind::kTopShare;
+  request.share = 0.3;
+  ASSERT_TRUE(engine.Execute(request).ok());  // cold: fills the cache
+  const Result<BackboneResponse> warm = engine.Execute(request);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->cache_hit);
+
+  const std::vector<obs::RequestTrace> traces = engine.tracer().Snapshot();
+  ASSERT_FALSE(traces.empty());
+  const obs::RequestTrace& trace = traces.back();
+  EXPECT_EQ(trace.path, obs::AnswerPath::kWarm);
+  const obs::TraceSpan* lookup = nullptr;
+  const obs::TraceSpan* extract = nullptr;
+  for (int s = 0; s < trace.num_spans; ++s) {
+    if (trace.spans[s].kind == obs::SpanKind::kCacheLookup) {
+      lookup = &trace.spans[s];
+    } else if (trace.spans[s].kind == obs::SpanKind::kExtract) {
+      extract = &trace.spans[s];
+    }
+  }
+  ASSERT_NE(lookup, nullptr);
+  ASSERT_NE(extract, nullptr);
+  // The lookup starts at the request's entry reading, the extract at the
+  // lookup's end reading, and both end within the request's total.
+  EXPECT_EQ(lookup->start_ns, 0);
+  EXPECT_GE(lookup->duration_ns, 0);
+  EXPECT_EQ(extract->start_ns, lookup->start_ns + lookup->duration_ns);
+  EXPECT_GE(extract->duration_ns, 0);
+  EXPECT_LE(extract->start_ns + extract->duration_ns, trace.total_ns);
+}
+
 TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   const Graph base = IntWeightGraph();
   const Graph next = TransferWeight(base, 8, 99);
@@ -1446,6 +1557,44 @@ TEST(BackboneEngineFaultTest, DegradedRequestServedFromWarmAncestor) {
   const BackboneEngine::Stats stats = engine.stats();
   EXPECT_GE(stats.degraded_served, 1);
   EXPECT_GE(stats.background_refreshes, 1);
+}
+
+TEST(BackboneEngineFaultTest, WaitIdleDrainsTheDegradedServesRefresh) {
+  BackboneEngineOptions options;
+  options.enable_delta_rescore = false;  // force the (stalled) full path
+  BackboneEngine engine(options);
+  const Graph base_graph = IntWeightGraph(93);
+  const uint64_t base = engine.AddGraph(base_graph);
+  const uint64_t revision =
+      engine.AddGraphRevision(TransferWeight(base_graph, 6, 4), base);
+  ASSERT_TRUE(engine.Execute(ShareRequest(base, Method::kNoiseCorrected))
+                  .ok());
+
+  // Only the client's own scoring stalls; the background refresh it
+  // queues draws clean and computes the exact score.
+  FaultInjector injector(22);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::milliseconds(400),
+                      .max_injections = 1});
+  ScopedFaultInjection scope(&injector);
+  BackboneRequest request = ShareRequest(revision, Method::kNoiseCorrected);
+  request.timeout = std::chrono::milliseconds(10);
+  request.allow_degraded = true;
+  const Result<BackboneResponse> degraded = engine.Execute(request);
+  ASSERT_TRUE(degraded.ok());
+  ASSERT_TRUE(degraded->degraded);
+
+  engine.WaitIdle();
+  const BackboneEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.queue_depth, 0);
+  EXPECT_EQ(stats.background_refreshes, 1);
+
+  const Result<BackboneResponse> exact =
+      engine.Execute(ShareRequest(revision, Method::kNoiseCorrected));
+  ASSERT_TRUE(exact.ok());
+  EXPECT_FALSE(exact->degraded);
+  EXPECT_TRUE(exact->cache_hit);
 }
 
 TEST(BackboneEngineFaultTest, DegradedHssFallsBackToSampledApproximation) {

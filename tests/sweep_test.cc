@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/naive.h"
 #include "core/registry.h"
 #include "eval/coverage.h"
@@ -100,6 +101,38 @@ TEST(ScoreOrderTest, PrefixMaskMatchesTopK) {
     const BackboneMask single = TopK(*nt, k);
     EXPECT_EQ(batch.keep, single.keep) << "k=" << k;
     EXPECT_EQ(batch.kept, single.kept) << "k=" << k;
+  }
+}
+
+/// An undirected path with exactly `num_edges` edges and integer weights
+/// in [1, 4]: NT scores tie heavily, so the id tie-break decides most of
+/// the order and the prefix ids scatter across the bitmap words.
+Graph MakeIntegerWeightedPath(int64_t num_edges) {
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.ReserveNodes(static_cast<NodeId>(num_edges + 1));
+  Rng rng(static_cast<uint64_t>(num_edges) + 7);
+  for (int64_t i = 0; i < num_edges; ++i) {
+    builder.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1),
+                    1.0 + static_cast<double>(rng.NextBounded(4)));
+  }
+  return *builder.Build();
+}
+
+TEST(ScoreOrderTest, PrefixIdsMatchesMaskOracle) {
+  for (const int64_t e : {0, 1, 63, 64, 65, 8193}) {
+    const Graph g = MakeIntegerWeightedPath(e);
+    ASSERT_EQ(g.num_edges(), e);
+    // NT refuses an edgeless graph, so E = 0 wraps an empty table.
+    const ScoredEdges scored =
+        e == 0 ? ScoredEdges(&g, "naive_threshold", {}, /*has_sdev=*/false)
+               : *NaiveThreshold(g);
+    const ScoreOrder order(scored);
+    for (const int64_t k : {INT64_MIN, int64_t{-1}, int64_t{0}, int64_t{1},
+                            int64_t{63}, int64_t{64}, int64_t{65}, e - 1, e,
+                            e + 1, INT64_MAX}) {
+      EXPECT_EQ(order.PrefixIds(k), MaskToEdgeIds(order.PrefixMask(k)))
+          << "E=" << e << " k=" << k;
+    }
   }
 }
 
