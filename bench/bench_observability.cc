@@ -6,10 +6,10 @@
 //   * Overhead — the default production config (enable_metrics, tracing
 //     off) replays a mixed warm trace no more than 5% slower than the
 //     same engine with every hook off; the maximal debug config (rate-1
-//     tracing on top) stays under 25% — tracing every request pays a
-//     clock read per span boundary by design and is an explicit opt-in,
-//     but it must never balloon (median of paired per-replay ratios,
-//     measured in-process so machine drift cancels).
+//     tracing on top) stays under 25% — tracing every request pays a few
+//     clock reads per span boundary by design and is an explicit opt-in,
+//     but it must never balloon (min-of-replays, measured in-process so
+//     machine noise cancels).
 //   * Counter exactness — every legacy Stats field the registry mirrors
 //     reads back identically through MetricsSnapshot::ValueOf after a
 //     replayed workload, and the per-kind latency histograms account for
@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
@@ -127,14 +126,6 @@ bool Prime(nb::BackboneEngine& engine, uint64_t fp) {
   return true;
 }
 
-/// Median of a non-empty sample (the upper middle for an even count).
-double Median(std::vector<double> values) {
-  const auto mid =
-      values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
-  std::nth_element(values.begin(), mid, values.end());
-  return *mid;
-}
-
 /// Min-of-replays warm per-request seconds for one engine configuration.
 double WarmPerRequest(nb::BackboneEngine& engine, uint64_t fp, int requests,
                       int reps, bool* ok) {
@@ -201,19 +192,17 @@ int main() {
   const nb::Graph graph = BenchGraph();
   const int64_t num_edges = graph.num_edges();
   const int requests = quick ? 200 : 2000;
-  // Paired replays per measuring round, in every mode: twenty replays of
-  // the quick trace per config still cost only tens of milliseconds.
-  const int reps = 20;
+  // Min-of-5 in every mode: the minimum is the noise-robust statistic,
+  // and five replays of the quick trace still cost only milliseconds.
+  const int reps = 5;
 
   // ---------------------------------------------------------------------
-  // Gate 1: warm-path overhead. Each rep replays the three configs
-  // back-to-back, so machine drift hits all sides of that rep alike, and
-  // yields one ratio per instrumented config against the all-off
-  // replay; a gate reads the median of its ratios. The default config
-  // (metrics on, tracing off — what production runs) carries the 5%
-  // gate; the maximal debug config (rate-1 tracing on every request)
-  // pays clock reads per span by design and gets a looser never-balloon
-  // bound.
+  // Gate 1: warm-path overhead. Three configs replayed back-to-back so
+  // machine drift hits all sides equally; min-of-replays per side. The
+  // default config (metrics on, tracing off — what production runs)
+  // carries the 5% gate; the maximal debug config (rate-1 tracing on
+  // every request) pays clock reads per span by design and gets a
+  // looser never-balloon bound.
   // ---------------------------------------------------------------------
   {
     nb::BackboneEngineOptions off;
@@ -236,57 +225,41 @@ int main() {
     const uint64_t traced_fp = traced_engine.AddGraph(BenchGraph());
     if (!Prime(traced_engine, traced_fp)) ok = false;
 
-    nb::BackboneEngine* const engines[3] = {&base_engine, &metrics_engine,
-                                            &traced_engine};
-    const uint64_t fps[3] = {base_fp, metrics_fp, traced_fp};
-    double best_s[3] = {1e300, 1e300, 1e300};  // per-config min, reported
-    std::vector<double> metrics_ratios;
-    std::vector<double> traced_ratios;
+    double base_s = 1e300;
+    double metrics_s = 1e300;
+    double traced_s = 1e300;
     double metrics_ratio = 0.0;
     double traced_ratio = 0.0;
     bool metrics_within = false;
     bool traced_within = false;
-    // Why paired medians and not min-of-replays: on a shared VM the
-    // fastest replay of a config is itself an outlier (one replay that
-    // caught the host idle), so the ratio of two minimums swings by
-    // +-10% even between two identically configured engines. A rep's
-    // three replays run within a few milliseconds of each other, so
-    // their ratio cancels the host's speed at that moment, and the
-    // median discards the reps a burst split. The config that replays
-    // first rotates with the rep, so a disturbance that recurs at the
-    // replay period cannot always land on the same config.
-    //
     // Noise guard: a loaded machine (a full ctest run executes this
-    // bench alongside every other suite) still moves the median by a
-    // few percent, and the default gate sits within a few percent of
-    // the true overhead. When a gate fails, keep measuring — up to 3x
-    // the base rep count, all reps pooled — before declaring a
-    // regression. A real regression fails all three rounds.
+    // bench alongside every other suite) inflates individual replays
+    // unpredictably, and the default gate sits within a few percent of
+    // the true overhead. Extra replays only tighten each config's min
+    // toward its quiescent floor, so when a gate fails, keep measuring
+    // — up to 3x the base replay count — before declaring a regression.
+    // A real regression fails all three rounds.
     for (int round = 0; round < 3; ++round) {
       for (int rep = 0; rep < reps; ++rep) {
         bool run_ok = true;
-        double replay_s[3] = {0.0, 0.0, 0.0};
-        for (int j = 0; j < 3; ++j) {
-          const int config = (rep + j) % 3;
-          replay_s[config] = WarmPerRequest(*engines[config], fps[config],
-                                            requests, 1, &run_ok);
-          best_s[config] = std::min(best_s[config], replay_s[config]);
-        }
+        base_s = std::min(
+            base_s, WarmPerRequest(base_engine, base_fp, requests, 1,
+                                   &run_ok));
+        metrics_s = std::min(metrics_s, WarmPerRequest(metrics_engine,
+                                                       metrics_fp, requests,
+                                                       1, &run_ok));
+        traced_s = std::min(traced_s, WarmPerRequest(traced_engine, traced_fp,
+                                                     requests, 1, &run_ok));
         if (!run_ok) ok = false;
-        metrics_ratios.push_back(replay_s[1] / replay_s[0]);
-        traced_ratios.push_back(replay_s[2] / replay_s[0]);
       }
-      metrics_ratio = Median(metrics_ratios);
-      traced_ratio = Median(traced_ratios);
+      metrics_ratio = metrics_s / base_s;
+      traced_ratio = traced_s / base_s;
       metrics_within = metrics_ratio <= 1.05;
       traced_within = traced_ratio <= 1.25;
       if (metrics_within && traced_within) break;
     }
-    const double base_s = best_s[0];
-    const double metrics_s = best_s[1];
-    const double traced_s = best_s[2];
     if (!metrics_within || !traced_within) ok = false;
-    PrintRow({"config", "best per-request", "median ratio", "gate"});
+    PrintRow({"config", "per-request", "ratio", "gate"});
     PrintRow({"all off", Num(base_s * 1e6, 2) + " us", "1.000", ""});
     PrintRow({"metrics (default)", Num(metrics_s * 1e6, 2) + " us",
               Num(metrics_ratio, 3),

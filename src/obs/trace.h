@@ -36,7 +36,11 @@ namespace netbone::obs {
 /// it actually entered — a warm hit has no kLineageWalk or kColdScore.
 enum class SpanKind : uint8_t {
   kAdmission = 0,   ///< submit -> dispatch (queue wait)
-  kCacheLookup,     ///< ScoreCache probe (+ negative-cache check)
+  /// Request entry -> score resolved or missed: share validation, the
+  /// graph lookup and pin, the ScoreCache probe and the negative-cache
+  /// check. Starts at the entry clock reading in both Execute and
+  /// ExecuteBatch (a batch's entry for all its requests).
+  kCacheLookup,
   kLineageWalk,     ///< warm-ancestor search through the lineage map
   kDeltaPatch,      ///< incremental rescore from a warm ancestor
   kColdScore,       ///< full from-scratch scoring

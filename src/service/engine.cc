@@ -325,8 +325,8 @@ std::optional<BackboneEngine::ScoreResult> BackboneEngine::StartOrJoinScore(
   // The lookup span covers the whole cache + negative + in-flight
   // resolution window (including the lock wait); it is closed before any
   // of the block's returns and once more on the compute fall-through.
-  // Execute's lookup starts at its entry reading (store lookup and pin
-  // included) instead of a fresh one.
+  // The first lookup starts at the request's (or batch's) entry reading
+  // instead of a fresh one, so it covers the store lookup and pin too.
   if (info->timed) {
     info->lookup_start_ns = info->entry_ns >= 0
                                 ? std::exchange(info->entry_ns, -1)
@@ -963,8 +963,13 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   // deadlock-freedom invariant).
   std::vector<std::optional<ScoreResult>> scores(keys.size());
   std::vector<std::shared_future<ScoreResult>> pending(keys.size());
+  // Every key's lookup span starts at the batch's entry reading, as
+  // Execute's starts at its own: graph resolution and pinning included.
   std::vector<ResolveInfo> infos(keys.size());
-  for (ResolveInfo& info : infos) info.timed = tracer_.enabled();
+  for (ResolveInfo& info : infos) {
+    info.timed = tracer_.enabled();
+    if (info.timed) info.entry_ns = begin_ns;
+  }
   const int width = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(
                            ResolveThreadCount(options_.num_threads)),

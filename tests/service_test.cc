@@ -899,28 +899,48 @@ TEST(BackboneEngineTest, TracedWarmHitExtractStartsWhereLookupEnds) {
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE(warm->cache_hit);
 
-  const std::vector<obs::RequestTrace> traces = engine.tracer().Snapshot();
-  ASSERT_FALSE(traces.empty());
-  const obs::RequestTrace& trace = traces.back();
-  EXPECT_EQ(trace.path, obs::AnswerPath::kWarm);
-  const obs::TraceSpan* lookup = nullptr;
-  const obs::TraceSpan* extract = nullptr;
-  for (int s = 0; s < trace.num_spans; ++s) {
-    if (trace.spans[s].kind == obs::SpanKind::kCacheLookup) {
-      lookup = &trace.spans[s];
-    } else if (trace.spans[s].kind == obs::SpanKind::kExtract) {
-      extract = &trace.spans[s];
+  // The lookup starts at the entry reading and both spans end within the
+  // request's total. Execute's extract starts at the lookup's end
+  // reading; ExecuteBatch's reads its own start after the lookup.
+  const auto check_last_trace = [&engine](const char* entry_point,
+                                          bool extract_at_lookup_end) {
+    SCOPED_TRACE(entry_point);
+    const std::vector<obs::RequestTrace> traces = engine.tracer().Snapshot();
+    ASSERT_FALSE(traces.empty());
+    const obs::RequestTrace& trace = traces.back();
+    EXPECT_EQ(trace.path, obs::AnswerPath::kWarm);
+    const obs::TraceSpan* lookup = nullptr;
+    const obs::TraceSpan* extract = nullptr;
+    for (int s = 0; s < trace.num_spans; ++s) {
+      if (trace.spans[s].kind == obs::SpanKind::kCacheLookup) {
+        lookup = &trace.spans[s];
+      } else if (trace.spans[s].kind == obs::SpanKind::kExtract) {
+        extract = &trace.spans[s];
+      }
     }
-  }
-  ASSERT_NE(lookup, nullptr);
-  ASSERT_NE(extract, nullptr);
-  // The lookup starts at the request's entry reading, the extract at the
-  // lookup's end reading, and both end within the request's total.
-  EXPECT_EQ(lookup->start_ns, 0);
-  EXPECT_GE(lookup->duration_ns, 0);
-  EXPECT_EQ(extract->start_ns, lookup->start_ns + lookup->duration_ns);
-  EXPECT_GE(extract->duration_ns, 0);
-  EXPECT_LE(extract->start_ns + extract->duration_ns, trace.total_ns);
+    ASSERT_NE(lookup, nullptr);
+    ASSERT_NE(extract, nullptr);
+    EXPECT_EQ(lookup->start_ns, 0);
+    EXPECT_GE(lookup->duration_ns, 0);
+    const int64_t lookup_end = lookup->start_ns + lookup->duration_ns;
+    if (extract_at_lookup_end) {
+      EXPECT_EQ(extract->start_ns, lookup_end);
+    } else {
+      EXPECT_GE(extract->start_ns, lookup_end);
+    }
+    EXPECT_GE(extract->duration_ns, 0);
+    EXPECT_LE(extract->start_ns + extract->duration_ns, trace.total_ns);
+  };
+  check_last_trace("Execute", /*extract_at_lookup_end=*/true);
+
+  // ExecuteBatch starts the lookup at the batch's entry reading too.
+  const std::vector<BackboneRequest> batch = {request};
+  const std::vector<Result<BackboneResponse>> batched =
+      engine.ExecuteBatch(batch);
+  ASSERT_EQ(batched.size(), 1u);
+  ASSERT_TRUE(batched[0].ok());
+  ASSERT_TRUE(batched[0]->cache_hit);
+  check_last_trace("ExecuteBatch", /*extract_at_lookup_end=*/false);
 }
 
 TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
