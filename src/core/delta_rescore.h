@@ -54,8 +54,8 @@ struct DeltaRescoreOptions {
   /// concurrency). Output is bit-identical for every value.
   int num_threads = 0;
   /// Block size for the dynamic dirty-edge schedule
-  /// (ParallelScoreEdgeSubset): dirty work is skewed — a hub's star lands
-  /// as one contiguous id run — so blocks are claimed dynamically.
+  /// (ParallelScoreEdgeRangeSubset): dirty work is skewed — a hub's star
+  /// lands as one contiguous id run — so blocks are claimed dynamically.
   int64_t grain = 32;
   /// Cooperative cancellation, polled at block granularity inside the
   /// dirty-edge rescoring sweep.

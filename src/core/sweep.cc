@@ -86,16 +86,22 @@ struct WalkResult {
 /// single-point callers. Endpoints and weights come from the graph's SoA
 /// columns (graph/edge_columns.h): the walk visits edges in rank order —
 /// random edge ids — and the dense int32/double columns touch half the
-/// bytes per probe that striding 16-byte Edge structs would.
+/// bytes per probe that striding 16-byte Edge structs would. Covered
+/// endpoints are byte flags counted without a branch (`covered += 1 -
+/// flag`), so the unpredictable first-touch test costs no mispredictions;
+/// a self-loop's second endpoint reads the flag its first just set and
+/// counts once.
 ///
-/// Union-find runs only while connectivity is undecided. Once the prefix
-/// connects the non-isolated nodes, later Unions could change nothing the
-/// walk reports. A walk whose union-find ends without connecting them has
-/// proved the whole edge set never does, and records that on the graph
-/// (Graph::known_connectivity), so later walks of the same graph — the
-/// other methods' profiles — start with connect_k = |E| settled and run no
-/// union-find at all. No pass runs just to learn the fact, so a graph that
-/// connects pays nothing for it.
+/// Two loops. The first runs union-find and only runs while connectivity
+/// is undecided: once the prefix connects the non-isolated nodes, later
+/// Unions could change nothing the walk reports. A first loop that ends
+/// without connecting them has proved the whole edge set never does, and
+/// records that on the graph (Graph::known_connectivity), so later walks
+/// of the same graph — the other methods' profiles, and a weight-only
+/// revision's walks (Graph::InheritEdgeFacts) — skip it and start in the
+/// second loop with connect_k = |E| settled. The second loop only counts
+/// coverage. No pass runs just to learn the fact, so a graph that connects
+/// pays nothing for it.
 template <typename Visit>
 WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
                      const Visit& visit) {
@@ -106,40 +112,53 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
 
   const int64_t num_edges = order.size();
   result.connect_k = num_edges;
-  bool settled =
+  const bool settled =
       g.known_connectivity() == Graph::Connectivity::kDisconnected;
   if (settled && stop_at_connect) return result;
 
   const EdgeColumns& cols = g.edge_columns();
-  UnionFind uf(settled ? 0 : g.num_nodes());
-  std::vector<bool> touched(static_cast<size_t>(g.num_nodes()), false);
-  int64_t touched_count = 0;
-  // Successful merges so far. The prefix connects the target exactly when
-  // its merges form a spanning tree of it: target_nodes - 1 of them (a
-  // merge only ever joins touched nodes, so all of them are touched then).
-  int64_t merges = 0;
+  const std::span<const EdgeId> ids = order.ids();
+  std::vector<uint8_t> touched(static_cast<size_t>(g.num_nodes()), 0);
+  int64_t covered = 0;
+  const auto cover = [&](NodeId v) {
+    uint8_t& flag = touched[static_cast<size_t>(v)];
+    covered += 1 - flag;
+    flag = 1;
+  };
 
-  for (int64_t rank = 0; rank < num_edges; ++rank) {
-    const size_t id = static_cast<size_t>(order.id_at(rank));
-    const NodeId src = cols.src[id];
-    const NodeId dst = cols.dst[id];
-    for (const NodeId v : {src, dst}) {
-      if (!touched[static_cast<size_t>(v)]) {
-        touched[static_cast<size_t>(v)] = true;
-        ++touched_count;
-      }
+  int64_t rank = 0;
+  if (!settled) {
+    UnionFind uf(g.num_nodes());
+    // The prefix connects the target exactly when its merges form a
+    // spanning tree of it: target_nodes - 1 of them (a merge only ever
+    // joins touched nodes, so all of them are touched then). A one-node
+    // target needs none and connects at its first edge.
+    int64_t merges_left = result.target_nodes - 1;
+    while (rank < num_edges) {
+      const size_t id = static_cast<size_t>(ids[static_cast<size_t>(rank)]);
+      const NodeId src = cols.src[id];
+      const NodeId dst = cols.dst[id];
+      cover(src);
+      cover(dst);
+      visit(rank, cols.weight[id], covered);
+      ++rank;
+      merges_left -= uf.Union(src, dst) ? 1 : 0;
+      if (merges_left == 0) break;
     }
-    visit(rank, cols.weight[id], touched_count);
-    if (settled) continue;
-    if (uf.Union(src, dst)) ++merges;
-    if (merges == result.target_nodes - 1) {
-      settled = true;
-      result.connect_k = rank + 1;
-      g.RecordConnectivity(Graph::Connectivity::kConnected);
-      if (stop_at_connect) break;
+    if (merges_left != 0) {
+      g.RecordConnectivity(Graph::Connectivity::kDisconnected);
+      return result;  // the loop walked every edge
     }
+    result.connect_k = rank;
+    g.RecordConnectivity(Graph::Connectivity::kConnected);
+    if (stop_at_connect) return result;
   }
-  if (!settled) g.RecordConnectivity(Graph::Connectivity::kDisconnected);
+  for (; rank < num_edges; ++rank) {
+    const size_t id = static_cast<size_t>(ids[static_cast<size_t>(rank)]);
+    cover(cols.src[id]);
+    cover(cols.dst[id]);
+    visit(rank, cols.weight[id], covered);
+  }
   return result;
 }
 

@@ -181,12 +181,15 @@ struct SweepProfile {
 };
 
 /// Runs the single O(E a(E)) pass. The profile answers any number of
-/// sweep points afterwards in O(1) each. Union-find only runs while the
-/// connect index is undecided: it stops at connect_k. A walk that ends
-/// without connecting the non-isolated nodes records on the graph that
-/// its edges never do (Graph::known_connectivity); later walks of the
-/// same graph read that, take connect_k = |E|, and run no union-find at
-/// all. Either way the profile is identical to a walk that unions every
+/// sweep points afterwards in O(1) each. The pass is two loops: one with
+/// union-find while the connect index is undecided, stopping at
+/// connect_k, and a tail that only counts coverage (byte flags, no
+/// branch). A walk that ends without connecting the non-isolated nodes
+/// records on the graph that its edges never do
+/// (Graph::known_connectivity); later walks of the same graph, and of a
+/// weight-only revision that inherited the record (Graph::
+/// InheritEdgeFacts), read that, take connect_k = |E|, and run only the
+/// tail. Either way the profile is identical to a walk that unions every
 /// edge.
 SweepProfile BuildSweepProfile(const ScoreOrder& order);
 
@@ -198,8 +201,9 @@ BackboneMask TopShare(const ScoreOrder& order, double share);
 
 /// The Doubly Stochastic stopping rule riding a precomputed order: walks
 /// the order with an incremental union-find and stops at the connect
-/// index (early exit — it does not build a full profile). On a graph an
-/// earlier walk found never connects, it keeps every edge without walking.
+/// index (early exit — it does not build a full profile). On a graph known
+/// never to connect — found by an earlier walk, or inherited from an
+/// ancestor — it keeps every edge without walking.
 BackboneMask GrowUntilConnected(const ScoreOrder& order);
 
 }  // namespace netbone

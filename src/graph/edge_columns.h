@@ -15,8 +15,12 @@
 // Contents are a pure function of the graph, derived bit-for-bit from the
 // same arrays the scalar kernels read (out_strength / in_strength /
 // degrees), so a kernel consuming columns sees exactly the inputs the
-// per-edge oracle sees. Copies of a Graph share one lazily-built cache;
-// materialization is O(|E|) and happens at most once per graph.
+// per-edge oracle sees. Copies of a Graph share one lazily-built cache,
+// filled at most once per graph by one of two roads: materialization from
+// the graph's own tables, O(|E|) random gathers; or, for a revision whose
+// delta moved only weights, derivation from its ancestor's columns
+// (Graph::InheritEdgeFacts) — a sequential copy plus O(affected) gathers,
+// bit-identical to materializing.
 
 #ifndef NETBONE_GRAPH_EDGE_COLUMNS_H_
 #define NETBONE_GRAPH_EDGE_COLUMNS_H_
@@ -58,7 +62,8 @@ struct EdgeColumns {
   int64_t bytes() const;
 };
 
-/// Fills `columns` from `graph`'s canonical tables. Exposed for tests;
+/// Fills `columns` from `graph`'s canonical tables: the one full build,
+/// and the oracle derived columns are tested against. Exposed for tests;
 /// production code goes through Graph::edge_columns(), which caches.
 void MaterializeEdgeColumns(const Graph& graph, EdgeColumns* columns);
 
@@ -68,7 +73,8 @@ namespace internal {
 /// materialization. call_once makes concurrent first readers safe; `ready`
 /// lets byte accounting ask "is it priced in yet?" without building it.
 /// `connectivity` backs Graph::known_connectivity(), a fact about the same
-/// shared edge table that a sweep walk records when it learns it.
+/// shared edge table that a sweep walk records when it learns it. Both
+/// are filled from an ancestor's slot by Graph::InheritEdgeFacts.
 struct EdgeColumnsCache {
   std::once_flag once;
   EdgeColumns columns;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/delta.h"
+
 namespace netbone {
 
 const EdgeColumns& Graph::edge_columns() const {
@@ -11,6 +13,49 @@ const EdgeColumns& Graph::edge_columns() const {
     cache.ready.store(true, std::memory_order_release);
   });
   return cache.columns;
+}
+
+bool Graph::InheritEdgeFacts(const Graph& ancestor,
+                             const GraphDelta& delta) const {
+  // The edge counts tie the delta to these two graphs (its ids index
+  // both tables); with nothing inserted or deleted they are equal.
+  if (!delta.inserted.empty() || !delta.deleted.empty() ||
+      delta.base_edges != ancestor.num_edges() ||
+      delta.next_edges != num_edges() ||
+      ancestor.num_nodes() != num_nodes()) {
+    return false;
+  }
+  const internal::EdgeColumnsCache& from = *ancestor.columns_cache_;
+  internal::EdgeColumnsCache& cache = *columns_cache_;
+  if (&from == &cache) return true;  // copies share every fact already
+
+  // One edge set, one connectivity. Only a known record is copied, so a
+  // walk of this graph racing the copy can only ever write the same value.
+  const Connectivity connectivity = ancestor.known_connectivity();
+  if (connectivity != Connectivity::kUnknown) RecordConnectivity(connectivity);
+
+  // Derive the columns only from columns that exist: forcing the
+  // ancestor's into existence would cost the full build this skips.
+  if (ancestor.edge_columns_materialized()) {
+    std::call_once(cache.once, [this, &from, &cache, &delta] {
+      EdgeColumns& columns = cache.columns;
+      columns = from.columns;  // src, dst, dm1_i, dm1_j: same edge set
+      for (const EdgeWeightChange& change : delta.changed) {
+        const size_t id = static_cast<size_t>(change.next_id);
+        columns.weight[id] = edges_[id].weight;
+      }
+      // Any edge whose n_i or n_j moved has an endpoint whose marginals
+      // moved, so it is in an endpoint star; every other entry is bitwise
+      // the ancestor's. Same reads as MaterializeEdgeColumns.
+      for (const EdgeId star : delta.star_edges) {
+        const size_t id = static_cast<size_t>(star);
+        columns.n_i[id] = out_strength(edges_[id].src);
+        columns.n_j[id] = in_strength(edges_[id].dst);
+      }
+      cache.ready.store(true, std::memory_order_release);
+    });
+  }
+  return true;
 }
 
 double Graph::matrix_total() const {

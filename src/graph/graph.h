@@ -29,6 +29,8 @@ using NodeId = int32_t;
 /// Index into a Graph's edge table.
 using EdgeId = int64_t;
 
+struct GraphDelta;
+
 /// One weighted edge. For undirected graphs the canonical form has
 /// src <= dst and the edge is stored exactly once.
 struct Edge {
@@ -77,7 +79,8 @@ class Graph {
   /// and cached for the graph's lifetime. Copies of a Graph share one
   /// cache (the contents are a pure function of the edge table, which
   /// copies share byte-for-byte). Thread-safe: concurrent first callers
-  /// materialize exactly once. O(|E|) on the first call, O(1) after.
+  /// materialize exactly once. O(|E|) on the first call, O(1) after —
+  /// unless InheritEdgeFacts derived the columns from an ancestor first.
   const EdgeColumns& edge_columns() const;
 
   /// True once edge_columns() has materialized (so byte accounting can
@@ -93,7 +96,8 @@ class Graph {
   /// Nothing computes this eagerly: the sweep engine's connect-index walk
   /// (core/sweep.h) records what its union-find found, and later walks of
   /// the same graph read it — a graph whose edges never connect needs no
-  /// union-find after the first walk. Copies of a Graph share the record.
+  /// union-find after the first walk. Copies of a Graph share the record,
+  /// and a weight-only revision adopts its ancestor's (InheritEdgeFacts).
   /// Thread-safe.
   Connectivity known_connectivity() const {
     return static_cast<Connectivity>(
@@ -108,6 +112,22 @@ class Graph {
     columns_cache_->connectivity.store(static_cast<int8_t>(connectivity),
                                        std::memory_order_relaxed);
   }
+
+  /// Takes this graph's edge-set facts from `ancestor` instead of
+  /// recomputing them, when `delta` (ComputeGraphDelta(ancestor, *this))
+  /// moved only weights: no inserted or deleted edge, the same node count.
+  /// Both graphs then have one edge set, so this graph adopts the
+  /// ancestor's known_connectivity() record, and — only if the ancestor's
+  /// columns are already materialized — fills its own edge_columns()
+  /// inside the same once-only slot: a copy of the ancestor's columns with
+  /// `weight` re-read for delta.changed and `n_i`/`n_j` re-gathered for
+  /// delta.star_edges (the edges whose endpoint marginals moved; every
+  /// other entry is bitwise unchanged). O(|E|) memcpy plus O(affected)
+  /// gathers, bit-identical to MaterializeEdgeColumns. Columns already
+  /// built and records already known are left alone, so racing
+  /// edge_columns() or a walk is safe. Returns false and derives nothing
+  /// for a structural delta.
+  bool InheritEdgeFacts(const Graph& ancestor, const GraphDelta& delta) const;
 
   /// Sum of all edge weights as stored (undirected edges counted once).
   double total_weight() const { return total_weight_; }

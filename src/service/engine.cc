@@ -541,6 +541,11 @@ std::shared_ptr<const CachedScore> BackboneEngine::TryDeltaRescore(
   }
   const GraphDelta& delta =
       ancestor.delta != nullptr ? *ancestor.delta : *computed;
+  // A weight-only delta leaves the edge set alone: the child's columns are
+  // the ancestor's with the changed entries re-read, and its connectivity
+  // is the ancestor's, so none of its profile walks repeats a union-find
+  // the ancestor already settled.
+  graph->InheritEdgeFacts(base->graph(), delta);
   DeltaRescoreOptions rescore_options;
   rescore_options.num_threads = options_.num_threads;
   rescore_options.grain = options_.delta_grain;

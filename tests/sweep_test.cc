@@ -2,14 +2,18 @@
 // eval/sweep_metrics.h): batch Coverage and stopping-index results must be
 // element-wise identical to the per-point TopShare + CoverageOfMask /
 // GrowUntilConnected path on directed, undirected, tied-score, and
-// disconnected graphs, at every thread count; and a whole sweep must
-// perform exactly one score sort per method (ScoreOrder::SortsPerformed).
+// disconnected graphs, at every thread count; a whole sweep must perform
+// exactly one score sort per method (ScoreOrder::SortsPerformed); and the
+// connect-index walk must equal a naive walk that unions every edge,
+// whether connectivity is unknown, learned, or inherited from an ancestor
+// across a weight-only delta (Graph::InheritEdgeFacts).
 
 #include "core/sweep.h"
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/components.h"
+#include "graph/delta.h"
 #include "graph/temporal.h"
 #include "graph/union_find.h"
 
@@ -574,18 +579,58 @@ Graph Rebuilt(const Graph& g) {
   return *builder.Build();
 }
 
-/// Checks the walk against ReferenceProfile on both of its roads: the
-/// first walk of a graph, which runs union-find and records what it found,
-/// and the later walks, which read the record. Each of BuildSweepProfile
-/// and GrowUntilConnected gets a turn at walking a fresh graph first.
+/// A weight-only revision of `g`: every third edge one unit heavier, so
+/// the edge set is `g`'s and the order is not.
+Graph Reweighted(const Graph& g) {
+  GraphBuilder builder(g.directedness(), DuplicateEdgePolicy::kSum,
+                       SelfLoopPolicy::kKeep);
+  builder.ReserveNodes(g.num_nodes());
+  for (EdgeId id = 0; id < g.num_edges(); ++id) {
+    const Edge& e = g.edge(id);
+    builder.AddEdge(e.src, e.dst, e.weight + (id % 3 == 0 ? 1.0 : 0.0));
+  }
+  return *builder.Build();
+}
+
+/// The graph whose walks are checked: a rebuild of `g` with nothing
+/// learned about it, or a weight-only revision of `g` that inherited its
+/// ancestor's connectivity record (and columns) instead of learning them.
+Graph GraphToWalk(const Graph& g, bool inherited,
+                  Graph::Connectivity fact) {
+  if (!inherited) return Rebuilt(g);
+  const Graph ancestor = Rebuilt(g);
+  // The ancestor learns its connectivity from one walk.
+  const auto scored = RunMethod(Method::kNaiveThreshold, ancestor);
+  EXPECT_TRUE(scored.ok());
+  BuildSweepProfile(ScoreOrder(*scored));
+  EXPECT_EQ(ancestor.known_connectivity(), fact);
+  Graph revision = Reweighted(g);
+  const Result<GraphDelta> delta = ComputeGraphDelta(ancestor, revision);
+  EXPECT_TRUE(delta.ok());
+  EXPECT_FALSE(delta->changed.empty());
+  EXPECT_TRUE(revision.InheritEdgeFacts(ancestor, *delta));
+  EXPECT_EQ(revision.known_connectivity(), fact);
+  return revision;
+}
+
+/// Checks the walk against ReferenceProfile on its three roads: the first
+/// walk of a graph, which runs union-find and records what it found; the
+/// later walks, which read the record; and the walks of a weight-only
+/// revision that inherited the record from its ancestor instead of
+/// learning it. Each of BuildSweepProfile and GrowUntilConnected gets a
+/// turn at walking first.
 void ExpectProfileMatchesReference(const Graph& g, bool spans) {
   ASSERT_GE(g.num_edges(), kParallelSortMin);
   const Graph::Connectivity fact = spans
                                        ? Graph::Connectivity::kConnected
                                        : Graph::Connectivity::kDisconnected;
-  for (const bool profile_first : {true, false}) {
-    const Graph fresh = Rebuilt(g);
-    EXPECT_EQ(fresh.known_connectivity(), Graph::Connectivity::kUnknown);
+  for (const auto& [inherited, profile_first] :
+       {std::pair{false, true}, std::pair{false, false},
+        std::pair{true, true}, std::pair{true, false}}) {
+    const Graph fresh = GraphToWalk(g, inherited, fact);
+    if (!inherited) {
+      EXPECT_EQ(fresh.known_connectivity(), Graph::Connectivity::kUnknown);
+    }
     for (const Method method :
          {Method::kNoiseCorrected, Method::kNaiveThreshold}) {
       const auto scored = RunMethod(method, fresh);
@@ -672,6 +717,34 @@ TEST(SweepProfileEarlyStopTest, SelfLoopsOnlyMatchesPlainWalk) {
   EXPECT_EQ(g.known_connectivity(), Graph::Connectivity::kConnected);
   EXPECT_EQ(ReferenceProfile(order).connect_k, 1);
   EXPECT_EQ(GrowUntilConnected(order).kept, 1);
+}
+
+TEST(SweepProfileEarlyStopTest, SelfLoopAmongEdgesCountsItsNodeOnce) {
+  // One self-loop heavy enough to lead the NT order, on a graph that
+  // connects (BA: the loop walks inside union-find) and on one that never
+  // does (ER: once that is known, walks run no union-find at all). The
+  // first prefix edge touches one node, not two, and the later ordinary
+  // edges at that node must not count it again.
+  const Result<Graph> ba = GenerateBarabasiAlbert(
+      {.num_nodes = 5000, .average_degree = 4.0, .seed = 7});
+  ASSERT_TRUE(ba.ok());
+  const Graph er = MakeIntegerWeightedEr(100);
+  for (const auto& [base, spans] : {std::pair<const Graph*, bool>{&*ba, true},
+                                    std::pair<const Graph*, bool>{&er, false}}) {
+    GraphBuilder builder(Directedness::kUndirected, DuplicateEdgePolicy::kSum,
+                         SelfLoopPolicy::kKeep);
+    builder.ReserveNodes(base->num_nodes());
+    for (const Edge& e : base->edges()) builder.AddEdge(e.src, e.dst, e.weight);
+    builder.AddEdge(42, 42, 1e9);
+    const Graph g = *builder.Build();
+    const auto nt = NaiveThreshold(g);
+    ASSERT_TRUE(nt.ok());
+    const ScoreOrder order(*nt);
+    ASSERT_EQ(g.edge(order.id_at(0)).src, g.edge(order.id_at(0)).dst);
+    EXPECT_EQ(ReferenceProfile(order).covered_nodes[1], 1);
+    EXPECT_EQ(BuildSweepProfile(order).covered_nodes[1], 1);
+    ExpectProfileMatchesReference(g, spans);
+  }
 }
 
 // ---------------------------------------------------------------------------
