@@ -11,8 +11,17 @@
 //   * the batch path is expected >= 5x faster than the per-point path
 //     (reported below and in BENCH_sweep_engine.json; the hard identity
 //     checks are what gate CI, timings on shared hardware only inform).
+//
+// A second table times the sort stage alone: ScoreOrder construction on a
+// 150k-edge fig9 ER graph with integer counts for weights (the serving
+// benchmark's ingest graph), per method at widths 1 and 4, recorded as
+// score_order_sort:<method>. Every order must equal a std::sort over the
+// (score desc, weight desc, id asc) comparator element for element; that
+// identity gates, the timings only inform.
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "bench_common.h"
@@ -23,6 +32,8 @@
 #include "eval/coverage.h"
 #include "eval/sweep_metrics.h"
 #include "gen/erdos_renyi.h"
+#include "graph/builder.h"
+#include "stats/descriptive.h"
 
 namespace nb = netbone;
 using netbone::bench::Banner;
@@ -33,6 +44,72 @@ namespace {
 
 double MedianOf3(double a, double b, double c) {
   return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+/// The reference permutation: std::sort over edge ids with the (score
+/// desc, weight desc, id asc) comparator.
+std::vector<nb::EdgeId> ReferenceOrder(const nb::ScoredEdges& scored) {
+  const nb::Graph& g = scored.graph();
+  std::vector<nb::EdgeId> ids(static_cast<size_t>(scored.size()));
+  std::iota(ids.begin(), ids.end(), nb::EdgeId{0});
+  std::sort(ids.begin(), ids.end(), [&](nb::EdgeId a, nb::EdgeId b) {
+    const double sa = scored.at(a).score;
+    const double sb = scored.at(b).score;
+    if (sa != sb) return sa > sb;
+    const double wa = g.edge(a).weight;
+    const double wb = g.edge(b).weight;
+    if (wa != wb) return wa > wb;
+    return a < b;
+  });
+  return ids;
+}
+
+/// Times ScoreOrder construction per method and width on the fig9 ingest
+/// graph; returns false when any order differs from the reference.
+bool RunSortStage(bool quick, netbone::bench::JsonBenchLog* json) {
+  const auto er = nb::GenerateErdosRenyi(
+      {.num_nodes = 100000, .average_degree = 3.0, .seed = 91});
+  if (!er.ok()) return false;
+  nb::GraphBuilder builder(er->directedness());
+  builder.ReserveNodes(er->num_nodes());
+  for (const nb::Edge& e : er->edges()) {
+    builder.AddEdge(e.src, e.dst, std::floor(e.weight) + 1.0);
+  }
+  const auto graph = builder.Build();
+  if (!graph.ok()) return false;
+  const int64_t num_edges = graph->num_edges();
+  const int reps = quick ? 3 : 9;
+
+  std::printf("\nsort stage: ScoreOrder on %lld edges (median of %d)\n",
+              static_cast<long long>(num_edges), reps);
+  PrintRow({"method", "threads", "median ms", "min ms", "identical"});
+  bool all_match = true;
+  for (const nb::Method m :
+       {nb::Method::kNoiseCorrected, nb::Method::kDisparityFilter,
+        nb::Method::kNaiveThreshold}) {
+    const auto scored = nb::RunMethod(m, *graph);
+    if (!scored.ok()) return false;
+    const std::vector<nb::EdgeId> expected = ReferenceOrder(*scored);
+    for (const int threads : {1, 4}) {
+      std::vector<double> times;
+      bool match = true;
+      for (int rep = 0; rep < reps; ++rep) {
+        nb::Timer timer;
+        const nb::ScoreOrder order(*scored, threads);
+        times.push_back(timer.ElapsedSeconds());
+        match = match && std::equal(order.ids().begin(), order.ids().end(),
+                                    expected.begin(), expected.end());
+      }
+      all_match = all_match && match;
+      const double med = nb::Median(times);
+      const double min = *std::min_element(times.begin(), times.end());
+      PrintRow({nb::MethodTag(m), std::to_string(threads), Num(med * 1e3, 2),
+                Num(min * 1e3, 2), match ? "yes" : "NO"});
+      json->RecordSeconds("score_order_sort:" + nb::MethodTag(m), num_edges,
+                          threads, med, min);
+    }
+  }
+  return all_match;
 }
 
 }  // namespace
@@ -133,6 +210,8 @@ int main() {
     json.RecordSeconds("sweep50_batch:" + nb::MethodTag(m), num_edges, 1,
                        after_med, after_min);
   }
+
+  if (!RunSortStage(quick, &json)) all_match = false;
 
   std::printf("\n%lld edges, %zu sweep points; identity checks: %s\n",
               static_cast<long long>(num_edges), shares.size(),

@@ -10,12 +10,6 @@
 namespace netbone {
 namespace {
 
-// True while the current thread is executing a ThreadPool job; nested
-// Run() calls then degrade to inline execution instead of deadlocking on
-// the pool's Run() serialization. (TaskScheduler has no analogue: nested
-// spawns are native there.)
-thread_local bool inside_pool_job = false;
-
 // Consecutive empty scans a worker tolerates (yielding between them)
 // before parking on the scheduler's epoch.
 constexpr int kIdleScansBeforeSleep = 16;
@@ -373,80 +367,6 @@ void TaskGroup::Wait() {
     // other threads. Park until the task set (or this group) changes.
     scheduler_->SleepUntilSignal(observed);
   }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool (legacy fork-join primitive).
-// ---------------------------------------------------------------------------
-
-ThreadPool::ThreadPool(int num_threads) {
-  const int spawn = std::max(num_threads, 1) - 1;
-  threads_.reserve(static_cast<size_t>(spawn));
-  for (int t = 0; t < spawn; ++t) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::DrainJob(std::unique_lock<std::mutex>& lock) {
-  while (job_ != nullptr && job_next_ < job_total_) {
-    const int worker = job_next_++;
-    ++job_active_;
-    const std::function<void(int)>* job = job_;
-    lock.unlock();
-    inside_pool_job = true;
-    (*job)(worker);
-    inside_pool_job = false;
-    lock.lock();
-    --job_active_;
-    if (job_next_ >= job_total_ && job_active_ == 0) done_cv_.notify_all();
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return shutdown_ || (job_ != nullptr && job_next_ < job_total_);
-    });
-    if (shutdown_) return;
-    DrainJob(lock);
-  }
-}
-
-void ThreadPool::Run(int num_workers, const std::function<void(int)>& fn) {
-  if (num_workers <= 0) return;
-  if (num_workers == 1 || threads_.empty() || inside_pool_job) {
-    // Serial fast path: no locking, no cross-thread handoff.
-    for (int w = 0; w < num_workers; ++w) fn(w);
-    return;
-  }
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  std::unique_lock<std::mutex> lock(mu_);
-  job_ = &fn;
-  job_next_ = 0;
-  job_total_ = num_workers;
-  work_cv_.notify_all();
-  DrainJob(lock);  // the caller works too
-  done_cv_.wait(lock, [this] {
-    return job_next_ >= job_total_ && job_active_ == 0;
-  });
-  job_ = nullptr;
-}
-
-ThreadPool& ThreadPool::Global() {
-  // Leaked on purpose: joining workers from a static destructor can
-  // deadlock with other atexit teardown.
-  static ThreadPool* pool = new ThreadPool(ResolveThreadCount(0));
-  return *pool;
 }
 
 // ---------------------------------------------------------------------------

@@ -246,55 +246,6 @@ class TaskGroup {
   std::atomic<int64_t> pending_{0};
 };
 
-/// Fixed pool of worker threads with a blocking fork-join Run()
-/// primitive. Legacy substrate: the library's loops now run on
-/// TaskScheduler (above), which this class predates; it is retained for
-/// direct users that want an isolated fork-join pool with strictly
-/// serialized Run() calls.
-class ThreadPool {
- public:
-  /// Creates a pool that can execute `num_threads` workers concurrently
-  /// (including the caller of Run). num_threads < 1 is clamped to 1.
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Maximum concurrency of Run(), counting the calling thread.
-  int size() const { return static_cast<int>(threads_.size()) + 1; }
-
-  /// Invokes fn(worker) for every worker in [0, num_workers), distributing
-  /// the invocations over the pool (the caller executes some of them).
-  /// Blocks until all invocations finish. num_workers may exceed size();
-  /// excess workers simply share OS threads.
-  void Run(int num_workers, const std::function<void(int worker)>& fn);
-
-  /// Process-wide pool sized to hardware concurrency, created on first use
-  /// and intentionally never destroyed (avoids shutdown-order races with
-  /// static destructors).
-  static ThreadPool& Global();
-
- private:
-  void WorkerLoop();
-  /// Claims and runs job workers until the current job is exhausted.
-  /// Precondition: `lock` holds mu_. Returns with mu_ re-held.
-  void DrainJob(std::unique_lock<std::mutex>& lock);
-
-  std::vector<std::thread> threads_;
-
-  std::mutex run_mu_;  // serializes Run() calls
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // a job arrived (or shutdown)
-  std::condition_variable done_cv_;  // the current job fully finished
-  const std::function<void(int)>* job_ = nullptr;
-  int job_next_ = 0;    // next unclaimed worker index
-  int job_total_ = 0;   // workers in the current job
-  int job_active_ = 0;  // claimed but not yet finished
-  bool shutdown_ = false;
-};
-
 /// Deterministic chunked parallel loop over [0, n).
 ///
 /// The range is split into W = min(max(num_threads_resolved, 1), n)

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <numeric>
 
 #include "common/parallel.h"
 #include "graph/edge_columns.h"
@@ -17,54 +20,239 @@ namespace {
 /// method.
 std::atomic<int64_t> g_sorts_performed{0};
 
+/// The order key of a score or weight: an unsigned integer whose
+/// ascending order is the double's descending order. -0.0 folds onto +0.0
+/// (they compare equal), and every NaN, whatever its sign or payload,
+/// takes the largest key: NaN sorts after every number, -inf included.
+uint64_t DescendingKey(double x) {
+  if (std::isnan(x)) return ~uint64_t{0};
+  const uint64_t bits = std::bit_cast<uint64_t>(x == 0.0 ? 0.0 : x);
+  // Positive doubles order like their bits, negative ones reversed: flip
+  // the magnitude of the positives and both halves descend.
+  return (bits >> 63) != 0 ? bits : bits ^ (~uint64_t{0} >> 1);
+}
+
+/// Whether two scores (or weights) tie in the order: equal numbers, -0.0
+/// and +0.0 included, or both NaN.
+bool Tied(double x, double y) {
+  return x == y || (std::isnan(x) && std::isnan(y));
+}
+
+/// Whether x goes before y, given they do not tie: the larger number
+/// first, NaN after every number — the order of DescendingKey.
+bool Before(double x, double y) {
+  return x > y || (std::isnan(y) && !std::isnan(x));
+}
+
 /// The one comparison every score ordering uses: (score desc, weight
-/// desc, id asc). Total order — ids are unique — so the sorted sequence
-/// is unique and patch-merged orders are bit-identical to sorted ones.
+/// desc, id asc) — the radix sort's (score key, weight key, id) order,
+/// on the raw doubles. Total order — ids are unique — so the sorted
+/// sequence is unique and patch-merged orders are bit-identical to
+/// sorted ones.
 bool Precedes(double sa, double wa, EdgeId a, double sb, double wb,
               EdgeId b) {
-  if (sa != sb) return sa > sb;
-  if (wa != wb) return wa > wb;
+  if (!Tied(sa, sb)) return Before(sa, sb);
+  if (!Tied(wa, wb)) return Before(wa, wb);
   return a < b;
 }
 
-/// Precedes over edge ids, loading each side's score and weight from the
-/// tables: the comparator of the patch merge and of permutation
-/// validation, which only ever compare O(d log n) or O(E) adjacent pairs.
-struct DescendingScore {
-  const ScoredEdges* scored;
-  const Graph* graph;
+/// The full sort is an LSD radix sort over 11-bit digits of the two order
+/// keys: 2048 buckets of counters per chunk stay in L1, and a 64-bit key
+/// takes at most six passes.
+constexpr int kDigitBits = 11;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+constexpr uint64_t kDigitMask = kBuckets - 1;
 
-  bool operator()(EdgeId a, EdgeId b) const {
-    return Precedes(scored->at(a).score, graph->edge(a).weight, a,
-                    scored->at(b).score, graph->edge(b).weight, b);
+/// Edges per chunk below which another chunk costs more in histogram
+/// set-up and task hand-off than it saves: each pass is two fork-joins,
+/// and tables of a few 10k edges sorted by concurrent callers (a serving
+/// engine's set-up) finish sooner on one chunk each.
+constexpr size_t kMinChunkEdges = 16384;
+
+/// The shifts of the digits of a key that vary across the table, given
+/// the OR of every key XOR the first one; constant digits move nothing.
+std::vector<int> VaryingDigits(uint64_t diff) {
+  std::vector<int> shifts;
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if (((diff >> shift) & kDigitMask) != 0) shifts.push_back(shift);
   }
-};
+  return shifts;
+}
 
-/// One element of the full sort: the comparison keys of an edge,
-/// materialized next to its id so the O(E log E) comparisons read
-/// contiguous memory instead of two random loads per side.
-struct SortKey {
-  double score;
-  double weight;
-  EdgeId id;
-};
+/// One stable counting pass over `chunks` contiguous chunks of [0, n):
+/// each chunk counts the digit at `shift` of its keys, the counts become
+/// offsets by a prefix sum in (digit, chunk) order, and each chunk
+/// scatters its elements in input order. Chunk c's run of digit d thus
+/// lands after every earlier chunk's run of d, so the pass is stable and
+/// its output is the same for every chunking. `source(i)` yields the
+/// (key, id) of input element i; `sink(pos, key, id)` writes output slot
+/// `pos`. `counts` holds chunks * kBuckets slots.
+template <typename Index, typename Source, typename Sink>
+void CountingPass(std::span<const size_t> bounds, int shift, Index* counts,
+                  const Source& source, const Sink& sink) {
+  const int chunks = static_cast<int>(bounds.size()) - 1;
+  ParallelRun(chunks, [&](int c) {
+    Index* count = counts + static_cast<size_t>(c) * kBuckets;
+    std::fill(count, count + kBuckets, Index{0});
+    for (size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      ++count[(source(i).first >> shift) & kDigitMask];
+    }
+  });
+  Index offset = 0;
+  for (size_t digit = 0; digit < kBuckets; ++digit) {
+    for (int c = 0; c < chunks; ++c) {
+      Index& slot = counts[static_cast<size_t>(c) * kBuckets + digit];
+      const Index count = slot;
+      slot = offset;
+      offset += count;
+    }
+  }
+  ParallelRun(chunks, [&](int c) {
+    Index* next = counts + static_cast<size_t>(c) * kBuckets;
+    for (size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      const auto [key, id] = source(i);
+      sink(static_cast<size_t>(next[(key >> shift) & kDigitMask]++), key,
+           id);
+    }
+  });
+}
 
 /// The full sort, and the only place a ScoreOrder's permutation is sorted
-/// from scratch. ParallelSort is bit-identical to std::sort for a total
-/// order, so the result does not depend on `num_threads`.
-std::vector<EdgeId> SortedIds(const ScoredEdges& scored, int num_threads) {
+/// from scratch: a stable LSD radix sort of (key, id) pairs. The ids start
+/// ascending; the weight key's varying digits go first, then the score
+/// key's, each pass stable, so the result is ordered by (score key,
+/// weight key, id) — exactly Precedes. Weight passes are skipped when
+/// every score equals its weight (NT): equal scores then carry equal
+/// weights, and the weight breaks no tie. `Index` is the id type the
+/// passes carry: 32 bits whenever the table fits, halving the id bytes.
+///
+/// Transient memory: two buffers of 8-byte keys and Index ids (24 B/edge
+/// at 32-bit ids), the second only from the third pass on, plus 8 KiB of
+/// counters per chunk. The first pass reads its keys straight from the
+/// tables, the last writes EdgeIds straight into the result, and the pass
+/// that switches from the weight to the score key gathers each score as
+/// it scatters.
+template <typename Index>
+std::vector<EdgeId> RadixSortedIds(const ScoredEdges& scored,
+                                   int num_threads) {
   const size_t n = static_cast<size_t>(scored.size());
-  const std::vector<Edge>& edges = scored.graph().edges();
-  std::vector<SortKey> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = SortKey{scored.scores()[i].score, edges[i].weight,
-                      static_cast<EdgeId>(i)};
+  const EdgeScore* scores = scored.scores().data();
+  const Edge* edges = scored.graph().edges().data();
+  const auto score_key = [scores](size_t i) {
+    return DescendingKey(scores[i].score);
+  };
+  const auto weight_key = [edges](size_t i) {
+    return DescendingKey(edges[i].weight);
+  };
+
+  // Contiguous chunks; the permutation does not depend on their number.
+  const size_t chunks = std::clamp<size_t>(
+      n / kMinChunkEdges, 1,
+      static_cast<size_t>(ResolveThreadCount(num_threads)));
+  std::vector<size_t> bounds(chunks + 1);
+  for (size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
+
+  // Which digits vary, and whether any score differs from its weight.
+  struct Spread {
+    uint64_t score = 0;
+    uint64_t weight = 0;
+    uint64_t score_vs_weight = 0;
+  };
+  std::vector<Spread> spreads(chunks);
+  if (n > 0) {
+    const uint64_t first_score = score_key(0);
+    const uint64_t first_weight = weight_key(0);
+    ParallelRun(static_cast<int>(chunks), [&](int c) {
+      Spread spread;
+      for (size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+        const uint64_t s = score_key(i);
+        const uint64_t w = weight_key(i);
+        spread.score |= s ^ first_score;
+        spread.weight |= w ^ first_weight;
+        spread.score_vs_weight |= s ^ w;
+      }
+      spreads[c] = spread;
+    });
   }
-  ParallelSort(&keys, num_threads, [](const SortKey& a, const SortKey& b) {
-    return Precedes(a.score, a.weight, a.id, b.score, b.weight, b.id);
-  });
-  std::vector<EdgeId> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = keys[i].id;
+  Spread spread;
+  for (const Spread& s : spreads) {
+    spread.score |= s.score;
+    spread.weight |= s.weight;
+    spread.score_vs_weight |= s.score_vs_weight;
+  }
+  std::vector<int> shifts;
+  if (spread.score_vs_weight != 0) shifts = VaryingDigits(spread.weight);
+  const size_t weight_passes = shifts.size();
+  for (const int shift : VaryingDigits(spread.score)) shifts.push_back(shift);
+  const size_t passes = shifts.size();
+
+  std::vector<EdgeId> sorted(n);
+  if (passes == 0) {
+    std::iota(sorted.begin(), sorted.end(), EdgeId{0});
+    return sorted;
+  }
+
+  // Pass p reads buffer p % 2 and writes buffer (p + 1) % 2; the first
+  // pass reads the tables and the last writes `sorted`.
+  std::unique_ptr<uint64_t[]> keys[2];
+  std::unique_ptr<Index[]> ids[2];
+  for (size_t b = 0; b < 2; ++b) {
+    if (passes > 2 - b) {
+      keys[b] = std::make_unique_for_overwrite<uint64_t[]>(n);
+      ids[b] = std::make_unique_for_overwrite<Index[]>(n);
+    }
+  }
+  const auto counts =
+      std::make_unique_for_overwrite<Index[]>(chunks * kBuckets);
+
+  const auto run_pass = [&](size_t p, const auto& source) {
+    const int shift = shifts[p];
+    uint64_t* out_keys = keys[(p + 1) % 2].get();
+    Index* out_ids = ids[(p + 1) % 2].get();
+    if (p + 1 == passes) {
+      CountingPass<Index>(bounds, shift, counts.get(), source,
+                          [&](size_t pos, uint64_t, Index id) {
+                            sorted[pos] = static_cast<EdgeId>(id);
+                          });
+    } else if (p + 1 == weight_passes) {
+      CountingPass<Index>(bounds, shift, counts.get(), source,
+                          [&](size_t pos, uint64_t, Index id) {
+                            out_keys[pos] = score_key(id);
+                            out_ids[pos] = id;
+                          });
+    } else {
+      CountingPass<Index>(bounds, shift, counts.get(), source,
+                          [&](size_t pos, uint64_t key, Index id) {
+                            out_keys[pos] = key;
+                            out_ids[pos] = id;
+                          });
+    }
+  };
+  const auto from_table = [](const auto& key_of) {
+    return [key_of](size_t i) {
+      return std::pair<uint64_t, Index>(key_of(i), static_cast<Index>(i));
+    };
+  };
+  if (weight_passes > 0) {
+    run_pass(0, from_table(weight_key));
+  } else {
+    run_pass(0, from_table(score_key));
+  }
+  for (size_t p = 1; p < passes; ++p) {
+    const uint64_t* in_keys = keys[p % 2].get();
+    const Index* in_ids = ids[p % 2].get();
+    run_pass(p, [in_keys, in_ids](size_t i) {
+      return std::pair<uint64_t, Index>(in_keys[i], in_ids[i]);
+    });
+  }
+  return sorted;
+}
+
+std::vector<EdgeId> SortedIds(const ScoredEdges& scored, int num_threads) {
+  std::vector<EdgeId> ids =
+      static_cast<uint64_t>(scored.size()) <= UINT32_MAX
+          ? RadixSortedIds<uint32_t>(scored, num_threads)
+          : RadixSortedIds<uint64_t>(scored, num_threads);
   g_sorts_performed.fetch_add(1, std::memory_order_relaxed);
   return ids;
 }
@@ -162,6 +350,44 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
   return result;
 }
 
+/// A dirty id of an order patch with its new keys beside it, and a hint
+/// where to start looking for its slot: its old slot in the clean run.
+struct DirtyKey {
+  double score;
+  double weight;
+  EdgeId id;
+  size_t hint;
+};
+
+/// The walk of the order patch: visits the base order, maps each id to
+/// its successor (negative = deleted), and splits the successors by the
+/// dirty bitmap. Clean ids go to `tail` in base order (at most `room` of
+/// them are written); dirty ids are noted with their hint (at most
+/// `capacity`). Returns the clean and the dirty count met; a separate
+/// function, so the counters stay in registers.
+template <typename Successor>
+std::pair<size_t, size_t> SplitBaseOrder(std::span<const EdgeId> base_ids,
+                                         const Successor& successor,
+                                         const uint64_t* dirty_bits,
+                                         size_t n, EdgeId* tail, size_t room,
+                                         DirtyKey* noted, size_t capacity) {
+  size_t kept = 0;
+  size_t met = 0;
+  for (const EdgeId b : base_ids) {
+    const EdgeId id = successor(b);
+    const size_t slot = static_cast<size_t>(id);
+    if (id < 0 || slot >= n) continue;  // deleted, or a stale base
+    if (((dirty_bits[slot / 64] >> (slot % 64)) & 1) == 0) {
+      if (kept < room) tail[kept] = id;
+      ++kept;
+    } else if (met < capacity) {
+      noted[met].id = id;
+      noted[met++].hint = kept;
+    }
+  }
+  return {kept, met};
+}
+
 }  // namespace
 
 ScoreOrder::ScoreOrder(const ScoredEdges& scored, int num_threads)
@@ -183,9 +409,12 @@ Result<ScoreOrder> ScoreOrder::FromPermutation(const ScoredEdges& scored,
   }
   // Adjacent-pair agreement with the strict-weak-order comparator is
   // enough: a total order has exactly one sorted permutation.
-  const DescendingScore cmp{&scored, &scored.graph()};
+  const Graph& g = scored.graph();
   for (size_t i = 1; i < n; ++i) {
-    if (cmp(ids[i], ids[i - 1])) {
+    const EdgeId a = ids[i];
+    const EdgeId b = ids[i - 1];
+    if (Precedes(scored.at(a).score, g.edge(a).weight, a, scored.at(b).score,
+                 g.edge(b).weight, b)) {
       return Status::Corruption("score order violates the sort comparator");
     }
   }
@@ -197,57 +426,132 @@ ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
                        std::span<const EdgeId> dirty, int num_threads)
     : scored_(&scored) {
   const size_t n = static_cast<size_t>(scored.size());
-  std::vector<char> is_dirty(n, 0);
-  for (const EdgeId id : dirty) is_dirty[static_cast<size_t>(id)] = 1;
-
-  // The surviving clean run, remapped to successor ids in base rank
-  // order (an empty base_to_next is the identity mapping). Monotone remap
-  // + bitwise-unchanged keys => still sorted under the shared comparator.
-  std::vector<EdgeId> clean;
-  clean.reserve(n);
-  if (base_to_next.empty()) {
-    for (const EdgeId b : base.ids()) {
-      if (static_cast<size_t>(b) < n && is_dirty[static_cast<size_t>(b)] == 0) {
-        clean.push_back(b);
-      }
-    }
-  } else {
-    for (const EdgeId b : base.ids()) {
-      const EdgeId next_id = base_to_next[static_cast<size_t>(b)];
-      if (next_id >= 0 && is_dirty[static_cast<size_t>(next_id)] == 0) {
-        clean.push_back(next_id);
-      }
-    }
+  // One bit per successor id: n/8 bytes, cache-resident where a byte per
+  // id would not be.
+  std::vector<uint64_t> dirty_bits((n + 63) / 64, 0);
+  for (const EdgeId id : dirty) {
+    const size_t slot = static_cast<size_t>(id);
+    dirty_bits[slot / 64] |= uint64_t{1} << (slot % 64);
   }
 
-  if (clean.size() + dirty.size() != n) {
+  // One walk of the base order, remapped to successor ids (an empty
+  // base_to_next is the identity mapping). The clean ids keep their base
+  // order: monotone remap + bitwise-unchanged keys => still sorted under
+  // the shared comparator. They go to the tail of ids_, behind room for
+  // the d dirty ids, and the merge below fills ids_ from the front in
+  // place. Each dirty id met on the way is noted with its old slot in the
+  // clean run as a hint; inserted edges are never met.
+  const size_t d = dirty.size();
+  ids_.resize(n);
+  std::vector<DirtyKey> ranked(d);
+  EdgeId* const tail = ids_.data() + std::min(d, n);
+  const size_t room = n > d ? n - d : 0;
+  const auto [kept, met] =
+      base_to_next.empty()
+          ? SplitBaseOrder(
+                base.ids(), [](EdgeId b) { return b; }, dirty_bits.data(), n,
+                tail, room, ranked.data(), d)
+          : SplitBaseOrder(
+                base.ids(),
+                [base_to_next](EdgeId b) {
+                  return base_to_next[static_cast<size_t>(b)];
+                },
+                dirty_bits.data(), n, tail, room, ranked.data(), d);
+
+  if (kept + d != n) {
     // Inconsistent patch inputs (a dirty list missing an inserted edge,
     // a stale base). Degrade to the plain sort: correct, and visible on
     // the counter so zero-sort tests catch the misuse.
     ids_ = SortedIds(scored, num_threads);
     return;
   }
+  if (met < d) {
+    // The inserted edges: dirty ids the walk never met. No old slot.
+    std::vector<EdgeId> seen(met);
+    for (size_t i = 0; i < met; ++i) seen[i] = ranked[i].id;
+    std::sort(seen.begin(), seen.end());
+    size_t next = met;
+    for (const EdgeId id : dirty) {
+      if (next < d && !std::binary_search(seen.begin(), seen.end(), id)) {
+        ranked[next].id = id;
+        ranked[next++].hint = 0;
+      }
+    }
+  }
 
-  const DescendingScore cmp{&scored, &scored.graph()};
-  std::vector<EdgeId> ranked(dirty.begin(), dirty.end());
-  std::sort(ranked.begin(), ranked.end(), cmp);  // O(d log d), d = |dirty|
+  // The dirty ids with their new keys beside them, ranked among
+  // themselves on contiguous memory. Met in base order, they arrive
+  // nearly sorted when scores moved little, so an insertion sort runs
+  // first; past a budget of d element moves it hands over to std::sort,
+  // so the worst case stays O(d log d).
+  const Graph& g = scored.graph();
+  for (DirtyKey& key : ranked) {
+    key.score = scored.at(key.id).score;
+    key.weight = g.edge(key.id).weight;
+  }
+  const auto key_first = [](const DirtyKey& a, const DirtyKey& b) {
+    return Precedes(a.score, a.weight, a.id, b.score, b.weight, b.id);
+  };
+  size_t moves = 0;
+  for (size_t i = 1; i < d && moves <= d; ++i) {
+    const DirtyKey key = ranked[i];
+    size_t j = i;
+    for (; j > 0 && key_first(key, ranked[j - 1]); --j) {
+      ranked[j] = ranked[j - 1];
+    }
+    ranked[j] = key;
+    moves += i - j;
+  }
+  if (moves > d) std::sort(ranked.begin(), ranked.end(), key_first);
 
   // Merge by insertion point instead of element-by-element: each dirty id
-  // binary-searches its slot in the remaining clean run (d log n
-  // comparator calls, not n) and the clean segments between slots move as
-  // contiguous copies. The comparator is a total order, so the result is
-  // exactly std::merge's — and exactly the full sort's.
-  ids_.resize(n);
+  // searches its slot in the remaining clean run (O(d log n) comparator
+  // calls at worst, not n) and the clean segments between slots move as
+  // contiguous copies. The search starts at the hint and gallops toward
+  // the slot, then bisects the last stride, so a dirty id whose score
+  // moved little costs a few comparisons. The comparator is a total
+  // order, so the result is exactly std::merge's — and exactly the full
+  // sort's.
+  const auto clean_first = [&](EdgeId c, const DirtyKey& key) {
+    return Precedes(scored.at(c).score, g.edge(c).weight, c, key.score,
+                    key.weight, key.id);
+  };
+  // The write cursor trails the clean read cursor by the dirty ids not
+  // yet placed, so it never overwrites a clean id still to be read, and
+  // once the last dirty id is placed the rest of the run is in place.
   EdgeId* out = ids_.data();
-  const EdgeId* clean_pos = clean.data();
-  const EdgeId* const clean_end = clean_pos + clean.size();
-  for (const EdgeId id : ranked) {
-    const EdgeId* insert_at = std::lower_bound(clean_pos, clean_end, id, cmp);
+  const EdgeId* const clean_begin = ids_.data() + d;
+  const EdgeId* const clean_end = ids_.data() + n;
+  const EdgeId* clean_pos = clean_begin;
+  for (const DirtyKey& key : ranked) {
+    // Narrow [lo, hi) to hold the slot: everything before lo precedes
+    // the dirty id, nothing from hi on does.
+    const EdgeId* lo = clean_pos;
+    const EdgeId* hi = clean_end;
+    const EdgeId* const start = std::clamp(clean_begin + key.hint, lo, hi);
+    size_t stride = 1;
+    if (start < hi && clean_first(*start, key)) {
+      lo = start + 1;
+      while (stride <= static_cast<size_t>(hi - lo) &&
+             clean_first(lo[stride - 1], key)) {
+        lo += stride;
+        stride *= 2;
+      }
+      hi = lo + std::min(stride - 1, static_cast<size_t>(hi - lo));
+    } else {
+      hi = start;
+      while (stride <= static_cast<size_t>(hi - lo) &&
+             !clean_first(*(hi - stride), key)) {
+        hi -= stride;
+        stride *= 2;
+      }
+      lo = hi - std::min(stride - 1, static_cast<size_t>(hi - lo));
+    }
+    const EdgeId* insert_at = std::lower_bound(lo, hi, key, clean_first);
     out = std::copy(clean_pos, insert_at, out);
-    *out++ = id;
+    *out++ = key.id;
     clean_pos = insert_at;
   }
-  std::copy(clean_pos, clean_end, out);
   // No g_sorts_performed bump: zero global sorts is the patch's contract.
 }
 

@@ -1,7 +1,6 @@
 // Tests for the parallel-execution subsystem (common/parallel.h) — the
-// work-stealing TaskScheduler/TaskGroup runtime and the legacy
-// ThreadPool — the ParallelScoreEdges helper, the reusable Dijkstra
-// workspace, and the determinism guarantees of the threaded scoring
+// work-stealing TaskScheduler/TaskGroup runtime — the ParallelScoreEdges
+// helper, the reusable Dijkstra workspace, and the determinism guarantees of the threaded scoring
 // paths: identical scores for every thread count and steal order,
 // serial-equivalent first-error-wins status aggregation, seeded
 // reproducibility of the sampled HSS mode, and the one-sort-per-method
@@ -43,24 +42,8 @@ namespace netbone {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor.
+// ParallelFor.
 // ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunExecutesEveryWorkerExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.Run(64, [&](int worker) { hits[static_cast<size_t>(worker)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  int sum = 0;  // no synchronization: everything runs on this thread
-  pool.Run(5, [&](int worker) { sum += worker; });
-  EXPECT_EQ(sum, 0 + 1 + 2 + 3 + 4);
-}
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   for (const int64_t n : {0, 1, 2, 7, 100, 1000}) {

@@ -11,7 +11,10 @@
 #include "core/sweep.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -441,35 +444,48 @@ TEST(SweepProfileTest, TargetExcludesIsolates) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel key sort against a plain std::sort, and the early-stopping
-// profile walk against a plain union-find walk, on tables large enough
-// (>= 8192 edges) that ParallelSort takes its parallel branch.
+// The radix sort against a plain std::sort at every width, and the
+// early-stopping profile walk against a plain union-find walk.
 // ---------------------------------------------------------------------------
 
-constexpr int64_t kParallelSortMin = 8192;
+/// The sort's chunk grain: a table of E edges sorts in min(W, E / 16384)
+/// chunks at width W (at least one), so the multi-chunk histograms and
+/// scatters need tables of W * 16384 edges.
+constexpr int64_t kSortChunkEdges = 16384;
 
-/// The reference order: std::sort over edge ids with the (score desc,
-/// weight desc, id asc) comparator.
+/// Large enough for eight chunks, the widest width tested.
+constexpr NodeId kEightChunkNodes = 90000;
+
+/// The early-stop profile fixtures are at least this large.
+constexpr int64_t kProfileMinEdges = 8192;
+
+/// The documented order: (score desc, weight desc, id asc), -0.0 equal to
+/// +0.0, every NaN after every number. Written on raw doubles,
+/// independently of the integer keys the sort itself uses.
+bool ReferencePrecedes(double sa, double wa, EdgeId a, double sb, double wb,
+                       EdgeId b) {
+  if (std::isnan(sa) != std::isnan(sb)) return std::isnan(sb);
+  if (!std::isnan(sa) && sa != sb) return sa > sb;
+  if (std::isnan(wa) != std::isnan(wb)) return std::isnan(wb);
+  if (!std::isnan(wa) && wa != wb) return wa > wb;
+  return a < b;
+}
+
+/// The reference order: std::sort over edge ids with ReferencePrecedes.
 std::vector<EdgeId> ReferenceOrder(const ScoredEdges& scored) {
   std::vector<EdgeId> ids(static_cast<size_t>(scored.size()));
   std::iota(ids.begin(), ids.end(), EdgeId{0});
   const Graph& g = scored.graph();
   std::sort(ids.begin(), ids.end(), [&](EdgeId a, EdgeId b) {
-    const double sa = scored.at(a).score;
-    const double sb = scored.at(b).score;
-    if (sa != sb) return sa > sb;
-    const double wa = g.edge(a).weight;
-    const double wb = g.edge(b).weight;
-    if (wa != wb) return wa > wb;
-    return a < b;
+    return ReferencePrecedes(scored.at(a).score, g.edge(a).weight, a,
+                             scored.at(b).score, g.edge(b).weight, b);
   });
   return ids;
 }
 
 void ExpectSortMatchesReference(const ScoredEdges& scored) {
-  ASSERT_GE(scored.size(), kParallelSortMin);
   const std::vector<EdgeId> expected = ReferenceOrder(scored);
-  for (const int threads : {1, 2, 4}) {
+  for (const int threads : {1, 2, 3, 4, 8}) {
     const int64_t sorts_before = ScoreOrder::SortsPerformed();
     const ScoreOrder order(scored, threads);
     EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 1)
@@ -487,9 +503,9 @@ void ExpectSortMatchesReference(const ScoredEdges& scored) {
 /// A fig9-style ER graph (average degree 3) re-weighted to small integer
 /// counts, so NT scores and weights tie heavily and most of the order is
 /// decided by the id tie-break.
-Graph MakeIntegerWeightedEr(int64_t weight_levels) {
+Graph MakeIntegerWeightedEr(int64_t weight_levels, NodeId num_nodes = 6000) {
   const Result<Graph> er = GenerateErdosRenyi(
-      {.num_nodes = 6000, .average_degree = 3.0, .seed = 21});
+      {.num_nodes = num_nodes, .average_degree = 3.0, .seed = 21});
   GraphBuilder builder(Directedness::kUndirected);
   builder.ReserveNodes(er->num_nodes());
   for (const Edge& e : er->edges()) {
@@ -499,37 +515,170 @@ Graph MakeIntegerWeightedEr(int64_t weight_levels) {
   return *builder.Build();
 }
 
+/// The eight-chunk integer ER graph every hand-scored case below uses.
+Graph MakeWideEr(int64_t weight_levels) {
+  Graph g = MakeIntegerWeightedEr(weight_levels, kEightChunkNodes);
+  EXPECT_GE(g.num_edges(), 8 * kSortChunkEdges);
+  return g;
+}
+
+/// A table over `g` whose edge i scores score_of(i).
+template <typename ScoreOf>
+ScoredEdges HandScored(const Graph& g, const ScoreOf& score_of) {
+  std::vector<EdgeScore> scores(static_cast<size_t>(g.num_edges()));
+  for (size_t i = 0; i < scores.size(); ++i) {
+    scores[i].score = score_of(i);
+  }
+  return ScoredEdges(&g, "hand_built", std::move(scores), false);
+}
+
 TEST(ScoreOrderSortTest, NaiveThresholdOnIntegerWeightsMatchesStdSort) {
-  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/4);
+  const Graph g = MakeWideEr(/*weight_levels=*/4);
   const auto nt = NaiveThreshold(g);
   ASSERT_TRUE(nt.ok());
   ExpectSortMatchesReference(*nt);
 }
 
 TEST(ScoreOrderSortTest, NoiseCorrectedMatchesStdSort) {
-  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/100);
+  const Graph g = MakeWideEr(/*weight_levels=*/100);
   const auto nc = RunMethod(Method::kNoiseCorrected, g);
   ASSERT_TRUE(nc.ok());
   ExpectSortMatchesReference(*nc);
+}
+
+TEST(ScoreOrderSortTest, DisparityFilterMatchesStdSort) {
+  const Graph g = MakeWideEr(/*weight_levels=*/100);
+  const auto df = RunMethod(Method::kDisparityFilter, g);
+  ASSERT_TRUE(df.ok());
+  ExpectSortMatchesReference(*df);
 }
 
 TEST(ScoreOrderSortTest, SignedZeroAndEqualScoresMatchStdSort) {
   // +0.0 and -0.0 compare equal, so they must fall through to the weight
   // and id tie-breaks exactly as in the reference; equal nonzero scores
   // on different weights order by weight.
-  const Graph g = MakeIntegerWeightedEr(/*weight_levels=*/7);
-  std::vector<EdgeScore> scores(static_cast<size_t>(g.num_edges()));
-  for (size_t i = 0; i < scores.size(); ++i) {
+  const Graph g = MakeWideEr(/*weight_levels=*/7);
+  ExpectSortMatchesReference(HandScored(g, [](size_t i) {
     switch (i % 5) {
-      case 0: scores[i].score = 0.0; break;
-      case 1: scores[i].score = -0.0; break;
-      case 2: scores[i].score = 0.5; break;
-      case 3: scores[i].score = -0.5; break;
-      default: scores[i].score = static_cast<double>(i % 11); break;
+      case 0: return 0.0;
+      case 1: return -0.0;
+      case 2: return 0.5;
+      case 3: return -0.5;
+      default: return static_cast<double>(i % 11);
     }
+  }));
+}
+
+TEST(ScoreOrderSortTest, SignedZeroWeightsOnEqualScoresMatchStdSort) {
+  // -0.0 and +0.0 weights under a handful of equal scores: the weights
+  // compare equal, so the id decides between them.
+  const Graph er = MakeWideEr(/*weight_levels=*/3);
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.ReserveNodes(er.num_nodes());
+  for (size_t i = 0; i < er.edges().size(); ++i) {
+    const Edge& e = er.edges()[i];
+    builder.AddEdge(e.src, e.dst,
+                    i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : e.weight));
   }
-  const ScoredEdges scored(&g, "hand_built", std::move(scores), false);
+  const Graph g = *builder.Build();
+  ASSERT_TRUE(std::signbit(g.edge(0).weight));
+  ExpectSortMatchesReference(
+      HandScored(g, [](size_t i) { return static_cast<double>(i % 4); }));
+}
+
+TEST(ScoreOrderSortTest, InfiniteAndSubnormalScoresMatchStdSort) {
+  const Graph g = MakeWideEr(/*weight_levels=*/5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  ExpectSortMatchesReference(HandScored(g, [&](size_t i) {
+    switch (i % 8) {
+      case 0: return inf;
+      case 1: return -inf;
+      case 2: return tiny;
+      case 3: return -tiny;
+      case 4: return tiny * static_cast<double>(i % 1000);
+      case 5: return -std::numeric_limits<double>::min() / 3.0;
+      case 6: return std::numeric_limits<double>::max();
+      default: return 0.0;
+    }
+  }));
+}
+
+TEST(ScoreOrderSortTest, ConstantKeysComeBackInIdOrder) {
+  // Every score and every weight equal: every digit is constant, no pass
+  // runs, and the id tie-break alone orders the table.
+  const Graph er = MakeWideEr(/*weight_levels=*/1);
+  const ScoredEdges scored = HandScored(er, [](size_t) { return 0.25; });
   ExpectSortMatchesReference(scored);
+  std::vector<EdgeId> ascending(static_cast<size_t>(er.num_edges()));
+  std::iota(ascending.begin(), ascending.end(), EdgeId{0});
+  const ScoreOrder order(scored, 4);
+  EXPECT_TRUE(std::equal(order.ids().begin(), order.ids().end(),
+                         ascending.begin(), ascending.end()));
+  // NT on the same graph: score equals weight, both constant.
+  const auto nt = NaiveThreshold(er);
+  ASSERT_TRUE(nt.ok());
+  ExpectSortMatchesReference(*nt);
+}
+
+TEST(ScoreOrderSortTest, PresortedAndReversedScoresMatchStdSort) {
+  const Graph g = MakeWideEr(/*weight_levels=*/9);
+  const double edges = static_cast<double>(g.num_edges());
+  ExpectSortMatchesReference(HandScored(
+      g, [&](size_t i) { return edges - static_cast<double>(i); }));
+  ExpectSortMatchesReference(
+      HandScored(g, [](size_t i) { return static_cast<double>(i); }));
+}
+
+TEST(ScoreOrderSortTest, TinyTablesMatchStdSort) {
+  for (const int64_t num_edges : {0, 1, 2}) {
+    GraphBuilder builder(Directedness::kUndirected);
+    builder.ReserveNodes(4);
+    for (int64_t i = 0; i < num_edges; ++i) {
+      builder.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1),
+                      2.0);
+    }
+    const Graph g = *builder.Build();
+    ASSERT_EQ(g.num_edges(), num_edges);
+    ExpectSortMatchesReference(
+        HandScored(g, [](size_t i) { return 1.0 - static_cast<double>(i); }));
+    ExpectSortMatchesReference(HandScored(g, [](size_t) { return 3.0; }));
+  }
+}
+
+TEST(ScoreOrderSortTest, NanScoresSortLastByWeightThenId) {
+  // No method emits NaN, but the public ScoredEdges constructor accepts
+  // it. Every NaN, whatever its sign and payload, sorts after every
+  // number (-inf too), ties broken by weight desc and then id.
+  const Graph g = MakeWideEr(/*weight_levels=*/6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const ScoredEdges scored = HandScored(g, [&](size_t i) {
+    switch (i % 6) {
+      case 0: return nan;
+      case 1: return -nan;
+      case 2: return std::bit_cast<double>(
+          std::bit_cast<uint64_t>(nan) | static_cast<uint64_t>(i));
+      case 3: return -inf;
+      default: return static_cast<double>(i % 13) - 6.0;
+    }
+  });
+  ExpectSortMatchesReference(scored);
+  const ScoreOrder order(scored, 1);
+  const int64_t numbers = g.num_edges() - (g.num_edges() + 5) / 6 -
+                          (g.num_edges() + 4) / 6 - (g.num_edges() + 3) / 6;
+  EXPECT_TRUE(std::isnan(scored.at(order.id_at(numbers)).score));
+  EXPECT_FALSE(std::isnan(scored.at(order.id_at(numbers - 1)).score));
+  EXPECT_EQ(order.CountAbove(-inf), numbers - (g.num_edges() + 2) / 6);
+  // A NaN moved ahead of the last number breaks the order, and so do two
+  // NaNs out of (weight, id) order.
+  for (const size_t rank : {static_cast<size_t>(numbers) - 1,
+                            static_cast<size_t>(g.num_edges()) - 2}) {
+    std::vector<EdgeId> swapped(order.ids().begin(), order.ids().end());
+    std::swap(swapped[rank], swapped[rank + 1]);
+    EXPECT_FALSE(ScoreOrder::FromPermutation(scored, std::move(swapped)).ok())
+        << "rank " << rank;
+  }
 }
 
 /// The profile a plain walk produces: union every edge, test for one
@@ -620,7 +769,7 @@ Graph GraphToWalk(const Graph& g, bool inherited,
 /// learning it. Each of BuildSweepProfile and GrowUntilConnected gets a
 /// turn at walking first.
 void ExpectProfileMatchesReference(const Graph& g, bool spans) {
-  ASSERT_GE(g.num_edges(), kParallelSortMin);
+  ASSERT_GE(g.num_edges(), kProfileMinEdges);
   const Graph::Connectivity fact = spans
                                        ? Graph::Connectivity::kConnected
                                        : Graph::Connectivity::kDisconnected;
