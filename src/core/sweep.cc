@@ -359,36 +359,51 @@ struct DirtyKey {
   size_t hint;
 };
 
+/// Marks of the order patch, one byte per successor id.
+enum DirtyMark : char { kClean = 0, kDirty = 1, kDirtyMet = 2 };
+
 /// The walk of the order patch: visits the base order, maps each id to
-/// its successor (negative = deleted), and splits the successors by the
-/// dirty bitmap. Clean ids go to `tail` in base order (at most `room` of
-/// them are written); dirty ids are noted with their hint (at most
-/// `capacity`). Returns the clean and the dirty count met; a separate
-/// function, so the counters stay in registers.
+/// its successor (negative = deleted), and splits the successors by
+/// their mark. Clean ids go to `tail` in base order (at most `room` of
+/// them are written); dirty ids are marked met and noted with their hint
+/// (at most `capacity`). Returns the clean and the dirty count met; a
+/// separate function, so the counters stay in registers.
 template <typename Successor>
 std::pair<size_t, size_t> SplitBaseOrder(std::span<const EdgeId> base_ids,
                                          const Successor& successor,
-                                         const uint64_t* dirty_bits,
-                                         size_t n, EdgeId* tail, size_t room,
-                                         DirtyKey* noted, size_t capacity) {
+                                         char* marks, size_t n, EdgeId* tail,
+                                         size_t room, DirtyKey* noted,
+                                         size_t capacity) {
   size_t kept = 0;
   size_t met = 0;
   for (const EdgeId b : base_ids) {
     const EdgeId id = successor(b);
     const size_t slot = static_cast<size_t>(id);
     if (id < 0 || slot >= n) continue;  // deleted, or a stale base
-    if (((dirty_bits[slot / 64] >> (slot % 64)) & 1) == 0) {
+    if (marks[slot] == kClean) {
       if (kept < room) tail[kept] = id;
       ++kept;
-    } else if (met < capacity) {
-      noted[met].id = id;
-      noted[met++].hint = kept;
+    } else {
+      marks[slot] = kDirtyMet;
+      if (met < capacity) {
+        noted[met].id = id;
+        noted[met++].hint = kept;
+      }
     }
   }
   return {kept, met};
 }
 
 }  // namespace
+
+namespace internal {
+
+std::vector<EdgeId> SortedIdsWith64BitIds(const ScoredEdges& scored,
+                                          int num_threads) {
+  return RadixSortedIds<uint64_t>(scored, num_threads);
+}
+
+}  // namespace internal
 
 ScoreOrder::ScoreOrder(const ScoredEdges& scored, int num_threads)
     : scored_(&scored), ids_(SortedIds(scored, num_threads)) {}
@@ -426,13 +441,8 @@ ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
                        std::span<const EdgeId> dirty, int num_threads)
     : scored_(&scored) {
   const size_t n = static_cast<size_t>(scored.size());
-  // One bit per successor id: n/8 bytes, cache-resident where a byte per
-  // id would not be.
-  std::vector<uint64_t> dirty_bits((n + 63) / 64, 0);
-  for (const EdgeId id : dirty) {
-    const size_t slot = static_cast<size_t>(id);
-    dirty_bits[slot / 64] |= uint64_t{1} << (slot % 64);
-  }
+  std::vector<char> marks(n, kClean);
+  for (const EdgeId id : dirty) marks[static_cast<size_t>(id)] = kDirty;
 
   // One walk of the base order, remapped to successor ids (an empty
   // base_to_next is the identity mapping). The clean ids keep their base
@@ -449,41 +459,40 @@ ScoreOrder::ScoreOrder(const ScoredEdges& scored, const ScoreOrder& base,
   const auto [kept, met] =
       base_to_next.empty()
           ? SplitBaseOrder(
-                base.ids(), [](EdgeId b) { return b; }, dirty_bits.data(), n,
-                tail, room, ranked.data(), d)
+                base.ids(), [](EdgeId b) { return b; }, marks.data(), n, tail,
+                room, ranked.data(), d)
           : SplitBaseOrder(
                 base.ids(),
                 [base_to_next](EdgeId b) {
                   return base_to_next[static_cast<size_t>(b)];
                 },
-                dirty_bits.data(), n, tail, room, ranked.data(), d);
+                marks.data(), n, tail, room, ranked.data(), d);
+  // The inserted edges: dirty ids the walk never met. No old slot.
+  size_t found = met;
+  for (const EdgeId id : dirty) {
+    char& mark = marks[static_cast<size_t>(id)];
+    if (mark == kDirty && found < d) {
+      mark = kDirtyMet;
+      ranked[found].id = id;
+      ranked[found++].hint = 0;
+    }
+  }
 
-  if (kept + d != n) {
-    // Inconsistent patch inputs (a dirty list missing an inserted edge,
-    // a stale base). Degrade to the plain sort: correct, and visible on
-    // the counter so zero-sort tests catch the misuse.
+  if (kept + d != n || found != d) {
+    // Inconsistent patch inputs (a dirty list missing an inserted edge or
+    // naming an id twice, a stale base). Degrade to the plain sort:
+    // correct, and visible on the counter so zero-sort tests catch the
+    // misuse.
     ids_ = SortedIds(scored, num_threads);
     return;
-  }
-  if (met < d) {
-    // The inserted edges: dirty ids the walk never met. No old slot.
-    std::vector<EdgeId> seen(met);
-    for (size_t i = 0; i < met; ++i) seen[i] = ranked[i].id;
-    std::sort(seen.begin(), seen.end());
-    size_t next = met;
-    for (const EdgeId id : dirty) {
-      if (next < d && !std::binary_search(seen.begin(), seen.end(), id)) {
-        ranked[next].id = id;
-        ranked[next++].hint = 0;
-      }
-    }
   }
 
   // The dirty ids with their new keys beside them, ranked among
   // themselves on contiguous memory. Met in base order, they arrive
-  // nearly sorted when scores moved little, so an insertion sort runs
-  // first; past a budget of d element moves it hands over to std::sort,
-  // so the worst case stays O(d log d).
+  // nearly sorted when scores moved little (small count transfers), so
+  // an insertion sort runs first; past a budget of d element moves it
+  // hands over to std::sort, so the worst case stays O(d log d) and a
+  // patch whose scores moved far wastes at most d moves.
   const Graph& g = scored.graph();
   for (DirtyKey& key : ranked) {
     key.score = scored.at(key.id).score;

@@ -96,10 +96,10 @@ class ScoreOrder {
   /// [0, E) whose every adjacent pair satisfies the (score desc, weight
   /// desc, id asc) comparator, NaN placed as above; the comparator is a
   /// total order, so adjacent agreement pins the entire sequence to the
-  /// one permutation the sorting constructor would produce. Returns Corruption when the
-  /// candidate fails either check. SortsPerformed() does not advance:
-  /// restoring is not a sort, and the warm-restart zero-sort gate counts
-  /// on that.
+  /// one permutation the sorting constructor would produce. Returns
+  /// Corruption when the candidate fails either check. SortsPerformed()
+  /// does not advance: restoring is not a sort, and the warm-restart
+  /// zero-sort gate counts on that.
   static Result<ScoreOrder> FromPermutation(const ScoredEdges& scored,
                                             std::vector<EdgeId> ids);
 
@@ -217,6 +217,17 @@ BackboneMask TopShare(const ScoreOrder& order, double share);
 /// never to connect — found by an earlier walk, or inherited from an
 /// ancestor — it keeps every edge without walking.
 BackboneMask GrowUntilConnected(const ScoreOrder& order);
+
+namespace internal {
+
+/// The sorting constructor's radix sort with 64-bit ids in every pass:
+/// the instantiation it picks only for tables of more than 2^32 edges,
+/// here run on a table of any size. Exposed for tests, which check it
+/// against the reference order; SortsPerformed() does not advance.
+std::vector<EdgeId> SortedIdsWith64BitIds(const ScoredEdges& scored,
+                                          int num_threads);
+
+}  // namespace internal
 
 }  // namespace netbone
 

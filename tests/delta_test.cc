@@ -376,32 +376,45 @@ TEST(DeltaRescoreTest, NoiseCorrectedRefusesMovedTotals) {
 TEST(ScoreOrderPatchTest, InconsistentInputsFallBackToFullSort) {
   const Graph base = BuildGraph(Directedness::kUndirected, 4,
                                 {{0, 1, 2.0}, {1, 2, 3.0}, {2, 3, 4.0}});
-  const Graph next = BuildGraph(
-      Directedness::kUndirected, 4,
-      {{0, 1, 2.0}, {1, 2, 3.0}, {1, 3, 5.0}, {2, 3, 4.0}});
   const Result<ScoredEdges> base_scored =
       RunMethod(Method::kNaiveThreshold, base);
-  const Result<ScoredEdges> next_scored =
-      RunMethod(Method::kNaiveThreshold, next);
-  ASSERT_TRUE(base_scored.ok() && next_scored.ok());
+  ASSERT_TRUE(base_scored.ok());
   const ScoreOrder base_order(*base_scored);
 
-  // A dirty list that omits the inserted edge (1,3) is inconsistent; the
-  // patch must degrade to a counted full sort and stay correct.
-  std::vector<EdgeId> base_to_next(3);
-  for (EdgeId b = 0; b < 3; ++b) {
-    base_to_next[static_cast<size_t>(b)] =
-        next.FindEdge(base.edge(b).src, base.edge(b).dst);
-  }
-  const std::vector<EdgeId> bogus_dirty;  // missing the insertion
-  const int64_t sorts_before = ScoreOrder::SortsPerformed();
-  const ScoreOrder patched(*next_scored, base_order, base_to_next,
-                           bogus_dirty);
-  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before + 1);
-  const ScoreOrder fresh(*next_scored);
-  for (int64_t rank = 0; rank < fresh.size(); ++rank) {
-    EXPECT_EQ(patched.id_at(rank), fresh.id_at(rank));
-  }
+  // An inconsistent dirty list makes the patch degrade to a counted full
+  // sort that stays correct.
+  const auto expect_fallback = [&](const Graph& next,
+                                   const std::vector<EdgeId>& dirty) {
+    const Result<ScoredEdges> next_scored =
+        RunMethod(Method::kNaiveThreshold, next);
+    ASSERT_TRUE(next_scored.ok());
+    std::vector<EdgeId> base_to_next(3);
+    for (EdgeId b = 0; b < 3; ++b) {
+      base_to_next[static_cast<size_t>(b)] =
+          next.FindEdge(base.edge(b).src, base.edge(b).dst);
+    }
+    const int64_t sorts_before = ScoreOrder::SortsPerformed();
+    const ScoreOrder patched(*next_scored, base_order, base_to_next, dirty);
+    EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before + 1);
+    const ScoreOrder fresh(*next_scored);
+    ASSERT_EQ(patched.size(), fresh.size());
+    for (int64_t rank = 0; rank < fresh.size(); ++rank) {
+      EXPECT_EQ(patched.id_at(rank), fresh.id_at(rank));
+    }
+  };
+
+  // A dirty list that omits the inserted edge (1,3).
+  expect_fallback(
+      BuildGraph(Directedness::kUndirected, 4,
+                 {{0, 1, 2.0}, {1, 2, 3.0}, {1, 3, 5.0}, {2, 3, 4.0}}),
+      {});
+  // Two inserted edges, and a list that names (1,3) twice and omits
+  // (0,2): its length still adds up to the table.
+  const Graph two_inserted = BuildGraph(
+      Directedness::kUndirected, 4,
+      {{0, 1, 2.0}, {0, 2, 6.0}, {1, 2, 3.0}, {1, 3, 5.0}, {2, 3, 4.0}});
+  expect_fallback(two_inserted,
+                  {two_inserted.FindEdge(1, 3), two_inserted.FindEdge(1, 3)});
 }
 
 TEST(DynamicScoreEdgesTest, MatchesStaticOverloadAtAnyGrain) {

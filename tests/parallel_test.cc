@@ -1,10 +1,11 @@
 // Tests for the parallel-execution subsystem (common/parallel.h) — the
 // work-stealing TaskScheduler/TaskGroup runtime — the ParallelScoreEdges
-// helper, the reusable Dijkstra workspace, and the determinism guarantees of the threaded scoring
-// paths: identical scores for every thread count and steal order,
-// serial-equivalent first-error-wins status aggregation, seeded
-// reproducibility of the sampled HSS mode, and the one-sort-per-method
-// contract under the serving engine's concurrent batch fan-out.
+// helper, the reusable Dijkstra workspace, and the determinism guarantees
+// of the threaded scoring paths: identical scores for every thread count
+// and steal order, serial-equivalent first-error-wins status aggregation,
+// seeded reproducibility of the sampled HSS mode, and the
+// one-sort-per-method contract under the serving engine's concurrent
+// batch fan-out.
 
 #include "common/parallel.h"
 

@@ -494,6 +494,9 @@ void ExpectSortMatchesReference(const ScoredEdges& scored) {
     EXPECT_TRUE(std::equal(order.ids().begin(), order.ids().end(),
                            expected.begin()))
         << "threads=" << threads;
+    // The 64-bit-id passes that tables over 2^32 edges take.
+    EXPECT_EQ(internal::SortedIdsWith64BitIds(scored, threads), expected)
+        << "threads=" << threads;
     const Result<ScoreOrder> adopted = ScoreOrder::FromPermutation(
         scored, std::vector<EdgeId>(order.ids().begin(), order.ids().end()));
     EXPECT_TRUE(adopted.ok()) << "threads=" << threads;
