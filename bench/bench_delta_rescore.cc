@@ -280,15 +280,16 @@ int main() {
       if (!engine.Execute(ShareRequest(base_fp, method)).ok()) ok = false;
       const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
       const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
-      const int64_t scores_before = engine.stats().scores_computed;
+      const int64_t scores_before =
+          engine.Metrics().ValueOf("engine.scores_computed");
       nb::Timer timer;
       const auto response = engine.Execute(ShareRequest(next_fp, method));
       if (threads == 1) {
         engine_patch_times.push_back(timer.ElapsedSeconds());
       }
-      const auto stats = engine.stats();
-      if (!response.ok() || stats.delta_rescores != 1 ||
-          stats.scores_computed != scores_before ||
+      const nb::obs::MetricsSnapshot stats = engine.Metrics();
+      if (!response.ok() || stats.ValueOf("engine.delta_rescores") != 1 ||
+          stats.ValueOf("engine.scores_computed") != scores_before ||
           nb::ScoreOrder::SortsPerformed() != sorts_before ||
           !cold_response.has_value() ||
           !SameResponse(*response, *cold_response)) {
@@ -330,7 +331,7 @@ int main() {
     const auto cold = cold_engine.Execute(
         ShareRequest(cold_fp, nb::Method::kHighSalienceSkeleton));
     if (!patched.ok() || !cold.ok() || !SameResponse(*patched, *cold) ||
-        engine.stats().delta_rescores != 0) {
+        engine.Metrics().ValueOf("engine.delta_rescores") != 0) {
       ok = false;
     }
     std::printf("HSS fallback: full rescore, identical output: %s\n",

@@ -228,15 +228,16 @@ int main() {
         }
       }
     }
-    const auto stats = engine.stats();
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
     if (!identical) ok = false;
     // Retry must absorb nearly all of the injected pressure: with
     // max_retries=3 a 5% per-attempt failure rate leaves ~6e-6 residual.
     if (failed > trace_len / 20) ok = false;
     PrintRow({Num(rate, 2), std::to_string(ok_count),
-              std::to_string(failed), std::to_string(stats.retries),
-              std::to_string(stats.deadline_hits),
-              std::to_string(stats.cache.insert_failures),
+              std::to_string(failed),
+              std::to_string(stats.ValueOf("engine.retries")),
+              std::to_string(stats.ValueOf("engine.deadline_hits")),
+              std::to_string(stats.ValueOf("cache.insert_failures")),
               identical ? "PASS" : "FAIL"});
   }
 
@@ -280,7 +281,7 @@ int main() {
           static_cast<long long>(grain.count()),
           typed && prompt ? "PASS" : "FAIL");
     }
-    if (engine.stats().deadline_hits < 3) ok = false;
+    if (engine.Metrics().ValueOf("engine.deadline_hits") < 3) ok = false;
   }
 
   // ---------------------------------------------------------------------
@@ -322,16 +323,17 @@ int main() {
                     result->degraded_from == base && warm_ref.ok() &&
                     SameResponse(*result, *warm_ref);
     }
-    const auto stats = engine.stats();
-    if (!degraded_ok || stats.degraded_served < 1 ||
-        stats.background_refreshes < 1) {
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
+    const int64_t served = stats.ValueOf("engine.degraded_served");
+    const int64_t refreshes = stats.ValueOf("engine.background_refreshes");
+    if (!degraded_ok || served < 1 || refreshes < 1) {
       ok = false;
     }
     std::printf("degraded serve from warm ancestor: %s "
                 "(served %lld, refreshes queued %lld)\n",
                 degraded_ok ? "PASS" : "FAIL",
-                static_cast<long long>(stats.degraded_served),
-                static_cast<long long>(stats.background_refreshes));
+                static_cast<long long>(served),
+                static_cast<long long>(refreshes));
   }
 
   // ---------------------------------------------------------------------

@@ -123,7 +123,8 @@ int main() {
     if (!engine.Execute(ShareRequest(fingerprint, method, 0.25)).ok()) {
       ok = false;
     }
-    const int64_t scores_before = engine.stats().scores_computed;
+    const int64_t scores_before =
+        engine.Metrics().ValueOf("engine.scores_computed");
     const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
     std::vector<double> warm_times;
     warm_times.reserve(shares.size());
@@ -142,7 +143,9 @@ int main() {
         ok = false;
       }
     }
-    if (engine.stats().scores_computed != scores_before) ok = false;
+    if (engine.Metrics().ValueOf("engine.scores_computed") != scores_before) {
+      ok = false;
+    }
     if (nb::ScoreOrder::SortsPerformed() != sorts_before) ok = false;
 
     // Identity across engine thread counts (1 vs 2 vs 4 workers).
@@ -164,10 +167,11 @@ int main() {
     const double warm_med = nb::Median(warm_times);
     const double ratio = warm_med > 0.0 ? cold_med / warm_med : 0.0;
     ratios.push_back(ratio);
-    const auto stats = engine.stats();
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
+    const int64_t hits = stats.ValueOf("cache.hits");
     const double hit_rate =
-        static_cast<double>(stats.cache.hits) /
-        static_cast<double>(stats.cache.hits + stats.cache.misses);
+        static_cast<double>(hits) /
+        static_cast<double>(hits + stats.ValueOf("cache.misses"));
     PrintRow({nb::MethodTag(method), Num(cold_med * 1e3, 3),
               Num(warm_med * 1e6, 2), Num(ratio, 1), Num(hit_rate, 4)});
     json.RecordSeconds("cold:" + nb::MethodTag(method), num_edges, 1,

@@ -191,7 +191,13 @@ int main() {
          "scaling, rebalance + per-shard warm restart");
   const bool quick = netbone::bench::QuickMode();
   netbone::bench::JsonBenchLog json("sharded_serving");
-  bool ok = true;
+  // One verdict per gate group, so the summary line names the group that
+  // failed; any failure still fails the process.
+  bool identity_ok = true;   // phases A and B
+  bool scaling_ok = true;    // phase C, when armed
+  bool scaling_armed = false;
+  bool rebalance_ok = true;  // phase D
+  bool restore_ok = true;    // phase E
 
   const fs::path root = fs::temp_directory_path() / "netbone_sharded_bench";
   std::error_code ec;
@@ -219,10 +225,11 @@ int main() {
     }
     fingerprints.push_back(engine.AddGraphRevision(revision, fingerprints[0]));
     trace = BuildTrace(fingerprints);
-    if (!RunTrace(engine, trace, &reference)) ok = false;
+    if (!RunTrace(engine, trace, &reference)) identity_ok = false;
     std::printf("phase A: %zu requests recorded, %lld scores computed\n",
                 trace.size(),
-                static_cast<long long>(engine.stats().scores_computed));
+                static_cast<long long>(
+                    engine.Metrics().ValueOf("engine.scores_computed")));
   }
 
   // ---- Phase B: bit-identity at every shard count (always armed). -----
@@ -237,14 +244,14 @@ int main() {
     fps.push_back(engine.AddGraphRevision(revision, fps[0]));
     if (fps != fingerprints) {
       std::printf("shards=%d: fingerprints diverge from reference\n", shards);
-      ok = false;
+      identity_ok = false;
       continue;
     }
     const bool pinned = engine.ShardOf(fps[4]) == engine.ShardOf(fps[0]);
-    if (!pinned) ok = false;
+    if (!pinned) identity_ok = false;
 
     std::vector<nb::BackboneResponse> cold;
-    if (!RunTrace(engine, trace, &cold)) ok = false;
+    if (!RunTrace(engine, trace, &cold)) identity_ok = false;
     size_t mismatches = 0;
     for (size_t i = 0; i < cold.size(); ++i) {
       if (!SamePayload(cold[i], reference[i])) ++mismatches;
@@ -253,7 +260,7 @@ int main() {
     // Warm second pass: all hits, zero new sorts, still identical.
     const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
     std::vector<nb::BackboneResponse> warm;
-    if (!RunTrace(engine, trace, &warm)) ok = false;
+    if (!RunTrace(engine, trace, &warm)) identity_ok = false;
     size_t warm_misses = 0;
     for (size_t i = 0; i < warm.size(); ++i) {
       if (!SamePayload(warm[i], reference[i])) ++mismatches;
@@ -261,12 +268,13 @@ int main() {
     }
     if (nb::ScoreOrder::SortsPerformed() != sorts_before) {
       std::printf("shards=%d: warm replay performed sorts (want 0)\n", shards);
-      ok = false;
+      identity_ok = false;
     }
-    if (mismatches != 0 || warm_misses != 0) ok = false;
+    if (mismatches != 0 || warm_misses != 0) identity_ok = false;
     PrintRow({std::to_string(shards), std::to_string(mismatches),
               std::to_string(warm_misses),
-              std::to_string(engine.stats().routing_overrides),
+              std::to_string(
+                  engine.Metrics().ValueOf("sharded.routing_overrides")),
               pinned ? "yes" : "NO"});
   }
 
@@ -306,13 +314,13 @@ int main() {
                        threads, 1.0 / median_4, 1.0 / median_4);
     json.Record("scaling_ratio_x100", 4, threads, ratio * 100.0,
                 ratio * 100.0);
-    const bool gate_armed = hw >= 4 && !netbone::bench::SanitizerBuild();
-    if (!gate_armed) {
+    scaling_armed = hw >= 4 && !netbone::bench::SanitizerBuild();
+    if (!scaling_armed) {
       std::printf("scaling gate skipped (%u hw threads%s)\n", hw,
                   netbone::bench::SanitizerBuild() ? ", sanitizer build" : "");
     } else if (ratio < 1.8) {
       std::printf("warm scaling 1->4 shards %.2fx (want >= 1.8x)\n", ratio);
-      ok = false;
+      scaling_ok = false;
     }
   }
 
@@ -350,7 +358,7 @@ int main() {
     const uint64_t fp_b = engine.AddGraph(graph_b);
     drill_fps = {fp_a, fp_rev, fp_b};
     drill_trace = BuildTrace(drill_fps);
-    if (!RunTrace(engine, drill_trace, &drill_reference)) ok = false;
+    if (!RunTrace(engine, drill_trace, &drill_reference)) rebalance_ok = false;
 
     // Skew the load counters: family {A, A'} dominates, but B keeps the
     // source shard warm enough that migrating the family narrows the gap
@@ -373,79 +381,79 @@ int main() {
     }
 
     const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
-    const int64_t scores_before = engine.stats().total.scores_computed;
+    const int64_t scores_before =
+        engine.Metrics().ValueOf("engine.scores_computed");
     const int moved = engine.RebalanceNow();
-    const auto mid = engine.stats();
-    if (moved < 1 || mid.migrations < 1) {
+    if (moved < 1 || engine.Metrics().ValueOf("sharded.migrations") < 1) {
       std::printf("rebalance moved %d families (want >= 1)\n", moved);
-      ok = false;
+      rebalance_ok = false;
     }
     target_shard = engine.ShardOf(fp_a);
     const bool family_together = engine.ShardOf(fp_rev) == target_shard;
     if (target_shard == source_shard || !family_together) {
       std::printf("family routing after rebalance: A->%d A'->%d (src %d)\n",
                   target_shard, engine.ShardOf(fp_rev), source_shard);
-      ok = false;
+      rebalance_ok = false;
     }
     if (engine.ShardOf(fp_b) != source_shard) {
       std::printf("independent fingerprint B moved (want stay on %d)\n",
                   source_shard);
-      ok = false;
+      rebalance_ok = false;
     }
 
     // Replay: bit-identical, fully warm — the migrated cache entries
     // serve, nothing is rescored or re-sorted.
     std::vector<nb::BackboneResponse> replay;
-    if (!RunTrace(engine, drill_trace, &replay)) ok = false;
+    if (!RunTrace(engine, drill_trace, &replay)) rebalance_ok = false;
     size_t mismatches = 0, misses = 0;
     for (size_t i = 0; i < replay.size(); ++i) {
       if (!SamePayload(replay[i], drill_reference[i])) ++mismatches;
       if (!replay[i].cache_hit) ++misses;
     }
-    const auto after = engine.stats();
-    if (after.total.scores_computed != scores_before) {
+    const int64_t scores_after =
+        engine.Metrics().ValueOf("engine.scores_computed");
+    if (scores_after != scores_before) {
       std::printf("post-migration replay rescored %lld keys (want 0)\n",
-                  static_cast<long long>(after.total.scores_computed -
-                                         scores_before));
-      ok = false;
+                  static_cast<long long>(scores_after - scores_before));
+      rebalance_ok = false;
     }
     if (nb::ScoreOrder::SortsPerformed() != sorts_before) {
       std::printf("post-migration replay performed sorts (want 0)\n");
-      ok = false;
+      rebalance_ok = false;
     }
     if (mismatches != 0 || misses != 0) {
       std::printf("post-migration replay: %zu mismatched, %zu misses\n",
                   mismatches, misses);
-      ok = false;
+      rebalance_ok = false;
     }
 
     // Lineage survives migration: a new revision of the *migrated* head
     // pins to the target shard and rides the delta warm path there.
     const int64_t target_deltas_before =
-        engine.stats().shards[static_cast<size_t>(target_shard)].delta_rescores;
+        engine.shard(target_shard).Metrics().ValueOf("engine.delta_rescores");
     const uint64_t fp_child =
         engine.AddGraphRevision(TransferWeight(graph_a, 4, 13), fp_rev);
     if (engine.ShardOf(fp_child) != target_shard) {
       std::printf("post-migration revision routed to %d (want %d)\n",
                   engine.ShardOf(fp_child), target_shard);
-      ok = false;
+      rebalance_ok = false;
     }
     nb::BackboneRequest child = hot;
     child.graph = fp_child;
     const auto child_response = engine.Execute(child);
-    if (!child_response.ok()) ok = false;
+    if (!child_response.ok()) rebalance_ok = false;
     const int64_t target_deltas =
-        engine.stats().shards[static_cast<size_t>(target_shard)].delta_rescores;
+        engine.shard(target_shard).Metrics().ValueOf("engine.delta_rescores");
     if (target_deltas <= target_deltas_before) {
       std::printf("migrated lineage did not delta-patch on target shard\n");
-      ok = false;
+      rebalance_ok = false;
     }
 
     // Second cycle retires the source copy (the grace period elapses).
     (void)engine.RebalanceNow();
     if (engine.shard(source_shard).FindGraph(fp_a) != nullptr) {
       std::printf("source shard still holds migrated graph after retire\n");
-      ok = false;
+      rebalance_ok = false;
     }
 
     PrintRow({"\nphase D", "moved", "src", "dst", "identical"});
@@ -455,7 +463,7 @@ int main() {
     const nb::Status wrote = engine.WriteSnapshotNow();
     if (!wrote.ok()) {
       std::printf("sharded snapshot failed: %s\n", wrote.message().c_str());
-      ok = false;
+      rebalance_ok = false;
     }
   }
 
@@ -468,15 +476,18 @@ int main() {
     nb::Timer boot;
     nb::ShardedBackboneEngine engine(options);
     const double boot_seconds = boot.ElapsedSeconds();
-    const auto stats = engine.stats();
-    if (stats.total.restored_entries <= 0 || stats.total.restored_graphs <= 0) {
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
+    const int64_t restored_entries = stats.ValueOf("engine.restored_entries");
+    const int64_t restored_graphs = stats.ValueOf("engine.restored_graphs");
+    const int64_t quarantined = stats.ValueOf("engine.quarantined_sections");
+    if (restored_entries <= 0 || restored_graphs <= 0) {
       std::printf("sharded restore salvaged nothing\n");
-      ok = false;
+      restore_ok = false;
     }
-    if (stats.total.quarantined_sections != 0) {
+    if (quarantined != 0) {
       std::printf("clean sharded snapshot quarantined %lld sections\n",
-                  static_cast<long long>(stats.total.quarantined_sections));
-      ok = false;
+                  static_cast<long long>(quarantined));
+      restore_ok = false;
     }
     // Self-heal: the migrated family must still route to the shard that
     // holds it, not back to its hash shard.
@@ -485,43 +496,49 @@ int main() {
       std::printf("self-heal lost the migration (A->%d A'->%d, want %d)\n",
                   engine.ShardOf(drill_fps[0]), engine.ShardOf(drill_fps[1]),
                   target_shard);
-      ok = false;
+      restore_ok = false;
     }
 
     const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
     std::vector<nb::BackboneResponse> replay;
-    if (!RunTrace(engine, drill_trace, &replay)) ok = false;
+    if (!RunTrace(engine, drill_trace, &replay)) restore_ok = false;
     size_t mismatches = 0, misses = 0;
     for (size_t i = 0; i < replay.size(); ++i) {
       if (!SamePayload(replay[i], drill_reference[i])) ++mismatches;
       if (!replay[i].cache_hit) ++misses;
     }
-    if (engine.stats().total.scores_computed != 0) {
+    const int64_t rescored =
+        engine.Metrics().ValueOf("engine.scores_computed");
+    if (rescored != 0) {
       std::printf("sharded warm restart recomputed %lld scores (want 0)\n",
-                  static_cast<long long>(engine.stats().total.scores_computed));
-      ok = false;
+                  static_cast<long long>(rescored));
+      restore_ok = false;
     }
     if (nb::ScoreOrder::SortsPerformed() != sorts_before) {
       std::printf("sharded warm restart performed sorts (want 0)\n");
-      ok = false;
+      restore_ok = false;
     }
     if (mismatches != 0 || misses != 0) {
       std::printf("sharded warm replay: %zu mismatched, %zu misses\n",
                   mismatches, misses);
-      ok = false;
+      restore_ok = false;
     }
     PrintRow({"\nphase E", "entries", "graphs", "boot ms", "identical"});
-    PrintRow({"", std::to_string(stats.total.restored_entries),
-              std::to_string(stats.total.restored_graphs),
-              Num(boot_seconds * 1e3, 2), mismatches == 0 ? "yes" : "NO"});
-    json.RecordSeconds("sharded_warm_boot", stats.total.restored_entries, 4,
+    PrintRow({"", std::to_string(restored_entries),
+              std::to_string(restored_graphs), Num(boot_seconds * 1e3, 2),
+              mismatches == 0 ? "yes" : "NO"});
+    json.RecordSeconds("sharded_warm_boot", restored_entries, 4,
                        boot_seconds, boot_seconds);
   }
 
   fs::remove_all(root, ec);
-  std::printf("\nsharded-serving gates (identity at 1/2/4 shards, rebalance "
-              "bit-identity, lineage co-location, per-shard warm restart): "
-              "%s\n",
-              ok ? "PASS" : "FAIL");
+  const auto verdict = [](bool passed) { return passed ? "PASS" : "FAIL"; };
+  std::printf("\nsharded-serving gates: identity at 1/2/4 shards %s; warm "
+              "scaling 1->4 shards %s; rebalance (bit-identity, lineage "
+              "co-location, retire) %s; per-shard warm restart %s\n",
+              verdict(identity_ok),
+              scaling_armed ? verdict(scaling_ok) : "SKIPPED",
+              verdict(rebalance_ok), verdict(restore_ok));
+  const bool ok = identity_ok && scaling_ok && rebalance_ok && restore_ok;
   return ok ? 0 : 1;
 }

@@ -176,7 +176,8 @@ int main() {
     }
     std::printf("phase A: %zu requests recorded, %lld scores computed\n",
                 trace.size(),
-                static_cast<long long>(engine.stats().scores_computed));
+                static_cast<long long>(
+                    engine.Metrics().ValueOf("engine.scores_computed")));
   }
   const std::string live_path = nb::SnapshotFilePath((root / "live").string());
   const std::vector<unsigned char> snapshot_bytes = ReadFileBytes(live_path);
@@ -193,28 +194,32 @@ int main() {
     nb::Timer boot;
     nb::BackboneEngine engine(options);
     const double boot_seconds = boot.ElapsedSeconds();
-    const auto stats = engine.stats();
-    if (stats.restored_entries <= 0 || stats.restored_graphs <= 0) {
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
+    const int64_t entries = stats.ValueOf("engine.restored_entries");
+    const int64_t restored_graphs = stats.ValueOf("engine.restored_graphs");
+    if (entries <= 0 || restored_graphs <= 0) {
       std::printf("restore salvaged nothing (entries=%lld graphs=%lld)\n",
-                  static_cast<long long>(stats.restored_entries),
-                  static_cast<long long>(stats.restored_graphs));
+                  static_cast<long long>(entries),
+                  static_cast<long long>(restored_graphs));
       ok = false;
     }
-    if (stats.quarantined_sections != 0 ||
-        stats.snapshot_restore_errors != 0) {
+    const int64_t quarantined = stats.ValueOf("engine.quarantined_sections");
+    const int64_t errors = stats.ValueOf("engine.snapshot_restore_errors");
+    if (quarantined != 0 || errors != 0) {
       std::printf("clean snapshot quarantined %lld sections, %lld errors\n",
-                  static_cast<long long>(stats.quarantined_sections),
-                  static_cast<long long>(stats.snapshot_restore_errors));
+                  static_cast<long long>(quarantined),
+                  static_cast<long long>(errors));
       ok = false;
     }
 
     const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
     std::vector<nb::BackboneResponse> replay;
     if (!RunTrace(engine, trace, &replay)) ok = false;
-    const auto after = engine.stats();
-    if (after.scores_computed != 0) {
+    const int64_t rescored =
+        engine.Metrics().ValueOf("engine.scores_computed");
+    if (rescored != 0) {
       std::printf("warm restart recomputed %lld scores (want 0)\n",
-                  static_cast<long long>(after.scores_computed));
+                  static_cast<long long>(rescored));
       ok = false;
     }
     if (nb::ScoreOrder::SortsPerformed() != sorts_before) {
@@ -233,8 +238,7 @@ int main() {
       ok = false;
     }
     PrintRow({"phase B", "entries", "graphs", "boot ms", "identical"});
-    PrintRow({"", std::to_string(stats.restored_entries),
-              std::to_string(stats.restored_graphs),
+    PrintRow({"", std::to_string(entries), std::to_string(restored_graphs),
               Num(boot_seconds * 1e3, 2), mismatches == 0 ? "yes" : "NO"});
   }
 
@@ -274,7 +278,7 @@ int main() {
   // ---- Phase C: deterministic corruption drills. ----------------------
   // Each drill damages a copy of the snapshot, boots an engine on it, and
   // requires: the engine constructs (no crash), damage is observable in
-  // the stats, and the trace STILL replays bit-identically — quarantined
+  // the metrics, and the trace STILL replays bit-identically — quarantined
   // keys pay a cold rescore, nothing serves wrong bits.
   struct Drill {
     const char* name;
@@ -306,13 +310,15 @@ int main() {
     options.snapshot_dir = dir.string();
     options.snapshot_on_shutdown = false;
     nb::BackboneEngine engine(options);
-    const auto stats = engine.stats();
-    const bool damage_seen = stats.quarantined_sections > 0 ||
-                             stats.restored_entries <
-                                 static_cast<int64_t>(trace.size()) / 4 ||
-                             stats.snapshot_restore_errors > 0;
+    const nb::obs::MetricsSnapshot stats = engine.Metrics();
+    const int64_t restored = stats.ValueOf("engine.restored_entries");
+    const int64_t quarantined = stats.ValueOf("engine.quarantined_sections");
+    const bool damage_seen =
+        quarantined > 0 ||
+        restored < static_cast<int64_t>(trace.size()) / 4 ||
+        stats.ValueOf("engine.snapshot_restore_errors") > 0;
     if (!damage_seen) {
-      std::printf("%s: damage invisible in stats\n", drill.name);
+      std::printf("%s: damage invisible in metrics\n", drill.name);
       ok = false;
     }
 
@@ -327,9 +333,10 @@ int main() {
       if (!SamePayload(replay[i], reference[i])) ++mismatches;
     }
     if (mismatches != 0) ok = false;
-    PrintRow({drill.name, std::to_string(stats.restored_entries),
-              std::to_string(stats.quarantined_sections),
-              std::to_string(engine.stats().scores_computed),
+    PrintRow({drill.name, std::to_string(restored),
+              std::to_string(quarantined),
+              std::to_string(
+                  engine.Metrics().ValueOf("engine.scores_computed")),
               mismatches == 0 ? "yes" : "NO"});
   }
 

@@ -241,13 +241,14 @@ int main(int argc, char** argv) {
   std::unique_ptr<MetricsMonitor> monitor = std::make_unique<MetricsMonitor>(
       engine, std::chrono::milliseconds(stats_interval_ms));
   if (!snapshot_dir.empty()) {
-    const nb::BackboneEngine::Stats boot = engine.stats().total;
+    const nb::obs::MetricsSnapshot boot = engine.Metrics();
     std::printf("snapshot restore: %lld graphs, %lld entries, %lld "
                 "lineage, %lld quarantined\n",
-                static_cast<long long>(boot.restored_graphs),
-                static_cast<long long>(boot.restored_entries),
-                static_cast<long long>(boot.restored_lineage),
-                static_cast<long long>(boot.quarantined_sections));
+                static_cast<long long>(boot.ValueOf("engine.restored_graphs")),
+                static_cast<long long>(boot.ValueOf("engine.restored_entries")),
+                static_cast<long long>(boot.ValueOf("engine.restored_lineage")),
+                static_cast<long long>(
+                    boot.ValueOf("engine.quarantined_sections")));
   }
 
   // Three resident networks; the "hot" one is submitted twice and dedupes
@@ -307,7 +308,8 @@ int main(int argc, char** argv) {
   // Replay through the async pipeline in batches of 32.
   std::printf("replaying %d requests over %lld resident graphs...\n",
               num_requests,
-              static_cast<long long>(engine.stats().total.graphs.graphs));
+              static_cast<long long>(
+                  engine.Metrics().ValueOf("store.graphs")));
   nb::Timer timer;
   std::vector<std::future<std::vector<nb::Result<nb::BackboneResponse>>>>
       futures;
@@ -344,18 +346,22 @@ int main(int argc, char** argv) {
   }
   const double elapsed = timer.ElapsedSeconds();
 
-  const nb::ShardedBackboneEngine::Stats sharded_stats = engine.stats();
-  const nb::BackboneEngine::Stats& stats = sharded_stats.total;
+  // One readout for the whole summary: the sharded rollup (equal to the
+  // engine's own names at --shards=1) plus the router's gauges.
+  const nb::obs::MetricsSnapshot summary = engine.Metrics();
+  const auto value = [&summary](const std::string& name) {
+    return static_cast<long long>(summary.ValueOf(name));
+  };
   if (num_shards > 1) {
     std::printf("\n%-28s %12lld\n", "routing epoch",
-                static_cast<long long>(sharded_stats.routing_epoch));
+                value("sharded.routing_epoch"));
     std::printf("%-28s %12lld\n", "routing overrides",
-                static_cast<long long>(sharded_stats.routing_overrides));
+                value("sharded.routing_overrides"));
     std::printf("%-28s %12lld\n", "families migrated",
-                static_cast<long long>(sharded_stats.migrations));
-    for (size_t s = 0; s < sharded_stats.shards.size(); ++s) {
-      std::printf("shard %-22zu %12lld requests\n", s,
-                  static_cast<long long>(sharded_stats.shards[s].requests));
+                value("sharded.migrations"));
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      std::printf("shard %-22d %12lld requests\n", s,
+                  value("shard" + std::to_string(s) + ".engine.requests"));
     }
   }
   std::printf("\n%-28s %12lld\n", "requests ok / failed",
@@ -365,25 +371,24 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12.1f\n", "requests / second",
               static_cast<double>(ok_count + failed) / elapsed);
   std::printf("%-28s %12lld\n", "methods scored (cold)",
-              static_cast<long long>(stats.scores_computed));
-  std::printf("%-28s %12lld\n", "cache hits",
-              static_cast<long long>(stats.cache.hits));
-  std::printf("%-28s %12lld\n", "cache misses",
-              static_cast<long long>(stats.cache.misses));
+              value("engine.scores_computed"));
+  const long long hits = value("cache.hits");
+  const long long lookups = hits + value("cache.misses");
+  std::printf("%-28s %12lld\n", "cache hits", hits);
+  std::printf("%-28s %12lld\n", "cache misses", value("cache.misses"));
+  // No lookups (an empty trace) reads as a 0 hit rate, not 0/0.
   std::printf("%-28s %12.4f\n", "hit rate",
-              static_cast<double>(stats.cache.hits) /
-                  static_cast<double>(stats.cache.hits +
-                                      stats.cache.misses));
-  std::printf("%-28s %12lld\n", "cache evictions",
-              static_cast<long long>(stats.cache.evictions));
+              lookups > 0 ? static_cast<double>(hits) /
+                                static_cast<double>(lookups)
+                          : 0.0);
+  std::printf("%-28s %12lld\n", "cache evictions", value("cache.evictions"));
   std::printf("%-28s %12.2f\n", "cache MB",
-              static_cast<double>(stats.cache.bytes) / (1 << 20));
-  std::printf("%-28s %12lld\n", "resident graphs",
-              static_cast<long long>(stats.graphs.graphs));
+              static_cast<double>(value("cache.bytes")) / (1 << 20));
+  std::printf("%-28s %12lld\n", "resident graphs", value("store.graphs"));
   std::printf("%-28s %12lld\n", "graph dedup hits",
-              static_cast<long long>(stats.graphs.dedup_hits));
+              value("store.dedup_hits"));
   std::printf("%-28s %12.2f\n", "resident graph MB",
-              static_cast<double>(stats.graphs.resident_bytes) / (1 << 20));
+              static_cast<double>(value("store.resident_bytes")) / (1 << 20));
   if (!snapshot_dir.empty()) {
     // Snapshot the drained state explicitly (a SIGTERM drain wants the
     // state on disk even if the destructor's shutdown snapshot is then a
@@ -393,11 +398,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "snapshot write failed: %s\n",
                    written.ToString().c_str());
     }
-    const nb::BackboneEngine::Stats snap = engine.stats().total;
+    const nb::obs::MetricsSnapshot snap = engine.Metrics();
     std::printf("%-28s %12lld\n", "snapshot writes",
-                static_cast<long long>(snap.snapshot_writes));
+                static_cast<long long>(snap.ValueOf("engine.snapshot_writes")));
     std::printf("%-28s %12lld\n", "snapshot write failures",
-                static_cast<long long>(snap.snapshot_failures));
+                static_cast<long long>(
+                    snap.ValueOf("engine.snapshot_failures")));
   }
   // Final observability summary: stop the monitor first so its dumps
   // cannot interleave, then render one merged snapshot. The same
@@ -444,16 +450,12 @@ int main(int argc, char** argv) {
   if (chaos) {
     std::printf("\n%-28s %12lld\n", "degraded responses",
                 static_cast<long long>(degraded));
-    std::printf("%-28s %12lld\n", "retries",
-                static_cast<long long>(stats.retries));
-    std::printf("%-28s %12lld\n", "deadline hits",
-                static_cast<long long>(stats.deadline_hits));
-    std::printf("%-28s %12lld\n", "shed batches",
-                static_cast<long long>(stats.shed_batches));
-    std::printf("%-28s %12lld\n", "cache insert drops",
-                static_cast<long long>(stats.cache.insert_failures));
-    std::printf("%-28s %12lld\n", "background refreshes",
-                static_cast<long long>(stats.background_refreshes));
+    for (const char* name :
+         {"engine.retries", "engine.deadline_hits", "engine.shed_batches",
+          "cache.insert_failures", "engine.background_refreshes"}) {
+      std::printf("%-28s %12lld\n", name,
+                  static_cast<long long>(metrics.ValueOf(name)));
+    }
     for (int s = 0; s < nb::kNumFaultSites; ++s) {
       const auto site = static_cast<nb::FaultSite>(s);
       const std::string base =

@@ -184,17 +184,6 @@ TaskScheduler& TaskScheduler::Global() {
   return *scheduler;
 }
 
-TaskScheduler::MetricsStats TaskScheduler::metrics_stats() const {
-  MetricsStats stats;
-  stats.tasks_executed = tasks_executed_.Value();
-  stats.steals = steals_.Value();
-  stats.parks = parks_.Value();
-  stats.wakes = wakes_.Value();
-  stats.injected = injected_count_.Value();
-  stats.inline_runs = inline_runs_.Value();
-  return stats;
-}
-
 void TaskScheduler::RegisterMetrics(obs::MetricRegistry& registry,
                                     const std::string& prefix) {
   metrics_registry_ = &registry;

@@ -107,19 +107,6 @@ class TaskScheduler {
   /// Deque-owning worker threads (0 for a size-1 scheduler).
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Coherent readout of the scheduler's health counters. Steals, parks,
-  /// and wakes are the load-balance story: high steals with low parks
-  /// means busy balanced work; high parks means starvation.
-  struct MetricsStats {
-    int64_t tasks_executed = 0;
-    int64_t steals = 0;
-    int64_t parks = 0;
-    int64_t wakes = 0;
-    int64_t injected = 0;
-    int64_t inline_runs = 0;  ///< deque-full fallbacks (spawner ran inline)
-  };
-  MetricsStats metrics_stats() const;
-
   /// Turns on per-task latency recording into the task_ns histogram.
   /// Off by default: the clock reads (~20ns/task) are the one piece of
   /// scheduler instrumentation that is not free.
@@ -130,6 +117,9 @@ class TaskScheduler {
   /// Registers this scheduler's counters/histogram under
   /// `<prefix>.<name>` using `this` as the owner cookie. Global()
   /// self-registers into MetricRegistry::Global() under "scheduler".
+  /// Steals, parks and wakes are the load-balance story: high steals
+  /// with low parks means busy balanced work; high parks means
+  /// starvation. inline_runs counts deque-full fallbacks.
   void RegisterMetrics(obs::MetricRegistry& registry,
                        const std::string& prefix);
 

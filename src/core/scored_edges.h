@@ -162,111 +162,6 @@ Result<std::vector<EdgeScore>> ParallelScoreEdges(
   return scores;
 }
 
-namespace internal {
-
-/// Dynamic-schedule scoring core shared by the grain overload of
-/// ParallelScoreEdges and ParallelScoreEdgeSubset: runs `score_edge` over
-/// the `count` edges named by `id_at` in grain-bounded blocks claimed off
-/// ParallelForDynamic, writing each result to scores[id]. First-error-wins
-/// is deterministic without per-block bookkeeping: every block reports its
-/// own lowest erroring index into an atomic min (commutative, so steal
-/// order cannot matter), and the winning status is regenerated by re-
-/// invoking the scorer once — scorers are pure functions of their inputs,
-/// so the replay reproduces the exact status a serial sweep would return.
-///
-/// Cancellation cannot use the replay trick (re-invoking the scorer after
-/// the token fired would return OK), so it is tracked by a separate flag:
-/// blocks poll `cancel` at entry, and when no real edge error exists the
-/// token's own status is returned.
-template <typename IdAt, typename Scorer>
-Status ScoreEdgesDynamic(const Graph& graph, int64_t count, int num_threads,
-                         int64_t grain, const IdAt& id_at,
-                         const Scorer& score_edge,
-                         std::vector<EdgeScore>* scores,
-                         const CancelToken& cancel = {}) {
-  if (count <= 0) return Status::OK();
-  const bool cancellable = cancel.CanExpire();
-  std::atomic<int64_t> first_error_index{count};
-  std::atomic<bool> saw_cancel{false};
-  ParallelForDynamic(count, grain, num_threads,
-                     [&](int64_t begin, int64_t end) {
-                       if (cancellable) {
-                         if (saw_cancel.load(std::memory_order_relaxed)) {
-                           return;
-                         }
-                         if (!cancel.Check().ok()) {
-                           saw_cancel.store(true, std::memory_order_relaxed);
-                           return;
-                         }
-                       }
-                       for (int64_t i = begin; i < end; ++i) {
-                         const EdgeId id = id_at(i);
-                         if (!score_edge(id, graph.edge(id),
-                                         &(*scores)[static_cast<size_t>(id)])
-                                  .ok()) {
-                           int64_t seen =
-                               first_error_index.load(std::memory_order_relaxed);
-                           while (i < seen &&
-                                  !first_error_index.compare_exchange_weak(
-                                      seen, i, std::memory_order_relaxed)) {
-                           }
-                           return;  // abandon the rest of this block
-                         }
-                       }
-                     });
-  const int64_t winner = first_error_index.load(std::memory_order_relaxed);
-  if (winner == count) {
-    if (saw_cancel.load(std::memory_order_relaxed)) return cancel.Check();
-    return Status::OK();
-  }
-  const EdgeId id = id_at(winner);
-  EdgeScore discard;
-  return score_edge(id, graph.edge(id), &discard);
-}
-
-}  // namespace internal
-
-/// Dynamic-schedule overload of ParallelScoreEdges for scorers with skewed
-/// per-edge cost: the edge table is decomposed into blocks of at most
-/// `grain` edges (ParallelForDynamic — blocks depend only on (n, grain))
-/// claimed dynamically, so one expensive region stalls a single runner
-/// instead of serializing its whole static chunk. Output — scores and the
-/// winning error — is bit-identical to the static overload at every thread
-/// count and grain. Opt-in: uniform per-edge scorers should keep the
-/// static overload (fewer scheduler handoffs).
-template <typename Scorer>
-Result<std::vector<EdgeScore>> ParallelScoreEdges(
-    const Graph& graph, int num_threads, int64_t grain,
-    const Scorer& score_edge, const CancelToken& cancel = {}) {
-  const int64_t n = graph.num_edges();
-  std::vector<EdgeScore> scores(static_cast<size_t>(n));
-  Status status = internal::ScoreEdgesDynamic(
-      graph, n, num_threads, grain, [](int64_t i) { return EdgeId{i}; },
-      score_edge, &scores, cancel);
-  if (!status.ok()) return status;
-  return scores;
-}
-
-/// Rescores only the edges named by `ids` (ascending edge ids), writing
-/// each result into scores[id] and leaving every other slot untouched —
-/// the incremental path's kernel (core/delta_rescore.h): after a sparse
-/// graph update only the dirty edges pay scoring work. Blocks of at most
-/// `grain` ids are claimed dynamically (dirty work is skewed: a hub's star
-/// lands contiguous ids). `scores` must be sized to the full edge table.
-/// On failure the status of the lowest-id failing edge is returned — the
-/// same winner the full sweeps report.
-template <typename Scorer>
-Status ParallelScoreEdgeSubset(const Graph& graph,
-                               std::span<const EdgeId> ids, int num_threads,
-                               int64_t grain, const Scorer& score_edge,
-                               std::vector<EdgeScore>* scores,
-                               const CancelToken& cancel = {}) {
-  return internal::ScoreEdgesDynamic(
-      graph, static_cast<int64_t>(ids.size()), num_threads, grain,
-      [ids](int64_t i) { return ids[static_cast<size_t>(i)]; }, score_edge,
-      scores, cancel);
-}
-
 /// Range-batch variant of ParallelScoreEdges: instead of a per-edge
 /// callback, each static chunk hands whole contiguous sub-ranges of the
 /// edge table to `score_range` — the entry point the vectorized kernels
@@ -339,17 +234,21 @@ Result<std::vector<EdgeScore>> ParallelScoreEdgeRanges(
   return scores;
 }
 
-/// Range-batch variant of ParallelScoreEdgeSubset: the dirty-edge patching
-/// fast path. `ids` must be ascending; each dynamically-claimed block is
-/// decomposed into its maximal runs of *consecutive* edge ids and every
-/// run goes to `score_range` whole — so the contiguous spans that dominate
+/// Rescores only the edges named by `ids` (ascending edge ids) — the
+/// dirty-edge patching fast path of core/delta_rescore.h. `scores` must be
+/// sized to the full edge table; results land in scores[id] and every
+/// other slot is preserved. Blocks of at most `grain` ids are claimed
+/// dynamically (dirty work is skewed: a hub's star lands contiguous ids),
+/// and each block is decomposed into its maximal runs of *consecutive*
+/// edge ids, every run going to `score_range` (same contract as in
+/// ParallelScoreEdgeRanges) whole — so the contiguous spans that dominate
 /// real deltas (endpoint stars, inserted blocks of a sorted table) are
 /// scored by the vector kernels with sequential loads instead of a
 /// per-edge gather, while isolated ids degrade to width-1 ranges (the
-/// kernels' scalar tail). Scores land in scores[id]; untouched slots are
-/// preserved. First-error-wins matches ParallelScoreEdgeSubset: the
-/// lowest failing position (== lowest id, since ids ascend) wins and its
-/// Status is regenerated by `replay_edge`.
+/// kernels' scalar tail). First-error-wins matches the full sweeps: the
+/// lowest failing position (== lowest id, since ids ascend) wins, and its
+/// Status is regenerated by `replay_edge`; a replay that accepts yields
+/// Internal.
 template <typename RangeScorer, typename Replay>
 Status ParallelScoreEdgeRangeSubset(std::span<const EdgeId> ids,
                                     int num_threads, int64_t grain,

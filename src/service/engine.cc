@@ -524,7 +524,7 @@ std::shared_ptr<const CachedScore> BackboneEngine::TryDeltaRescore(
   const uint64_t base_fingerprint = ancestor.fingerprint;
 
   // From here on a warm ancestor exists: any bail-out is a fallback the
-  // stats should show. The ancestor graph comes from the entry's own
+  // metrics should show. The ancestor graph comes from the entry's own
   // handle, so a GraphStore eviction of the ancestor cannot break the
   // diff. The patch span covers diff + rescore + merge, including
   // attempts that end in a fallback.
@@ -1237,49 +1237,6 @@ void BackboneEngine::WaitIdle() {
   });
 }
 
-BackboneEngine::Stats BackboneEngine::stats() const {
-  Stats stats;
-  stats.requests = requests_.Value();
-  stats.scores_computed = scores_computed_.Value();
-  stats.coalesced_waits = coalesced_waits_.Value();
-  stats.submitted_batches = submitted_batches_.Value();
-  stats.negative_hits = negative_hits_.Value();
-  stats.delta_rescores = delta_rescores_.Value();
-  stats.delta_fallbacks = delta_fallbacks_.Value();
-  stats.shed_batches = shed_batches_.Value();
-  stats.rejected_batches = rejected_batches_.Value();
-  stats.inflight_rejected = inflight_rejected_.Value();
-  stats.deadline_hits = deadline_hits_.Value();
-  stats.cancellations = cancellations_.Value();
-  stats.retries = retries_.Value();
-  stats.negative_exempt = negative_exempt_.Value();
-  stats.degraded_served = degraded_served_.Value();
-  stats.background_refreshes = background_refreshes_.Value();
-  stats.restored_graphs = restored_graphs_;
-  stats.restored_entries = restored_entries_;
-  stats.restored_lineage = restored_lineage_;
-  stats.quarantined_sections = quarantined_sections_;
-  stats.snapshot_restore_errors = snapshot_restore_errors_;
-  stats.snapshot_writes = snapshot_writes_.Value();
-  stats.snapshot_failures = snapshot_failures_.Value();
-  {
-    // One coherent snapshot of the lock-guarded fields: both mutexes are
-    // taken together (scoped_lock orders them deadlock-free) so queue
-    // depth and negative entries describe the same instant instead of
-    // two piecemeal reads with requests landing in between.
-    std::scoped_lock lock(score_mu_, queue_mu_);
-    stats.queue_depth = static_cast<int64_t>(queue_.size());
-    // Live entries only: expired ones awaiting a lazy sweep don't count.
-    const auto now = std::chrono::steady_clock::now();
-    for (const auto& [key, entry] : negative_) {
-      if (now < entry.expiry) ++stats.negative_entries;
-    }
-  }
-  stats.graphs = graphs_.stats();
-  stats.cache = cache_.stats();
-  return stats;
-}
-
 obs::AnswerPath BackboneEngine::ClassifyPath(bool ok, bool degraded,
                                              const ResolveInfo& info) {
   // Precedence mirrors how the answer was actually produced: a degraded
@@ -1392,8 +1349,8 @@ void BackboneEngine::RegisterEngineMetrics() {
   registry_.RegisterGauge(
       "engine.negative_entries",
       [this] {
-        // Same live-scan semantics as stats(): expired entries awaiting
-        // a lazy sweep don't count.
+        // Live entries only: expired ones awaiting a lazy sweep don't
+        // count.
         const auto now = std::chrono::steady_clock::now();
         std::lock_guard<std::mutex> lock(score_mu_);
         int64_t live = 0;

@@ -313,7 +313,7 @@ struct BackboneEngineOptions {
   /// registers its counters/gauges/histograms in its MetricRegistry and
   /// records per-kind / per-answer-path latency distributions. The cost
   /// is a few relaxed fetch_adds and two clock reads per request; false
-  /// reduces instrumentation to the legacy Stats counters alone.
+  /// keeps only the counters and gauges (Metrics() still reports them).
   bool enable_metrics = true;
   /// Trace sampling: 0 (default) disables per-request traces entirely
   /// (no ring allocated, one predictable branch per request); 1 traces
@@ -329,43 +329,6 @@ struct BackboneEngineOptions {
 class BackboneEngine {
  public:
   using Options = BackboneEngineOptions;
-
-  struct Stats {
-    int64_t requests = 0;          ///< requests executed (all kinds)
-    int64_t scores_computed = 0;   ///< RunMethod invocations
-    int64_t coalesced_waits = 0;   ///< requests that waited on an in-flight score
-    int64_t submitted_batches = 0;  ///< Submit() calls accepted
-    int64_t negative_hits = 0;     ///< failures answered from the negative cache
-    int64_t negative_entries = 0;  ///< live negative-cache entries
-    int64_t delta_rescores = 0;    ///< cold keys answered by patching an ancestor
-    int64_t delta_fallbacks = 0;   ///< warm ancestor found but patch not applicable
-
-    /// Fault-tolerance counters (PR 6).
-    int64_t queue_depth = 0;       ///< Submit batches currently queued
-    int64_t shed_batches = 0;      ///< batches failed by shed-oldest overflow
-    int64_t rejected_batches = 0;  ///< batches failed by reject-new overflow
-    int64_t inflight_rejected = 0;  ///< scorings refused by max_inflight_scores
-    int64_t deadline_hits = 0;     ///< requests whose exact path hit its deadline
-    int64_t cancellations = 0;     ///< requests answered kCancelled
-    int64_t retries = 0;           ///< transient-failure re-attempts
-    int64_t negative_exempt = 0;   ///< failures exempted from negative caching
-    int64_t degraded_served = 0;   ///< responses served by a degraded path
-    int64_t background_refreshes = 0;  ///< exact recomputes queued by degradation
-
-    /// Durability counters (PR 7). The restore fields describe the one
-    /// restore attempt the constructor made; the write counters grow
-    /// over the engine's lifetime.
-    int64_t restored_graphs = 0;       ///< graphs re-interned from snapshot
-    int64_t restored_entries = 0;      ///< score entries restored warm
-    int64_t restored_lineage = 0;      ///< lineage records restored
-    int64_t quarantined_sections = 0;  ///< snapshot sections refused
-    int64_t snapshot_writes = 0;       ///< snapshots committed to disk
-    int64_t snapshot_failures = 0;     ///< snapshot writes that failed
-    int64_t snapshot_restore_errors = 0;  ///< restores that failed outright
-
-    GraphStore::Stats graphs;
-    ScoreCache::Stats cache;
-  };
 
   explicit BackboneEngine(const Options& options = {});
   ~BackboneEngine();
@@ -471,12 +434,26 @@ class BackboneEngine {
   /// grace period. Returns the number of graphs + score entries dropped.
   int64_t RetireFingerprints(std::span<const uint64_t> fingerprints);
 
-  Stats stats() const;
-
-  /// One consistent snapshot of every metric the engine registered:
-  /// counters, gauges (queue depth, cache/store occupancy, fault-injection
-  /// fire counts), and latency histograms per request kind and per answer
-  /// path. Merge with obs::MetricRegistry::Global().Snapshot() for the
+  /// One consistent snapshot of every metric the engine registered —
+  /// the engine's only counter readout:
+  ///  * counters `engine.{requests, scores_computed, coalesced_waits,
+  ///    submitted_batches, negative_hits, delta_rescores,
+  ///    delta_fallbacks, shed_batches, rejected_batches,
+  ///    inflight_rejected, deadline_hits, cancellations, retries,
+  ///    negative_exempt, degraded_served, background_refreshes,
+  ///    snapshot_writes, snapshot_failures}`;
+  ///  * gauges `engine.{queue_depth, inflight_scores, negative_entries}`
+  ///    (live negative entries only), the constructor's restore outcome
+  ///    `engine.{restored_graphs, restored_entries, restored_lineage,
+  ///    quarantined_sections, snapshot_restore_errors}`,
+  ///    `trace.{sampled, dropped}`, the cache's `cache.*` and the
+  ///    store's `store.*` groups (ScoreCache / GraphStore
+  ///    RegisterMetrics), and `fault.<site>.{injected, draws}` per
+  ///    fault-injection site;
+  ///  * latency histograms per request kind and per answer path
+  ///    (`engine.latency.{kind,path}.*`, when enable_metrics) plus the
+  ///    queue-wait, batch, snapshot and cache/store operation timings.
+  /// Merge with obs::MetricRegistry::Global().Snapshot() for the
   /// process-wide scheduler metrics.
   obs::MetricsSnapshot Metrics() const { return registry_.Snapshot(); }
 
@@ -556,7 +533,7 @@ class BackboneEngine {
   /// Records a scoring failure in the negative cache — unless the status
   /// is cancellation-shaped or an admission rejection, which say nothing
   /// about the key itself (the taxonomy split; such failures bump
-  /// Stats::negative_exempt instead). Precondition: score_mu_ held and
+  /// engine.negative_exempt instead). Precondition: score_mu_ held and
   /// negative caching enabled.
   void RememberFailureLocked(const ScoreKey& key, const Status& status);
 
@@ -659,7 +636,7 @@ class BackboneEngine {
 
   /// Guards the cache-lookup + in-flight-registration window so exactly
   /// one computation per key can be live, plus the negative cache
-  /// (mutable: stats() reads the entry count).
+  /// (mutable: the negative_entries gauge reads the entry count).
   mutable std::mutex score_mu_;
   std::unordered_map<ScoreKey, std::shared_future<ScoreResult>, ScoreKeyHash>
       inflight_;
@@ -675,26 +652,26 @@ class BackboneEngine {
   std::unordered_map<ScoreKey, NegativeEntry, ScoreKeyHash> negative_;
 
   /// Request-path counters: sharded relaxed-atomic (obs/metrics.h), so
-  /// concurrent bumps never contend on a shared cache line. Exact; both
-  /// stats() and the registry read the same instances.
-  obs::ShardedCounter requests_;
-  obs::ShardedCounter scores_computed_;
-  obs::ShardedCounter coalesced_waits_;
-  obs::ShardedCounter submitted_batches_;
-  obs::ShardedCounter negative_hits_;
-  obs::ShardedCounter delta_rescores_;
-  obs::ShardedCounter delta_fallbacks_;
-  obs::ShardedCounter shed_batches_;
-  obs::ShardedCounter rejected_batches_;
-  obs::ShardedCounter inflight_rejected_;
-  obs::ShardedCounter deadline_hits_;
-  obs::ShardedCounter cancellations_;
-  obs::ShardedCounter retries_;
-  obs::ShardedCounter negative_exempt_;
-  obs::ShardedCounter degraded_served_;
-  obs::ShardedCounter background_refreshes_;
-  obs::ShardedCounter snapshot_writes_;
-  obs::ShardedCounter snapshot_failures_;
+  /// concurrent bumps never contend on a shared cache line. Exact; the
+  /// registry reads these instances directly.
+  obs::ShardedCounter requests_;           ///< requests executed (all kinds)
+  obs::ShardedCounter scores_computed_;    ///< RunMethod invocations
+  obs::ShardedCounter coalesced_waits_;    ///< joined an in-flight score
+  obs::ShardedCounter submitted_batches_;  ///< Submit() calls accepted
+  obs::ShardedCounter negative_hits_;  ///< failures answered from memory
+  obs::ShardedCounter delta_rescores_;  ///< cold keys patched from ancestor
+  obs::ShardedCounter delta_fallbacks_;  ///< warm ancestor, patch refused
+  obs::ShardedCounter shed_batches_;      ///< failed by shed-oldest overflow
+  obs::ShardedCounter rejected_batches_;  ///< failed by reject-new overflow
+  obs::ShardedCounter inflight_rejected_;  ///< refused: max_inflight_scores
+  obs::ShardedCounter deadline_hits_;  ///< exact path hit its deadline
+  obs::ShardedCounter cancellations_;  ///< requests answered kCancelled
+  obs::ShardedCounter retries_;        ///< transient-failure re-attempts
+  obs::ShardedCounter negative_exempt_;  ///< failures never negative-cached
+  obs::ShardedCounter degraded_served_;  ///< served by a degraded path
+  obs::ShardedCounter background_refreshes_;  ///< queued by degradation
+  obs::ShardedCounter snapshot_writes_;    ///< snapshots committed to disk
+  obs::ShardedCounter snapshot_failures_;  ///< snapshot writes that failed
 
   /// Latency distributions (populated when Options::enable_metrics), one
   /// per (request kind, answer path) pair, so a request pays a single
@@ -739,7 +716,7 @@ class BackboneEngine {
     /// the queue-wait histogram and the traces' admission span.
     std::chrono::steady_clock::time_point enqueued;
   };
-  mutable std::mutex queue_mu_;  // mutable: stats() reads queue depth
+  mutable std::mutex queue_mu_;  // mutable: a gauge reads queue depth
   std::condition_variable queue_cv_;
   std::deque<PendingBatch> queue_;
   /// True while the dispatcher runs a batch it popped (guarded by

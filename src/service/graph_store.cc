@@ -254,35 +254,23 @@ std::vector<StoredGraph> GraphStore::ResidentGraphs() const {
 void GraphStore::RegisterMetrics(obs::MetricRegistry& registry,
                                  const std::string& prefix,
                                  const void* owner) {
-  // One gauge group over a single StatsSnapshot() call — see
+  // One gauge group under one mu_ acquisition — see
   // ScoreCache::RegisterMetrics for why per-field gauges would tear.
   registry.RegisterGaugeGroup(
       [this, prefix]() {
-        const Stats s = StatsSnapshot();
+        std::lock_guard<std::mutex> lock(mu_);
         return std::vector<obs::MetricsSnapshot::Value>{
-            {prefix + ".graphs", s.graphs},
-            {prefix + ".resident_bytes", s.resident_bytes},
-            {prefix + ".inserts", s.inserts},
-            {prefix + ".dedup_hits", s.dedup_hits},
-            {prefix + ".evictions", s.evictions},
-            {prefix + ".byte_budget", s.byte_budget},
+            {prefix + ".graphs", static_cast<int64_t>(graphs_.size())},
+            {prefix + ".resident_bytes", resident_bytes_},
+            {prefix + ".inserts", inserts_},
+            {prefix + ".dedup_hits", dedup_hits_},
+            {prefix + ".evictions", evictions_},
+            {prefix + ".byte_budget", byte_budget_},
         };
       },
       owner);
   registry.RegisterHistogram(prefix + ".intern_ns", &intern_ns_, owner);
   registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
-}
-
-GraphStore::Stats GraphStore::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats stats;
-  stats.graphs = static_cast<int64_t>(graphs_.size());
-  stats.resident_bytes = resident_bytes_;
-  stats.inserts = inserts_;
-  stats.dedup_hits = dedup_hits_;
-  stats.evictions = evictions_;
-  stats.byte_budget = byte_budget_;
-  return stats;
 }
 
 }  // namespace netbone

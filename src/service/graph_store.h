@@ -53,7 +53,8 @@ uint64_t GraphFingerprint(const Graph& graph);
 
 /// Approximate resident heap bytes of a Graph (edge table, marginal
 /// arrays, labels + label index), priced with the common/bytes.h
-/// accounting. Used for the store's stats and any byte budgeting above it.
+/// accounting. Used for the store's resident_bytes gauge and any byte
+/// budgeting above it.
 int64_t ApproxGraphBytes(const Graph& graph);
 
 /// A graph resident in a GraphStore: its fingerprint plus a shared
@@ -69,15 +70,6 @@ struct StoredGraph {
 /// the new one. Intern() and Find() both count as uses for recency.
 class GraphStore {
  public:
-  struct Stats {
-    int64_t graphs = 0;          ///< distinct graphs resident
-    int64_t resident_bytes = 0;  ///< ApproxGraphBytes over residents
-    int64_t inserts = 0;         ///< Intern() calls that added a graph
-    int64_t dedup_hits = 0;      ///< Intern() calls answered by a resident
-    int64_t evictions = 0;       ///< graphs dropped by the byte budget
-    int64_t byte_budget = 0;     ///< current budget (<= 0 = unlimited)
-  };
-
   /// byte_budget <= 0 means unlimited (no eviction) — the default.
   explicit GraphStore(int64_t byte_budget = 0);
   GraphStore(const GraphStore&) = delete;
@@ -120,15 +112,13 @@ class GraphStore {
   /// re-Intern in sequence reproduces the same LRU order).
   std::vector<StoredGraph> ResidentGraphs() const;
 
-  /// One coherent readout of every counter, taken under a single lock
-  /// acquisition — the unit a multi-shard rollup sums, so aggregated
-  /// stats can't tear mid-read. stats() is an alias.
-  Stats StatsSnapshot() const;
-  Stats stats() const { return StatsSnapshot(); }
-
-  /// Registers this store's stats as callback gauges and its operation
-  /// latency histograms (intern/evict, populated only while
-  /// set_metrics_timing(true)) under `<prefix>.<name>`. Find is not
+  /// Registers this store's counters and occupancy as one gauge group
+  /// (`graphs` resident, `resident_bytes` by ApproxGraphBytes, `inserts`
+  /// that added a graph, `dedup_hits` answered by a resident, budget
+  /// `evictions`, `byte_budget`), read under a single lock acquisition so
+  /// a snapshot never tears, and its operation latency histograms
+  /// (intern/evict, populated only while set_metrics_timing(true)) under
+  /// `<prefix>.<name>`. Find is not
   /// timed: a clock pair would cost about as much as the call, and a
   /// traced request's cache_lookup span already covers it. The caller
   /// owns unregistration via the `owner` cookie.

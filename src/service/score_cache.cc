@@ -223,40 +223,27 @@ int64_t ScoreCache::EraseGraphEntries(uint64_t fingerprint) {
 void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
                                  const std::string& prefix,
                                  const void* owner) {
-  // One gauge *group* over a single StatsSnapshot() call: every field a
-  // registry snapshot reports comes from the same instant under mu_, so
-  // a rollup summing shards can't observe torn per-field reads.
+  // One gauge *group* read under one mu_ acquisition: every field a
+  // registry snapshot reports comes from the same instant, so a rollup
+  // summing shards can't observe torn per-field reads.
   registry.RegisterGaugeGroup(
       [this, prefix]() {
-        const Stats s = StatsSnapshot();
+        std::lock_guard<std::mutex> lock(mu_);
         return std::vector<obs::MetricsSnapshot::Value>{
-            {prefix + ".hits", s.hits},
-            {prefix + ".misses", s.misses},
-            {prefix + ".evictions", s.evictions},
-            {prefix + ".entries", s.entries},
-            {prefix + ".lineage_entries", s.lineage_entries},
-            {prefix + ".bytes", s.bytes},
-            {prefix + ".byte_budget", s.byte_budget},
-            {prefix + ".insert_failures", s.insert_failures},
+            {prefix + ".hits", hits_},
+            {prefix + ".misses", misses_},
+            {prefix + ".evictions", evictions_},
+            {prefix + ".entries", static_cast<int64_t>(lru_.size())},
+            {prefix + ".lineage_entries",
+             static_cast<int64_t>(lineage_.size())},
+            {prefix + ".bytes", bytes_},
+            {prefix + ".byte_budget", byte_budget_},
+            {prefix + ".insert_failures", insert_failures_},
         };
       },
       owner);
   registry.RegisterHistogram(prefix + ".put_ns", &put_ns_, owner);
   registry.RegisterHistogram(prefix + ".evict_ns", &evict_ns_, owner);
-}
-
-ScoreCache::Stats ScoreCache::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = static_cast<int64_t>(lru_.size());
-  stats.lineage_entries = static_cast<int64_t>(lineage_.size());
-  stats.bytes = bytes_;
-  stats.byte_budget = byte_budget_;
-  stats.insert_failures = insert_failures_;
-  return stats;
 }
 
 void ScoreCache::TrimLocked() {

@@ -14,7 +14,7 @@
 // Residency is LRU under a byte budget: entries are priced with the
 // common/bytes.h accounting and the least-recently-used entries are
 // dropped first once the budget is exceeded. Hit / miss / eviction
-// counters feed the engine's stats.
+// counters feed the engine's metrics (the `cache.*` gauges).
 
 #ifndef NETBONE_SERVICE_SCORE_CACHE_H_
 #define NETBONE_SERVICE_SCORE_CACHE_H_
@@ -187,19 +187,6 @@ class CachedScore {
 /// accounting stays honest under eviction.
 class ScoreCache {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t entries = 0;
-    int64_t lineage_entries = 0;
-    int64_t bytes = 0;
-    int64_t byte_budget = 0;
-    /// Inserts dropped by the fault-injection harness (simulated
-    /// allocation failure in Put); always 0 in production.
-    int64_t insert_failures = 0;
-  };
-
   /// byte_budget <= 0 means unlimited.
   explicit ScoreCache(int64_t byte_budget) : byte_budget_(byte_budget) {}
 
@@ -269,13 +256,11 @@ class ScoreCache {
   /// Returns the number of score entries dropped.
   int64_t EraseGraphEntries(uint64_t fingerprint);
 
-  /// One coherent readout of every counter, taken under a single lock
-  /// acquisition — the unit a multi-shard rollup sums, so aggregated
-  /// stats can't tear mid-read. stats() is an alias.
-  Stats StatsSnapshot() const;
-  Stats stats() const { return StatsSnapshot(); }
-
-  /// Registers this cache's stats as callback gauges and its operation
+  /// Registers this cache's counters and occupancy as one gauge group
+  /// (`hits`, `misses`, `evictions`, `entries`, `lineage_entries`,
+  /// `bytes`, `byte_budget`, `insert_failures` — the last counts Puts the
+  /// fault-injection harness dropped, always 0 in production), read under
+  /// a single lock acquisition so a snapshot never tears, and its operation
   /// latency histograms (put/evict, populated only while
   /// set_metrics_timing(true)) under `<prefix>.<name>`. Get is not
   /// timed: a clock pair would cost about as much as a hit, and a traced

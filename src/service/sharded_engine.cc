@@ -23,52 +23,6 @@ int64_t SplitBudget(int64_t total, int num_shards) {
   return std::max<int64_t>(1, total / num_shards);
 }
 
-/// Fieldwise sum of one shard's coherent stats into the rollup.
-void AccumulateStats(BackboneEngine::Stats& total,
-                     const BackboneEngine::Stats& shard) {
-  total.requests += shard.requests;
-  total.scores_computed += shard.scores_computed;
-  total.coalesced_waits += shard.coalesced_waits;
-  total.submitted_batches += shard.submitted_batches;
-  total.negative_hits += shard.negative_hits;
-  total.negative_entries += shard.negative_entries;
-  total.delta_rescores += shard.delta_rescores;
-  total.delta_fallbacks += shard.delta_fallbacks;
-  total.queue_depth += shard.queue_depth;
-  total.shed_batches += shard.shed_batches;
-  total.rejected_batches += shard.rejected_batches;
-  total.inflight_rejected += shard.inflight_rejected;
-  total.deadline_hits += shard.deadline_hits;
-  total.cancellations += shard.cancellations;
-  total.retries += shard.retries;
-  total.negative_exempt += shard.negative_exempt;
-  total.degraded_served += shard.degraded_served;
-  total.background_refreshes += shard.background_refreshes;
-  total.restored_graphs += shard.restored_graphs;
-  total.restored_entries += shard.restored_entries;
-  total.restored_lineage += shard.restored_lineage;
-  total.quarantined_sections += shard.quarantined_sections;
-  total.snapshot_writes += shard.snapshot_writes;
-  total.snapshot_failures += shard.snapshot_failures;
-  total.snapshot_restore_errors += shard.snapshot_restore_errors;
-
-  total.graphs.graphs += shard.graphs.graphs;
-  total.graphs.resident_bytes += shard.graphs.resident_bytes;
-  total.graphs.inserts += shard.graphs.inserts;
-  total.graphs.dedup_hits += shard.graphs.dedup_hits;
-  total.graphs.evictions += shard.graphs.evictions;
-  total.graphs.byte_budget += shard.graphs.byte_budget;
-
-  total.cache.hits += shard.cache.hits;
-  total.cache.misses += shard.cache.misses;
-  total.cache.evictions += shard.cache.evictions;
-  total.cache.entries += shard.cache.entries;
-  total.cache.lineage_entries += shard.cache.lineage_entries;
-  total.cache.bytes += shard.cache.bytes;
-  total.cache.byte_budget += shard.cache.byte_budget;
-  total.cache.insert_failures += shard.cache.insert_failures;
-}
-
 }  // namespace
 
 ShardedBackboneEngine::ShardedBackboneEngine(const Options& options)
@@ -476,27 +430,6 @@ void ShardedBackboneEngine::RebalancerLoop() {
     RebalanceNow();
     lock.lock();
   }
-}
-
-ShardedBackboneEngine::Stats ShardedBackboneEngine::stats() const {
-  Stats stats;
-  stats.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    stats.shards.push_back(shard->stats());
-  }
-  for (const BackboneEngine::Stats& shard : stats.shards) {
-    AccumulateStats(stats.total, shard);
-  }
-  const std::shared_ptr<const RoutingTable> table = Table();
-  stats.routing_epoch = static_cast<int64_t>(table->epoch);
-  stats.routing_overrides = static_cast<int64_t>(table->overrides.size());
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
-    stats.migrations = migrations_;
-    stats.migration_failures = migration_failures_;
-    stats.rebalance_cycles = rebalance_cycles_;
-  }
-  return stats;
 }
 
 obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {

@@ -111,21 +111,6 @@ class ShardedBackboneEngine {
  public:
   using Options = ShardedBackboneEngineOptions;
 
-  struct Stats {
-    /// Fieldwise sum over the shards (including the nested store/cache
-    /// stats). Each shard contributes one coherent StatsSnapshot, so the
-    /// rollup never mixes two instants of the same shard.
-    BackboneEngine::Stats total;
-    /// The same coherent per-shard readouts the rollup summed.
-    std::vector<BackboneEngine::Stats> shards;
-
-    int64_t routing_epoch = 0;      ///< bumped by every table swap
-    int64_t routing_overrides = 0;  ///< fingerprints routed off-hash
-    int64_t migrations = 0;         ///< families moved between shards
-    int64_t migration_failures = 0;  ///< aborted imports (source kept)
-    int64_t rebalance_cycles = 0;   ///< RebalanceNow invocations
-  };
-
   explicit ShardedBackboneEngine(const Options& options = {});
   ~ShardedBackboneEngine();
 
@@ -183,12 +168,14 @@ class ShardedBackboneEngine {
   /// Serialized with the periodic rebalancer; safe from any thread.
   int RebalanceNow();
 
-  /// Coherent rollup + per-shard stats + router/rebalancer counters.
-  Stats stats() const;
-
   /// The shards' metrics three ways in one snapshot: the unprefixed
-  /// rollup (same-name metrics merged across shards), each shard again
-  /// under "shard<i>.", and the router's own "sharded." gauges.
+  /// rollup (same-name metrics merged across shards: counters and gauges
+  /// sum, histograms merge), each shard again under "shard<i>.", and the
+  /// router's own gauges `sharded.{shards, routing_epoch,
+  /// routing_overrides, migrations, migration_failures,
+  /// rebalance_cycles}`. Each shard contributes one BackboneEngine::
+  /// Metrics() snapshot, so the rollup never mixes two instants of the
+  /// same cache or store.
   obs::MetricsSnapshot Metrics() const;
 
   /// Direct shard access for tests and diagnostics.

@@ -1,9 +1,10 @@
 // Tests for the incremental rescoring path: GraphDelta extraction, the
-// DeltaRescore capability, the ScoreOrder patch constructor, and the
-// dynamic-schedule scoring overloads it rides on. The central property,
-// checked under randomized deltas: the incremental path's output — scores,
-// order, sweep profile, errors — is bit-identical to a full rescore for
-// every method and thread count, with zero global sorts.
+// DeltaRescore capability and the ScoreOrder patch constructor (the
+// dirty-subset scoring entry is tested in simd_kernels_test.cc). The
+// central property, checked under randomized deltas: the incremental
+// path's output — scores, order, sweep profile, errors — is bit-identical
+// to a full rescore for every method and thread count, with zero global
+// sorts.
 
 #include <algorithm>
 #include <cstdint>
@@ -415,84 +416,6 @@ TEST(ScoreOrderPatchTest, InconsistentInputsFallBackToFullSort) {
       {{0, 1, 2.0}, {0, 2, 6.0}, {1, 2, 3.0}, {1, 3, 5.0}, {2, 3, 4.0}});
   expect_fallback(two_inserted,
                   {two_inserted.FindEdge(1, 3), two_inserted.FindEdge(1, 3)});
-}
-
-TEST(DynamicScoreEdgesTest, MatchesStaticOverloadAtAnyGrain) {
-  Rng rng(7);
-  const Graph graph = BuildGraph(
-      Directedness::kUndirected, 30,
-      RandomEdges(rng, 30, 200, /*directed=*/false));
-  const auto scorer = [&](EdgeId id, const Edge& e,
-                          EdgeScore* out) -> Status {
-    *out = EdgeScore{e.weight * static_cast<double>(id % 7), e.weight};
-    return Status::OK();
-  };
-  const Result<std::vector<EdgeScore>> static_scores =
-      ParallelScoreEdges(graph, 1, scorer);
-  ASSERT_TRUE(static_scores.ok());
-  for (const int threads : {1, 2, 8}) {
-    for (const int64_t grain : {int64_t{1}, int64_t{3}, int64_t{1000}}) {
-      const Result<std::vector<EdgeScore>> dynamic_scores =
-          ParallelScoreEdges(graph, threads, grain, scorer);
-      ASSERT_TRUE(dynamic_scores.ok());
-      ASSERT_EQ(dynamic_scores->size(), static_scores->size());
-      for (size_t i = 0; i < static_scores->size(); ++i) {
-        EXPECT_EQ((*dynamic_scores)[i].score, (*static_scores)[i].score);
-        EXPECT_EQ((*dynamic_scores)[i].sdev, (*static_scores)[i].sdev);
-      }
-    }
-  }
-}
-
-TEST(DynamicScoreEdgesTest, LowestEdgeIdErrorWins) {
-  Rng rng(11);
-  const Graph graph = BuildGraph(
-      Directedness::kUndirected, 20,
-      RandomEdges(rng, 20, 120, /*directed=*/false));
-  ASSERT_GE(graph.num_edges(), 30);
-  const EdgeId first_bad = 17;
-  const auto scorer = [&](EdgeId id, const Edge&,
-                          EdgeScore* out) -> Status {
-    if (id >= first_bad) {
-      return Status::InvalidArgument("edge " + std::to_string(id));
-    }
-    *out = EdgeScore{1.0, 0.0};
-    return Status::OK();
-  };
-  for (const int threads : {1, 2, 8}) {
-    const Result<std::vector<EdgeScore>> scores =
-        ParallelScoreEdges(graph, threads, /*grain=*/4, scorer);
-    ASSERT_FALSE(scores.ok());
-    EXPECT_EQ(scores.status().message(), "edge 17");
-  }
-}
-
-TEST(DynamicScoreEdgesTest, SubsetWritesOnlyNamedSlots) {
-  Rng rng(13);
-  const Graph graph = BuildGraph(
-      Directedness::kUndirected, 20,
-      RandomEdges(rng, 20, 80, /*directed=*/false));
-  ASSERT_GE(graph.num_edges(), 10);
-  std::vector<EdgeScore> scores(static_cast<size_t>(graph.num_edges()),
-                                EdgeScore{-1.0, -1.0});
-  const std::vector<EdgeId> ids = {1, 4, 7};
-  const Status status = ParallelScoreEdgeSubset(
-      graph, ids, /*num_threads=*/2, /*grain=*/2,
-      [](EdgeId, const Edge& e, EdgeScore* out) -> Status {
-        *out = EdgeScore{e.weight, 0.0};
-        return Status::OK();
-      },
-      &scores);
-  ASSERT_TRUE(status.ok());
-  for (EdgeId id = 0; id < graph.num_edges(); ++id) {
-    const EdgeScore& s = scores[static_cast<size_t>(id)];
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
-      EXPECT_EQ(s.score, graph.edge(id).weight);
-      EXPECT_EQ(s.sdev, 0.0);
-    } else {
-      EXPECT_EQ(s.score, -1.0);  // untouched
-    }
-  }
 }
 
 }  // namespace

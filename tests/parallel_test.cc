@@ -38,6 +38,7 @@
 #include "graph/paths.h"
 #include "service/engine.h"
 #include "stats/correlation.h"
+#include "metric_value.h"
 
 namespace netbone {
 namespace {
@@ -758,13 +759,13 @@ TEST(ExecuteBatchSchedulingTest, OneSortPerMethodUnderConcurrentColdKeys) {
   // However the 8 cold-key tasks interleaved, each key scored and sorted
   // exactly once.
   EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 8);
-  EXPECT_EQ(engine.stats().scores_computed, 8);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 8);
 
   // A warm replay stays zero-sort / zero-score.
   const std::vector<Result<BackboneResponse>> warm =
       engine.ExecuteBatch(batch);
   EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 8);
-  EXPECT_EQ(engine.stats().scores_computed, 8);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 8);
   for (size_t i = 0; i < warm.size(); ++i) {
     ASSERT_TRUE(warm[i].ok());
     EXPECT_TRUE(warm[i]->cache_hit);

@@ -5,7 +5,8 @@
 // coalescing (a single underlying score per key no matter how many
 // concurrent identical requests), negative caching of scoring failures,
 // warm-path zero-sort / zero-rescore behavior, engine determinism across
-// thread counts and against the uncached library path, and the
+// thread counts and against the uncached library path, the exact set of
+// counter and gauge names the engine's metrics readout carries, and the
 // byte-bound trim of the HSS workspace pool.
 
 #include "service/engine.h"
@@ -22,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include "common/cancel.h"
@@ -39,6 +41,7 @@
 #include "service/fault_injection.h"
 #include "service/graph_store.h"
 #include "service/score_cache.h"
+#include "metric_value.h"
 
 namespace netbone {
 namespace {
@@ -135,6 +138,8 @@ TEST(GraphFingerprintTest, IsolatesChangeTheFingerprint) {
 
 TEST(GraphStoreTest, DedupesIdenticalContent) {
   GraphStore store;
+  obs::MetricRegistry store_metrics;
+  store.RegisterMetrics(store_metrics, "store", &store);
   const StoredGraph first = store.Intern(BenchGraph(/*seed=*/11));
   const StoredGraph again = store.Intern(BenchGraph(/*seed=*/11));
   const StoredGraph other = store.Intern(BenchGraph(/*seed=*/12));
@@ -143,11 +148,11 @@ TEST(GraphStoreTest, DedupesIdenticalContent) {
   EXPECT_EQ(first.graph.get(), again.graph.get());  // one resident copy
   EXPECT_NE(first.fingerprint, other.fingerprint);
 
-  const GraphStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.graphs, 2);
-  EXPECT_EQ(stats.inserts, 2);
-  EXPECT_EQ(stats.dedup_hits, 1);
-  EXPECT_GT(stats.resident_bytes, 0);
+  const obs::MetricsSnapshot stats = store_metrics.Snapshot();
+  EXPECT_EQ(Metric(stats, "store.graphs"), 2);
+  EXPECT_EQ(Metric(stats, "store.inserts"), 2);
+  EXPECT_EQ(Metric(stats, "store.dedup_hits"), 1);
+  EXPECT_GT(Metric(stats, "store.resident_bytes"), 0);
 
   EXPECT_EQ(store.Find(first.fingerprint).get(), first.graph.get());
   EXPECT_EQ(store.Find(0xdeadbeef), nullptr);
@@ -162,16 +167,18 @@ TEST(GraphStoreTest, LruEvictionUnderByteBudgetSkipsPinned) {
   // Three same-shape graphs -> three same-size entries; budget admits two.
   const int64_t one = ApproxGraphBytes(BenchGraph(61));
   GraphStore store(2 * one + one / 2);
+  obs::MetricRegistry store_metrics;
+  store.RegisterMetrics(store_metrics, "store", &store);
   const StoredGraph ga = store.Intern(BenchGraph(61));
   const StoredGraph gb = store.Intern(BenchGraph(62));
-  EXPECT_EQ(store.stats().graphs, 2);
-  EXPECT_EQ(store.stats().evictions, 0);
+  EXPECT_EQ(Metric(store_metrics, "store.graphs"), 2);
+  EXPECT_EQ(Metric(store_metrics, "store.evictions"), 0);
 
   // Touch A so B becomes least-recently-used, then intern C: B must go.
   EXPECT_NE(store.Find(ga.fingerprint), nullptr);
   const StoredGraph gc = store.Intern(BenchGraph(63));
-  EXPECT_EQ(store.stats().graphs, 2);
-  EXPECT_EQ(store.stats().evictions, 1);
+  EXPECT_EQ(Metric(store_metrics, "store.graphs"), 2);
+  EXPECT_EQ(Metric(store_metrics, "store.evictions"), 1);
   EXPECT_EQ(store.Find(gb.fingerprint), nullptr);  // evicted
   EXPECT_NE(store.Find(gc.fingerprint), nullptr);
   // The evicted handle stays valid; only residency is gone.
@@ -182,14 +189,14 @@ TEST(GraphStoreTest, LruEvictionUnderByteBudgetSkipsPinned) {
   store.set_byte_budget(1);
   EXPECT_NE(store.Find(ga.fingerprint), nullptr);  // pinned: kept
   EXPECT_EQ(store.Find(gc.fingerprint), nullptr);  // unpinned: evicted
-  EXPECT_EQ(store.stats().evictions, 2);
+  EXPECT_EQ(Metric(store_metrics, "store.evictions"), 2);
 
   // Unpinning makes it evictable on the next trim.
   store.Unpin(ga.fingerprint);
   store.set_byte_budget(1);
   EXPECT_EQ(store.Find(ga.fingerprint), nullptr);
-  EXPECT_EQ(store.stats().graphs, 0);
-  EXPECT_EQ(store.stats().evictions, 3);
+  EXPECT_EQ(Metric(store_metrics, "store.graphs"), 0);
+  EXPECT_EQ(Metric(store_metrics, "store.evictions"), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,16 +225,18 @@ TEST(ScoreCacheTest, LruEvictionOrderUnderByteBudget) {
   const ScoreKey kc{gc.fingerprint, Method::kNaiveThreshold, {}};
 
   ScoreCache cache(sa->bytes() + sb->bytes() + sb->bytes() / 2);
+  obs::MetricRegistry cache_metrics;
+  cache.RegisterMetrics(cache_metrics, "cache", &cache);
   cache.Put(ka, sa);
   cache.Put(kb, sb);
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.entries"), 2);
+  EXPECT_EQ(Metric(cache_metrics, "cache.evictions"), 0);
 
   // Touch A so B becomes least-recently-used, then insert C: B must go.
   EXPECT_NE(cache.Get(ka), nullptr);
   cache.Put(kc, sc);
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(Metric(cache_metrics, "cache.entries"), 2);
+  EXPECT_EQ(Metric(cache_metrics, "cache.evictions"), 1);
   EXPECT_NE(cache.Get(ka), nullptr);
   EXPECT_NE(cache.Get(kc), nullptr);
   EXPECT_EQ(cache.Get(kb), nullptr);  // evicted
@@ -235,14 +244,14 @@ TEST(ScoreCacheTest, LruEvictionOrderUnderByteBudget) {
   // Entries larger than the whole budget are evicted immediately; the
   // caller's handle keeps the value usable.
   cache.set_byte_budget(1);
-  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.entries"), 0);
   cache.Put(ka, sa);
-  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.entries"), 0);
   EXPECT_GT(sa->order().size(), 0);
 
-  const ScoreCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 3);    // ka bump + ka and kc lookups
-  EXPECT_EQ(stats.misses, 1);  // the evicted kb lookup
+  const obs::MetricsSnapshot stats = cache_metrics.Snapshot();
+  EXPECT_EQ(Metric(stats, "cache.hits"), 3);    // ka bump + ka, kc lookups
+  EXPECT_EQ(Metric(stats, "cache.misses"), 1);  // the evicted kb lookup
 }
 
 TEST(ScoreCacheTest, KeySeparatesMethodAndOptions) {
@@ -280,7 +289,7 @@ TEST(BackboneEngineTest, WarmRequestsPerformZeroSortsAndZeroRescoring) {
   const Result<BackboneResponse> cold = engine.Execute(request);
   ASSERT_TRUE(cold.ok());
   EXPECT_FALSE(cold->cache_hit);
-  EXPECT_EQ(engine.stats().scores_computed, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
 
   // Every further request on the cached (graph, method) key — whatever
   // the threshold rule — must sort and score exactly zero times.
@@ -306,8 +315,8 @@ TEST(BackboneEngineTest, WarmRequestsPerformZeroSortsAndZeroRescoring) {
     EXPECT_TRUE(response->cache_hit);
   }
   EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 0);
-  EXPECT_EQ(engine.stats().scores_computed, 1);
-  EXPECT_EQ(engine.stats().cache.hits, 6);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(engine, "cache.hits"), 6);
 }
 
 TEST(BackboneEngineTest, IrrelevantScoreOptionsShareOneCacheEntry) {
@@ -328,7 +337,7 @@ TEST(BackboneEngineTest, IrrelevantScoreOptionsShareOneCacheEntry) {
   const Result<BackboneResponse> warm = engine.Execute(request);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->cache_hit);
-  EXPECT_EQ(engine.stats().scores_computed, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
 }
 
 TEST(BackboneEngineTest, ResponsesMatchTheUncachedPath) {
@@ -420,8 +429,8 @@ void ExpectNonFiniteShareRejected(BackboneRequest bad,
   ASSERT_EQ(async.size(), 1u);
   EXPECT_TRUE(async[0].status().IsInvalidArgument())
       << async[0].status().ToString();
-  EXPECT_EQ(engine.stats().scores_computed, 0);
-  EXPECT_EQ(engine.stats().negative_entries, 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
 
   const auto mixed =
       engine.ExecuteBatch(std::vector<BackboneRequest>{bad, good});
@@ -429,8 +438,8 @@ void ExpectNonFiniteShareRejected(BackboneRequest bad,
   EXPECT_TRUE(mixed[0].status().IsInvalidArgument())
       << mixed[0].status().ToString();
   EXPECT_TRUE(mixed[1].ok()) << mixed[1].status().ToString();
-  EXPECT_EQ(engine.stats().scores_computed, 1);
-  EXPECT_EQ(engine.stats().negative_entries, 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
 }
 
 BackboneRequest ShareRequest(uint64_t graph, RequestKind kind) {
@@ -501,7 +510,7 @@ TEST(BackboneEngineTest, CoalescesConcurrentIdenticalRequests) {
 
   // However the executions interleaved (coalesced onto the in-flight
   // score or served from the cache), the method ran exactly once.
-  EXPECT_EQ(engine.stats().scores_computed, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
   EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 1);
   ASSERT_TRUE(responses[0]->ok());
   const std::vector<EdgeId>& kept = (*responses[0])->kept_edges;
@@ -535,9 +544,10 @@ TEST(BackboneEngineTest, BatchCoalescesDuplicateKeys) {
   ASSERT_EQ(results.size(), batch.size());
   for (const auto& result : results) ASSERT_TRUE(result.ok());
   // Two distinct keys -> two scores, two sorts, no matter the batch size.
-  EXPECT_EQ(engine.stats().scores_computed, 2);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
   EXPECT_EQ(ScoreOrder::SortsPerformed() - sorts_before, 2);
-  EXPECT_EQ(engine.stats().requests, static_cast<int64_t>(batch.size()));
+  EXPECT_EQ(Metric(engine, "engine.requests"),
+            static_cast<int64_t>(batch.size()));
 }
 
 TEST(BackboneEngineTest, DeterministicAcrossThreadCounts) {
@@ -606,9 +616,9 @@ TEST(BackboneEngineTest, AsyncSubmitMatchesSync) {
     EXPECT_EQ(async[i]->kept_edges, sync[i]->kept_edges);
     EXPECT_EQ(async[i]->coverage, sync[i]->coverage);
   }
-  EXPECT_EQ(engine.stats().submitted_batches, 1);
+  EXPECT_EQ(Metric(engine, "engine.submitted_batches"), 1);
   // The async batch scored DF once; the sync replay was all warm.
-  EXPECT_EQ(engine.stats().scores_computed, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
 }
 
 TEST(BackboneEngineTest, StabilityPointMatchesDirectEvaluation) {
@@ -652,9 +662,9 @@ TEST(BackboneEngineTest, NegativeCacheSuppressesRepeatedFailures) {
   const Result<BackboneResponse> first = engine.Execute(request);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsFailedPrecondition());
-  EXPECT_EQ(engine.stats().scores_computed, 1);
-  EXPECT_EQ(engine.stats().negative_hits, 0);
-  EXPECT_EQ(engine.stats().negative_entries, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 1);
 
   // Hammering the bad key is answered from the negative cache: the same
   // error, zero further scoring attempts.
@@ -668,14 +678,14 @@ TEST(BackboneEngineTest, NegativeCacheSuppressesRepeatedFailures) {
   const auto batch_results =
       engine.ExecuteBatch(std::vector<BackboneRequest>{request, request});
   for (const auto& result : batch_results) EXPECT_FALSE(result.ok());
-  EXPECT_EQ(engine.stats().scores_computed, 1);
-  EXPECT_EQ(engine.stats().negative_hits, 4);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 4);
 
   // Clearing the negative cache re-arms the key.
   engine.ClearNegativeCache();
-  EXPECT_EQ(engine.stats().negative_entries, 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
   ASSERT_FALSE(engine.Execute(request).ok());
-  EXPECT_EQ(engine.stats().scores_computed, 2);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
 }
 
 TEST(BackboneEngineTest, NegativeTtlZeroDisablesNegativeCaching) {
@@ -694,9 +704,9 @@ TEST(BackboneEngineTest, NegativeTtlZeroDisablesNegativeCaching) {
   ASSERT_FALSE(engine.Execute(request).ok());
   ASSERT_FALSE(engine.Execute(request).ok());
   // Pre-PR-4 behavior: every request re-attempts the scoring.
-  EXPECT_EQ(engine.stats().scores_computed, 2);
-  EXPECT_EQ(engine.stats().negative_hits, 0);
-  EXPECT_EQ(engine.stats().negative_entries, 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
 }
 
 TEST(BackboneEngineTest, GraphByteBudgetEvictsColdGraphs) {
@@ -708,8 +718,8 @@ TEST(BackboneEngineTest, GraphByteBudgetEvictsColdGraphs) {
   const uint64_t f1 = engine.AddGraph(BenchGraph(72));
   const uint64_t f2 = engine.AddGraph(BenchGraph(73));
   const uint64_t f3 = engine.AddGraph(BenchGraph(74));
-  EXPECT_EQ(engine.stats().graphs.graphs, 2);
-  EXPECT_EQ(engine.stats().graphs.evictions, 1);
+  EXPECT_EQ(Metric(engine, "store.graphs"), 2);
+  EXPECT_EQ(Metric(engine, "store.evictions"), 1);
 
   // The least-recently-used fingerprint stopped resolving...
   BackboneRequest request;
@@ -736,8 +746,98 @@ TEST(BackboneEngineTest, DedupesResubmittedGraphs) {
   const uint64_t first = engine.AddGraph(BenchGraph(49));
   const uint64_t again = engine.AddGraph(BenchGraph(49));
   EXPECT_EQ(first, again);
-  EXPECT_EQ(engine.stats().graphs.graphs, 1);
-  EXPECT_EQ(engine.stats().graphs.dedup_hits, 1);
+  EXPECT_EQ(Metric(engine, "store.graphs"), 1);
+  EXPECT_EQ(Metric(engine, "store.dedup_hits"), 1);
+}
+
+// ---------------------------------------------------------------------------
+// The metrics readout: BackboneEngine::Metrics() is the engine's only
+// counter readout, so its names are the contract every reader cites.
+// ---------------------------------------------------------------------------
+
+/// The counter and gauge names under `prefixes`, sorted.
+std::vector<std::string> NamesUnder(
+    const std::vector<obs::MetricsSnapshot::Value>& values,
+    const std::vector<std::string>& prefixes) {
+  std::vector<std::string> names;
+  for (const obs::MetricsSnapshot::Value& value : values) {
+    for (const std::string& prefix : prefixes) {
+      if (value.name.starts_with(prefix)) {
+        names.push_back(value.name);
+        break;
+      }
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(EngineMetricsTest, FreshEngineCarriesExactlyTheDocumentedNames) {
+  // The names engine.h documents on Metrics(). enable_metrics gates only
+  // the latency histograms, so both settings must report the same set.
+  const std::vector<std::string> want_counters = {
+      "engine.background_refreshes", "engine.cancellations",
+      "engine.coalesced_waits",      "engine.deadline_hits",
+      "engine.degraded_served",      "engine.delta_fallbacks",
+      "engine.delta_rescores",       "engine.inflight_rejected",
+      "engine.negative_exempt",      "engine.negative_hits",
+      "engine.rejected_batches",     "engine.requests",
+      "engine.retries",              "engine.scores_computed",
+      "engine.shed_batches",         "engine.snapshot_failures",
+      "engine.snapshot_writes",      "engine.submitted_batches",
+  };
+  const std::vector<std::string> want_gauges = {
+      "cache.byte_budget",
+      "cache.bytes",
+      "cache.entries",
+      "cache.evictions",
+      "cache.hits",
+      "cache.insert_failures",
+      "cache.lineage_entries",
+      "cache.misses",
+      "engine.inflight_scores",
+      "engine.negative_entries",
+      "engine.quarantined_sections",
+      "engine.queue_depth",
+      "engine.restored_entries",
+      "engine.restored_graphs",
+      "engine.restored_lineage",
+      "engine.snapshot_restore_errors",
+      "store.byte_budget",
+      "store.dedup_hits",
+      "store.evictions",
+      "store.graphs",
+      "store.inserts",
+      "store.resident_bytes",
+  };
+  const std::vector<std::string> prefixes = {"engine.", "cache.", "store."};
+  for (const bool enable_metrics : {true, false}) {
+    BackboneEngineOptions options;
+    options.enable_metrics = enable_metrics;
+    BackboneEngine engine(options);
+    const obs::MetricsSnapshot snapshot = engine.Metrics();
+    EXPECT_EQ(NamesUnder(snapshot.counters, prefixes), want_counters)
+        << "enable_metrics=" << enable_metrics;
+    EXPECT_EQ(NamesUnder(snapshot.gauges, prefixes), want_gauges)
+        << "enable_metrics=" << enable_metrics;
+    // Fresh means zero everywhere except the budgets.
+    for (const std::string& name : want_counters) {
+      EXPECT_EQ(Metric(snapshot, name), 0) << name;
+    }
+    EXPECT_EQ(Metric(snapshot, "cache.byte_budget"),
+              options.cache_byte_budget);
+    EXPECT_EQ(Metric(snapshot, "store.byte_budget"),
+              options.graph_byte_budget);
+  }
+}
+
+TEST(EngineMetricsTest, ReadingAnAbsentNameFailsTheTest) {
+  BackboneEngine engine;
+  // A misspelled name must not read as 0.
+  EXPECT_NONFATAL_FAILURE(Metric(engine, "engine.request"),
+                          "no counter or gauge named \"engine.request\"");
+  EXPECT_NONFATAL_FAILURE(Metric(engine.Metrics(), "cache.hit"),
+                          "no counter or gauge named \"cache.hit\"");
 }
 
 // ---------------------------------------------------------------------------
@@ -963,7 +1063,7 @@ TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   ASSERT_NE(next_fp, base_fp);
 
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
-  const int64_t scores_before = engine.stats().scores_computed;
+  const int64_t scores_before = Metric(engine, "engine.scores_computed");
   const Result<BackboneResponse> patched =
       engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(patched.ok());
@@ -972,9 +1072,9 @@ TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   // The incremental contract: zero global sorts, zero full rescorings,
   // one delta rescore — and a bit-identical response.
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
-  EXPECT_EQ(engine.stats().scores_computed, scores_before);
-  EXPECT_EQ(engine.stats().delta_rescores, 1);
-  EXPECT_EQ(engine.stats().delta_fallbacks, 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), scores_before);
+  EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
+  EXPECT_EQ(Metric(engine, "engine.delta_fallbacks"), 0);
   EXPECT_EQ(patched->kept_edges, cold->kept_edges);
   EXPECT_EQ(patched->kept, cold->kept);
   EXPECT_EQ(patched->coverage, cold->coverage);
@@ -1004,7 +1104,7 @@ TEST(BackboneEngineTest, RevisionPatchIsDeterministicAcrossThreadCounts) {
     const Result<BackboneResponse> response = engine.Execute(
         DeltaShareRequest(next_fp, Method::kDisparityFilter));
     ASSERT_TRUE(response.ok());
-    EXPECT_EQ(engine.stats().delta_rescores, 1);
+    EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
     if (!reference.has_value()) {
       reference = *response;
     } else {
@@ -1033,7 +1133,7 @@ TEST(BackboneEngineTest, LineageChainResolvesAcrossUnscoredHops) {
   const Result<BackboneResponse> response =
       engine.Execute(DeltaShareRequest(rev2_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(engine.stats().delta_rescores, 1);
+  EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
 
   BackboneEngine cold_engine;
   const uint64_t cold_fp = cold_engine.AddGraph(rev2);
@@ -1055,14 +1155,14 @@ TEST(BackboneEngineTest, GlobalMethodsFallBackToFullRescore) {
           .Execute(DeltaShareRequest(base_fp, Method::kHighSalienceSkeleton))
           .ok());
   const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
-  const int64_t scores_before = engine.stats().scores_computed;
+  const int64_t scores_before = Metric(engine, "engine.scores_computed");
   const Result<BackboneResponse> response = engine.Execute(
       DeltaShareRequest(next_fp, Method::kHighSalienceSkeleton));
   ASSERT_TRUE(response.ok());
   // HSS is not incremental: the request full-rescored (and, because the
   // method is unsupported, it does not even count as a fallback attempt).
-  EXPECT_EQ(engine.stats().scores_computed, scores_before + 1);
-  EXPECT_EQ(engine.stats().delta_rescores, 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), scores_before + 1);
+  EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 0);
 
   BackboneEngine cold_engine;
   const uint64_t cold_fp = cold_engine.AddGraph(next);
@@ -1086,22 +1186,25 @@ TEST(BackboneEngineTest, DeltaRescoreCanBeDisabled) {
   ASSERT_TRUE(
       engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected))
           .ok());
-  EXPECT_EQ(engine.stats().delta_rescores, 0);
-  EXPECT_EQ(engine.stats().scores_computed, 2);
+  EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 0);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
 }
 
 TEST(ScoreCacheTest, LineageIsAccountedAndPeekDoesNotCountHits) {
   ScoreCache cache(/*byte_budget=*/0);
-  const ScoreCache::Stats empty = cache.stats();
-  EXPECT_EQ(empty.lineage_entries, 0);
+  obs::MetricRegistry cache_metrics;
+  cache.RegisterMetrics(cache_metrics, "cache", &cache);
+  const obs::MetricsSnapshot empty = cache_metrics.Snapshot();
+  EXPECT_EQ(Metric(empty, "cache.lineage_entries"), 0);
 
   cache.RegisterLineage(2, 1);
   cache.RegisterLineage(3, 2);
   cache.RegisterLineage(3, 3);  // self-edge: ignored
   cache.RegisterLineage(0, 1);  // zero child: ignored
-  const ScoreCache::Stats with_lineage = cache.stats();
-  EXPECT_EQ(with_lineage.lineage_entries, 2);
-  EXPECT_GT(with_lineage.bytes, empty.bytes);  // the map is priced
+  const obs::MetricsSnapshot with_lineage = cache_metrics.Snapshot();
+  EXPECT_EQ(Metric(with_lineage, "cache.lineage_entries"), 2);
+  EXPECT_GT(Metric(with_lineage, "cache.bytes"),
+            Metric(empty, "cache.bytes"));  // the map is priced
   EXPECT_EQ(cache.LineageParent(2), 1u);
   EXPECT_EQ(cache.LineageParent(3), 2u);
   EXPECT_EQ(cache.LineageParent(7), 0u);
@@ -1109,13 +1212,13 @@ TEST(ScoreCacheTest, LineageIsAccountedAndPeekDoesNotCountHits) {
   // Peek is invisible to the hit/miss counters.
   const ScoreKey key = MakeScoreKey(42, Method::kNoiseCorrected, {});
   EXPECT_EQ(cache.Peek(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.misses"), 0);
   EXPECT_EQ(cache.Get(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(Metric(cache_metrics, "cache.misses"), 1);
 
   cache.Clear();
-  EXPECT_EQ(cache.stats().lineage_entries, 0);
-  EXPECT_EQ(cache.stats().bytes, 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.lineage_entries"), 0);
+  EXPECT_EQ(Metric(cache_metrics, "cache.bytes"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1210,17 +1313,18 @@ TEST(BackboneEngineFaultTest, DeadlineExceededIsTypedAndNeverNegativeCached) {
     // nowhere near the 500ms the stalled scoring would have served.
     EXPECT_LT(elapsed, std::chrono::milliseconds(200));
   }
-  const BackboneEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.deadline_hits, 1);
-  EXPECT_EQ(stats.negative_entries, 0);  // the taxonomy exemption
-  EXPECT_GE(stats.negative_exempt, 1);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.deadline_hits"), 1);
+  // The taxonomy exemption: a deadline is never negative-cached.
+  EXPECT_EQ(Metric(stats, "engine.negative_entries"), 0);
+  EXPECT_GE(Metric(stats, "engine.negative_exempt"), 1);
 
   // The key was never poisoned: the same request without a budget
   // succeeds on the first try (injection scope has ended).
   const Result<BackboneResponse> retry =
       engine.Execute(ShareRequest(graph, Method::kNoiseCorrected));
   ASSERT_TRUE(retry.ok());
-  EXPECT_EQ(engine.stats().negative_hits, 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 0);
 }
 
 TEST(BackboneEngineFaultTest, CallerCancelTokenStopsTheRequest) {
@@ -1243,10 +1347,10 @@ TEST(BackboneEngineFaultTest, CallerCancelTokenStopsTheRequest) {
   ASSERT_TRUE(result.has_value());
   ASSERT_FALSE(result->ok());
   EXPECT_TRUE(result->status().IsCancelled());
-  const BackboneEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.cancellations, 1);
-  EXPECT_EQ(stats.negative_entries, 0);
-  EXPECT_GE(stats.negative_exempt, 1);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.cancellations"), 1);
+  EXPECT_EQ(Metric(stats, "engine.negative_entries"), 0);
+  EXPECT_GE(Metric(stats, "engine.negative_exempt"), 1);
 }
 
 TEST(BackboneEngineFaultTest, TransientFailuresRetryThenSucceed) {
@@ -1260,10 +1364,11 @@ TEST(BackboneEngineFaultTest, TransientFailuresRetryThenSucceed) {
   const Result<BackboneResponse> result =
       engine.Execute(ShareRequest(graph, Method::kNoiseCorrected));
   ASSERT_TRUE(result.ok());
-  const BackboneEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.retries, 2);
-  EXPECT_EQ(stats.scores_computed, 1);  // only the successful attempt scored
-  EXPECT_EQ(stats.negative_entries, 0);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.retries"), 2);
+  // Only the successful attempt scored.
+  EXPECT_EQ(Metric(stats, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(stats, "engine.negative_entries"), 0);
 }
 
 TEST(BackboneEngineFaultTest, ExhaustedRetriesAreNegativeCached) {
@@ -1279,14 +1384,16 @@ TEST(BackboneEngineFaultTest, ExhaustedRetriesAreNegativeCached) {
     EXPECT_TRUE(result.status().IsUnavailable());
     EXPECT_TRUE(result.status().IsTransient());
   }
-  BackboneEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.retries, 3);  // 1 attempt + 3 re-attempts, all injected
-  EXPECT_EQ(stats.negative_entries, 1);  // transient-but-exhausted is cached
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  // 1 attempt + 3 re-attempts, all injected; transient-but-exhausted
+  // is negative-cached.
+  EXPECT_EQ(Metric(stats, "engine.retries"), 3);
+  EXPECT_EQ(Metric(stats, "engine.negative_entries"), 1);
 
   // Injection is gone, but the negative cache answers until cleared.
   ASSERT_FALSE(engine.Execute(ShareRequest(graph, Method::kNaiveThreshold))
                    .ok());
-  EXPECT_EQ(engine.stats().negative_hits, 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 1);
   engine.ClearNegativeCache();
   ASSERT_TRUE(engine.Execute(ShareRequest(graph, Method::kNaiveThreshold))
                   .ok());
@@ -1300,7 +1407,7 @@ TEST(BackboneEngineFaultTest, ExhaustedRetriesAreNegativeCached) {
 /// the next Submit lands in a queue of known depth.
 void AwaitQueueDrainedToDepth(const BackboneEngine& engine, int64_t depth) {
   for (int spin = 0; spin < 2000; ++spin) {
-    if (engine.stats().queue_depth <= depth) return;
+    if (Metric(engine, "engine.queue_depth") <= depth) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   FAIL() << "queue never drained to depth " << depth;
@@ -1331,13 +1438,13 @@ TEST(BackboneEngineFaultTest, BoundedQueueRejectsNewBatches) {
   ASSERT_EQ(refused.size(), 1u);
   ASSERT_FALSE(refused[0].ok());
   EXPECT_TRUE(refused[0].status().IsResourceExhausted());
-  EXPECT_EQ(engine.stats().rejected_batches, 1);
+  EXPECT_EQ(Metric(engine, "engine.rejected_batches"), 1);
 
   // The accepted work still completes exactly.
   for (auto* future : {&first, &queued}) {
     for (const auto& result : future->get()) EXPECT_TRUE(result.ok());
   }
-  EXPECT_EQ(engine.stats().shed_batches, 0);
+  EXPECT_EQ(Metric(engine, "engine.shed_batches"), 0);
 }
 
 TEST(BackboneEngineFaultTest, ShedOldestFailsTheQueuedBatch) {
@@ -1364,12 +1471,12 @@ TEST(BackboneEngineFaultTest, ShedOldestFailsTheQueuedBatch) {
   ASSERT_EQ(shed_results.size(), 1u);
   ASSERT_FALSE(shed_results[0].ok());
   EXPECT_TRUE(shed_results[0].status().IsUnavailable());
-  EXPECT_EQ(engine.stats().shed_batches, 1);
+  EXPECT_EQ(Metric(engine, "engine.shed_batches"), 1);
 
   for (auto* future : {&first, &fresh}) {
     for (const auto& result : future->get()) EXPECT_TRUE(result.ok());
   }
-  EXPECT_EQ(engine.stats().rejected_batches, 0);
+  EXPECT_EQ(Metric(engine, "engine.rejected_batches"), 0);
 }
 
 TEST(BackboneEngineFaultTest, InflightLimitRefusesNewColdScorings) {
@@ -1398,12 +1505,12 @@ TEST(BackboneEngineFaultTest, InflightLimitRefusesNewColdScorings) {
   worker.join();
   ASSERT_TRUE(slow.has_value());
   EXPECT_TRUE(slow->ok());
-  EXPECT_EQ(engine.stats().inflight_rejected, 1);
+  EXPECT_EQ(Metric(engine, "engine.inflight_rejected"), 1);
 
   // The refusal was about engine load, not the key: it works now.
   EXPECT_TRUE(
       engine.Execute(ShareRequest(graph, Method::kDisparityFilter)).ok());
-  EXPECT_EQ(engine.stats().negative_hits, 0);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 0);
 }
 
 TEST(BackboneEngineFaultTest, QueueDelayCountsAgainstSubmitDeadlines) {
@@ -1425,8 +1532,8 @@ TEST(BackboneEngineFaultTest, QueueDelayCountsAgainstSubmitDeadlines) {
   // Armed at Submit, expired in the (stalled) queue: pre-answered without
   // ever scoring.
   EXPECT_TRUE(results[0].status().IsDeadlineExceeded());
-  EXPECT_EQ(engine.stats().scores_computed, 0);
-  EXPECT_GE(engine.stats().deadline_hits, 1);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 0);
+  EXPECT_GE(Metric(engine, "engine.deadline_hits"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1481,16 +1588,19 @@ TEST(BackboneEngineFaultTest, NegativeCacheTtlExpiresAndRearms) {
   request.score_options.hss_max_cost = 1;
 
   ASSERT_FALSE(engine.Execute(request).ok());
-  EXPECT_EQ(engine.stats().negative_entries, 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 1);
   ASSERT_FALSE(engine.Execute(request).ok());
-  EXPECT_EQ(engine.stats().scores_computed, 1);  // answered from memory
-  EXPECT_EQ(engine.stats().negative_hits, 1);
+  // Answered from memory.
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 1);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_EQ(engine.stats().negative_entries, 0);  // expired, not yet swept
+  // Expired, not yet swept.
+  EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
   ASSERT_FALSE(engine.Execute(request).ok());
-  EXPECT_EQ(engine.stats().scores_computed, 2);  // TTL lapsed: re-attempted
-  EXPECT_EQ(engine.stats().negative_hits, 1);
+  // TTL lapsed: re-attempted.
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
+  EXPECT_EQ(Metric(engine, "engine.negative_hits"), 1);
 }
 
 TEST(BackboneEngineFaultTest, ClearNegativeCacheUnderConcurrentSubmitLoad) {
@@ -1574,9 +1684,9 @@ TEST(BackboneEngineFaultTest, DegradedRequestServedFromWarmAncestor) {
   EXPECT_EQ(degraded->degraded_from, base);
   EXPECT_EQ(degraded->kept_edges, warm->kept_edges);
   EXPECT_EQ(degraded->coverage, warm->coverage);
-  const BackboneEngine::Stats stats = engine.stats();
-  EXPECT_GE(stats.degraded_served, 1);
-  EXPECT_GE(stats.background_refreshes, 1);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_GE(Metric(stats, "engine.degraded_served"), 1);
+  EXPECT_GE(Metric(stats, "engine.background_refreshes"), 1);
 }
 
 TEST(BackboneEngineFaultTest, WaitIdleDrainsTheDegradedServesRefresh) {
@@ -1606,9 +1716,9 @@ TEST(BackboneEngineFaultTest, WaitIdleDrainsTheDegradedServesRefresh) {
   ASSERT_TRUE(degraded->degraded);
 
   engine.WaitIdle();
-  const BackboneEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.queue_depth, 0);
-  EXPECT_EQ(stats.background_refreshes, 1);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.queue_depth"), 0);
+  EXPECT_EQ(Metric(stats, "engine.background_refreshes"), 1);
 
   const Result<BackboneResponse> exact =
       engine.Execute(ShareRequest(revision, Method::kNoiseCorrected));
@@ -1654,7 +1764,7 @@ TEST(BackboneEngineFaultTest, DegradedHssFallsBackToSampledApproximation) {
   // perturbed exact answer.
   EXPECT_EQ(degraded->kept_edges, reference->kept_edges);
   EXPECT_EQ(degraded->coverage, reference->coverage);
-  EXPECT_GE(engine.stats().degraded_served, 1);
+  EXPECT_GE(Metric(engine, "engine.degraded_served"), 1);
 }
 
 TEST(GraphStoreTest, DeltaBetweenResidentGraphs) {

@@ -25,6 +25,7 @@
 #include "graph/builder.h"
 #include "service/engine.h"
 #include "service/graph_store.h"
+#include "metric_value.h"
 
 namespace netbone {
 namespace {
@@ -176,12 +177,13 @@ TEST(ShardedEngineTest, RevisionIsPinnedToBaseShard) {
     if (hash_oracle.ShardOf(child) != home) ++off_hash;
     parent = child;
   }
-  EXPECT_EQ(engine.stats().routing_overrides, off_hash);
+  EXPECT_EQ(Metric(engine, "sharded.routing_overrides"), off_hash);
   // Pinned children ride the delta warm path on the home shard.
   ASSERT_TRUE(engine.Execute(ShareRequest(base_fp)).ok());
-  const int64_t deltas_before = engine.stats().shards[static_cast<size_t>(home)].delta_rescores;
+  const int64_t deltas_before =
+      Metric(engine.shard(home), "engine.delta_rescores");
   ASSERT_TRUE(engine.Execute(ShareRequest(parent)).ok());
-  EXPECT_GT(engine.stats().shards[static_cast<size_t>(home)].delta_rescores,
+  EXPECT_GT(Metric(engine.shard(home), "engine.delta_rescores"),
             deltas_before);
 }
 
@@ -268,11 +270,11 @@ TEST(ShardedEngineTest, RebalanceMigratesHotFamilyAndKeepsBitIdentity) {
     if (i < 40) ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
   }
 
-  const int64_t scores_before = engine.stats().total.scores_computed;
+  const int64_t scores_before = Metric(engine, "engine.scores_computed");
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
   const int moved = engine.RebalanceNow();
   EXPECT_GE(moved, 1);
-  EXPECT_GE(engine.stats().migrations, 1);
+  EXPECT_GE(Metric(engine, "sharded.migrations"), 1);
 
   // The family moved together; the bystander stayed.
   const int target = engine.ShardOf(fp_a);
@@ -290,7 +292,7 @@ TEST(ShardedEngineTest, RebalanceMigratesHotFamilyAndKeepsBitIdentity) {
   EXPECT_TRUE(SamePayload(*after_b, *ref_b));
   EXPECT_TRUE(after_a->cache_hit);
   EXPECT_TRUE(after_rev->cache_hit);
-  EXPECT_EQ(engine.stats().total.scores_computed, scores_before);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), scores_before);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
 
   // Lineage survives the move: a new revision of the migrated head pins
@@ -299,9 +301,9 @@ TEST(ShardedEngineTest, RebalanceMigratesHotFamilyAndKeepsBitIdentity) {
       engine.AddGraphRevision(TransferWeight(graph_a, 3, 88), fp_rev);
   EXPECT_EQ(engine.ShardOf(fp_child), target);
   const int64_t target_deltas =
-      engine.stats().shards[static_cast<size_t>(target)].delta_rescores;
+      Metric(engine.shard(target), "engine.delta_rescores");
   ASSERT_TRUE(engine.Execute(ShareRequest(fp_child)).ok());
-  EXPECT_GT(engine.stats().shards[static_cast<size_t>(target)].delta_rescores,
+  EXPECT_GT(Metric(engine.shard(target), "engine.delta_rescores"),
             target_deltas);
 
   // Grace period: the source still holds the graph after the migrating
@@ -331,16 +333,16 @@ TEST(ShardedEngineTest, RebalanceIsANoOpWhenLoadIsBalanced) {
   const uint64_t epoch_before = engine.RoutingEpoch();
   EXPECT_EQ(engine.RebalanceNow(), 0);
   EXPECT_EQ(engine.RoutingEpoch(), epoch_before);
-  EXPECT_EQ(engine.stats().migrations, 0);
+  EXPECT_EQ(Metric(engine, "sharded.migrations"), 0);
   EXPECT_EQ(engine.ShardOf(fp_a), 0);
   EXPECT_EQ(engine.ShardOf(fp_b), 1);
 }
 
 // ---------------------------------------------------------------------------
-// Stats rollup and metrics namespaces.
+// Metrics rollup and namespaces.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedEngineTest, StatsRollupSumsShards) {
+TEST(ShardedEngineTest, MetricsRollupSumsShards) {
   ShardedBackboneEngineOptions options;
   options.num_shards = 3;
   ShardedBackboneEngine engine(options);
@@ -354,31 +356,23 @@ TEST(ShardedEngineTest, StatsRollupSumsShards) {
     ASSERT_TRUE(engine.Execute(ShareRequest(fp)).ok());  // warm hit
   }
 
-  const auto stats = engine.stats();
-  ASSERT_EQ(static_cast<int>(stats.shards.size()), 3);
-  int64_t requests = 0, scores = 0, hits = 0, graphs = 0;
-  for (const auto& shard : stats.shards) {
-    requests += shard.requests;
-    scores += shard.scores_computed;
-    hits += shard.cache.hits;
-    graphs += shard.graphs.graphs;
+  const obs::MetricsSnapshot metrics = engine.Metrics();
+  EXPECT_EQ(Metric(metrics, "sharded.shards"), 3);
+  // The unprefixed rollup is the sum of the "shard<i>." views, for
+  // counters and for the cache/store gauge groups alike.
+  for (const char* name : {"engine.requests", "engine.scores_computed",
+                           "cache.hits", "store.graphs"}) {
+    int64_t per_shard = 0;
+    for (int i = 0; i < 3; ++i) {
+      per_shard +=
+          Metric(metrics, "shard" + std::to_string(i) + "." + name);
+    }
+    EXPECT_EQ(Metric(metrics, name), per_shard) << name;
   }
-  EXPECT_EQ(stats.total.requests, requests);
-  EXPECT_EQ(stats.total.scores_computed, scores);
-  EXPECT_EQ(stats.total.cache.hits, hits);
-  EXPECT_EQ(stats.total.graphs.graphs, graphs);
-  EXPECT_EQ(stats.total.requests, static_cast<int64_t>(fps.size()) * 2);
-  EXPECT_EQ(stats.total.graphs.graphs, static_cast<int64_t>(fps.size()));
-
-  const auto metrics = engine.Metrics();
-  EXPECT_EQ(metrics.ValueOf("sharded.shards", -1), 3);
-  // The rollup view and the per-shard views agree in total.
-  double per_shard_requests = 0;
-  for (int i = 0; i < 3; ++i) {
-    per_shard_requests += metrics.ValueOf(
-        "shard" + std::to_string(i) + ".engine.requests", 0);
-  }
-  EXPECT_EQ(metrics.ValueOf("engine.requests", -1), per_shard_requests);
+  EXPECT_EQ(Metric(metrics, "engine.requests"),
+            static_cast<int64_t>(fps.size()) * 2);
+  EXPECT_EQ(Metric(metrics, "store.graphs"),
+            static_cast<int64_t>(fps.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -428,16 +422,16 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
 
   {
     ShardedBackboneEngine engine(options);
-    const auto stats = engine.stats();
-    EXPECT_GT(stats.total.restored_entries, 0);
-    EXPECT_GT(stats.total.restored_graphs, 0);
-    EXPECT_EQ(stats.total.quarantined_sections, 0);
+    const obs::MetricsSnapshot stats = engine.Metrics();
+    EXPECT_GT(Metric(stats, "engine.restored_entries"), 0);
+    EXPECT_GT(Metric(stats, "engine.restored_graphs"), 0);
+    EXPECT_EQ(Metric(stats, "engine.quarantined_sections"), 0);
 
     // Self-heal routes the migrated family to the shard that holds it.
     EXPECT_EQ(engine.ShardOf(fp_a), target);
     EXPECT_EQ(engine.ShardOf(fp_rev), target);
     EXPECT_EQ(engine.ShardOf(fp_b), 2);
-    EXPECT_GE(stats.routing_overrides, 1);
+    EXPECT_GE(Metric(stats, "sharded.routing_overrides"), 1);
 
     // Fully warm, bit-identical serving from the per-shard snapshots.
     const int64_t sorts_before = ScoreOrder::SortsPerformed();
@@ -449,7 +443,7 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
     EXPECT_TRUE(SamePayload(*got_rev, want_rev));
     EXPECT_TRUE(SamePayload(*got_b, want_b));
     EXPECT_TRUE(got_a->cache_hit && got_rev->cache_hit && got_b->cache_hit);
-    EXPECT_EQ(engine.stats().total.scores_computed, 0);
+    EXPECT_EQ(Metric(engine, "engine.scores_computed"), 0);
     EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   }
 

@@ -377,5 +377,45 @@ TEST(SimdKernelsTest, SubsetPatchingMatchesFullBatchBitwise) {
   }
 }
 
+/// When several dirty edges fail, ParallelScoreEdgeRangeSubset reports the
+/// lowest failing id's replayed status whatever block finishes first; a
+/// replay that accepts the flagged id is a kernel bug and yields Internal.
+TEST(SimdKernelsTest, SubsetPatchingLowestEdgeIdErrorWins) {
+  // Ids 0..59 without the multiples of 5: runs of four with gaps, so the
+  // blocks split into several ranges, and 17 is present.
+  std::vector<EdgeId> dirty;
+  for (EdgeId id = 0; id < 60; ++id) {
+    if (id % 5 != 0) dirty.push_back(id);
+  }
+  const EdgeId first_bad = 17;
+  const auto score_range = [&](int64_t begin, int64_t end, EdgeScore* out) {
+    for (int64_t id = begin; id < end; ++id) {
+      if (id >= first_bad) return id;
+      out[id] = EdgeScore{1.0, 0.0};
+    }
+    return int64_t{-1};
+  };
+  const auto rejecting_replay = [](EdgeId id) {
+    return Status::InvalidArgument("edge " + std::to_string(id));
+  };
+  for (const int threads : {1, 2, 8}) {
+    for (const int64_t grain : {int64_t{1}, int64_t{4}}) {
+      std::vector<EdgeScore> scores(60);
+      const Status status = ParallelScoreEdgeRangeSubset(
+          dirty, threads, grain, score_range, rejecting_replay, &scores);
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << "threads=" << threads << " grain=" << grain;
+      EXPECT_EQ(status.message(), "edge 17")
+          << "threads=" << threads << " grain=" << grain;
+
+      const Status accepted = ParallelScoreEdgeRangeSubset(
+          dirty, threads, grain, score_range,
+          [](EdgeId) { return Status::OK(); }, &scores);
+      EXPECT_TRUE(accepted.IsInternal())
+          << "threads=" << threads << " grain=" << grain;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace netbone

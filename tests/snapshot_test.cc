@@ -35,6 +35,7 @@
 #include "service/fault_injection.h"
 #include "service/graph_store.h"
 #include "service/score_cache.h"
+#include "metric_value.h"
 
 namespace netbone {
 namespace {
@@ -362,6 +363,8 @@ TEST(SnapshotTest, WriteRestoreRoundTrip) {
   PopulateSnapshot(dir);
 
   GraphStore store;
+  obs::MetricRegistry store_metrics;
+  store.RegisterMetrics(store_metrics, "store", &store);
   ScoreCache cache(0);
   auto report = RestoreSnapshot(SnapshotFilePath(dir), &store, &cache);
   ASSERT_TRUE(report.ok()) << report.status().message();
@@ -370,7 +373,7 @@ TEST(SnapshotTest, WriteRestoreRoundTrip) {
   EXPECT_EQ(report->entries_restored, 3);
   EXPECT_EQ(report->sections_quarantined, 0);
   EXPECT_TRUE(report->first_error.ok());
-  EXPECT_EQ(store.stats().graphs, 1);
+  EXPECT_EQ(Metric(store_metrics, "store.graphs"), 1);
   fs::remove_all(dir);
 }
 
@@ -566,10 +569,10 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
   options.snapshot_dir = dir;
   options.snapshot_on_shutdown = false;
   BackboneEngine restarted(options);
-  const auto stats = restarted.stats();
-  EXPECT_EQ(stats.restored_graphs, 1);
-  EXPECT_EQ(stats.restored_entries, 2);
-  EXPECT_EQ(stats.quarantined_sections, 0);
+  const obs::MetricsSnapshot stats = restarted.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.restored_graphs"), 1);
+  EXPECT_EQ(Metric(stats, "engine.restored_entries"), 2);
+  EXPECT_EQ(Metric(stats, "engine.quarantined_sections"), 0);
 
   const uint64_t fingerprint = GraphFingerprint(*graph);
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
@@ -586,7 +589,7 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
     EXPECT_EQ(response->sweep, reference[i].sweep);
     EXPECT_EQ(response->connect_k, reference[i].connect_k);
   }
-  EXPECT_EQ(restarted.stats().scores_computed, 0);
+  EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   fs::remove_all(dir);
 }
@@ -675,9 +678,9 @@ TEST(SnapshotFaultTest, EngineCountsInjectedSnapshotFailures) {
   options.snapshot_on_shutdown = false;
   BackboneEngine engine(options);
   EXPECT_FALSE(engine.WriteSnapshotNow().ok());
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.snapshot_writes, 0);
-  EXPECT_EQ(stats.snapshot_failures, 1);
+  const obs::MetricsSnapshot stats = engine.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.snapshot_writes"), 0);
+  EXPECT_EQ(Metric(stats, "engine.snapshot_failures"), 1);
   fs::remove_all(dir);
 }
 
