@@ -17,9 +17,24 @@
 //     revision is pinned to its base's shard (this gate is ALWAYS armed,
 //     including quick mode and sanitizer builds);
 //   * phase C measures warm throughput on 1 vs 4 shards with one client
-//     thread per hardware thread; the >= 1.8x ratio gate arms only on
+//     thread per hardware thread, on a balanced corpus: four lineage
+//     families (a base plus one registered revision each), the bases
+//     seed-searched so each family owns one hash shard. It first checks
+//     that precondition — each of the 4 shards serves exactly one family,
+//     so no shard carries more than a quarter of the trace — and fails
+//     if it does not hold. Both engines are built and warmed first, the
+//     host is loaded untimed for 1.5 s, and then the engines are measured
+//     in interleaved pairs (1, 4, 1, 4, ...); every client is parked on a
+//     barrier and only the request loops are timed, in windows of at
+//     least 20 ms (100 ms in full mode). The gate is the median per-pair
+//     ratio >= 1.8x; when it misses, more pairs are added, up to 3
+//     rounds, and every pair counts toward the median. It arms only on
 //     hosts with >= 4 hardware threads and non-sanitizer builds (the
-//     ratio is still measured and logged elsewhere);
+//     ratio is still measured and logged elsewhere). The skewed
+//     five-fingerprint trace of phases A and B would put 3 of its 5
+//     fingerprints, 60% of the requests, on one shard, capping a 4-shard
+//     speedup at 1/0.6 = 1.67x even with perfect scaling, so it is not
+//     timed;
 //   * phase D skews load onto one lineage family sharing a shard with an
 //     independent hot fingerprint, runs RebalanceNow twice (migrate,
 //     then retire), and requires: the family moved *together*, replays
@@ -31,13 +46,17 @@
 //     family's overrides, and the full trace replays bit-identically
 //     with scores_computed == 0 and SortsPerformed unchanged.
 //
-// Warm throughput (req/s at 1 and 4 shards, plus the ratio) lands in
-// BENCH_sharded_serving.json.
+// Warm throughput (median req/s at 1 and 4 shards, the median ratio,
+// every pair's ratio, and the largest per-shard request share of the
+// phase C trace) lands in BENCH_sharded_serving.json.
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,27 +179,41 @@ nb::Graph IntWeightEr(int num_nodes, uint64_t seed) {
   return *builder.Build();
 }
 
-/// Warm req/s with one client thread per `threads`, each replaying the
-/// trace round-robin from a private offset. Every request is a cache hit,
-/// so this isolates router + shard lookup + response copy.
-double MeasureWarmThroughput(nb::ShardedBackboneEngine& engine,
-                             const std::vector<nb::BackboneRequest>& trace,
-                             int threads, int iterations) {
+/// Seconds for `threads` client threads to send `iterations` warm
+/// requests each. Client t replays the trace round-robin from offset
+/// t * n / threads, so on a trace laid out one family block per shard the
+/// clients sweep the shards a fixed distance apart. Every client is
+/// started and parked on a barrier before any request, and each times
+/// only its own loop: the window runs from the first loop start to the
+/// last loop end, so thread start-up and join stay outside it. Every
+/// request is a cache hit, so this isolates router + shard lookup +
+/// response copy.
+double TimedWarmWindow(nb::ShardedBackboneEngine& engine,
+                       const std::vector<nb::BackboneRequest>& trace,
+                       int threads, int iterations) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> starts(static_cast<size_t>(threads));
+  std::vector<Clock::time_point> ends(static_cast<size_t>(threads));
+  std::latch ready(threads);
   std::vector<std::thread> clients;
-  nb::Timer timer;
   for (int t = 0; t < threads; ++t) {
-    clients.emplace_back([&engine, &trace, t, iterations]() {
+    clients.emplace_back([&, t]() {
       const size_t n = trace.size();
-      size_t at = (static_cast<size_t>(t) * 7) % n;
+      size_t at = static_cast<size_t>(t) * n / static_cast<size_t>(threads);
+      ready.arrive_and_wait();
+      starts[static_cast<size_t>(t)] = Clock::now();
       for (int i = 0; i < iterations; ++i) {
         (void)engine.Execute(trace[at]);
         at = (at + 1) % n;
       }
+      ends[static_cast<size_t>(t)] = Clock::now();
     });
   }
   for (std::thread& c : clients) c.join();
-  const double seconds = timer.ElapsedSeconds();
-  return static_cast<double>(threads) * iterations / seconds;
+  return std::chrono::duration<double>(
+             *std::max_element(ends.begin(), ends.end()) -
+             *std::min_element(starts.begin(), starts.end()))
+      .count();
 }
 
 }  // namespace
@@ -279,42 +312,158 @@ int main() {
   }
 
   // ---- Phase C: warm throughput, 1 vs 4 shards. -----------------------
+  // A balanced corpus: four families, each a base plus one registered
+  // revision (pinned to its base's shard), the bases seed-searched so
+  // each family owns one hash shard. The trace lays the families out one
+  // block each, so no shard carries more than a quarter of it.
   {
     const unsigned hw = std::thread::hardware_concurrency();
     const int threads = static_cast<int>(std::clamp(hw, 1u, 8u));
-    const int iterations = quick ? 200 : 2000;
-    const int reps = quick ? 3 : 5;
-    std::vector<double> rates_1, rates_4;
-    for (const int shards : {1, 4}) {
-      nb::ShardedBackboneEngineOptions options;
-      options.num_shards = shards;
-      nb::ShardedBackboneEngine engine(options);
-      std::vector<uint64_t> fps;
-      for (const nb::Graph& graph : graphs) {
-        fps.push_back(engine.AddGraph(graph));
+    scaling_armed = hw >= 4 && !netbone::bench::SanitizerBuild();
+
+    nb::ShardedBackboneEngineOptions one_options;
+    one_options.num_shards = 1;
+    nb::ShardedBackboneEngine one(one_options);
+    nb::ShardedBackboneEngineOptions four_options;
+    four_options.num_shards = 4;
+    nb::ShardedBackboneEngine four(four_options);
+
+    std::vector<nb::Graph> bases(4);
+    std::vector<bool> claimed(4, false);
+    for (uint64_t seed = 400, found = 0; found < 4; ++seed) {
+      nb::Graph base = IntWeightEr(base_nodes + 150 * static_cast<int>(found),
+                                   seed);
+      const int shard = four.ShardOf(nb::GraphFingerprint(base));
+      if (claimed[static_cast<size_t>(shard)]) continue;
+      claimed[static_cast<size_t>(shard)] = true;
+      bases[found++] = std::move(base);
+    }
+    // Fingerprints are content hashes, so both engines return the same.
+    std::vector<uint64_t> family_fps;  // base, revision, base, revision...
+    for (nb::ShardedBackboneEngine* engine : {&one, &four}) {
+      family_fps.clear();
+      for (size_t i = 0; i < bases.size(); ++i) {
+        const uint64_t base = engine->AddGraph(bases[i]);
+        family_fps.push_back(base);
+        family_fps.push_back(engine->AddGraphRevision(
+            TransferWeight(bases[i], 6, 7 + i), base));
       }
-      fps.push_back(engine.AddGraphRevision(revision, fps[0]));
-      std::vector<nb::BackboneResponse> warmup;
-      RunTrace(engine, trace, &warmup);  // everything cached from here on
-      std::vector<double>& rates = shards == 1 ? rates_1 : rates_4;
-      for (int rep = 0; rep < reps; ++rep) {
-        rates.push_back(
-            MeasureWarmThroughput(engine, trace, threads, iterations));
+    }
+    const std::vector<nb::BackboneRequest> balanced = BuildTrace(family_fps);
+
+    // Precondition, checked before any timing: each of the 4 shards
+    // serves exactly one family.
+    std::vector<size_t> family_of_shard(4, family_fps.size());  // none yet
+    bool one_family_per_shard = true;
+    for (size_t i = 0; i < family_fps.size(); ++i) {
+      size_t& owner =
+          family_of_shard[static_cast<size_t>(four.ShardOf(family_fps[i]))];
+      if (owner == family_fps.size()) owner = i / 2;
+      if (owner != i / 2) one_family_per_shard = false;
+    }
+    if (std::count(family_of_shard.begin(), family_of_shard.end(),
+                   family_fps.size()) != 0) {
+      one_family_per_shard = false;
+    }
+    std::vector<int64_t> shard_requests(4, 0);
+    for (const nb::BackboneRequest& request : balanced) {
+      ++shard_requests[static_cast<size_t>(four.ShardOf(request.graph))];
+    }
+    const double max_share =
+        static_cast<double>(*std::max_element(shard_requests.begin(),
+                                              shard_requests.end())) /
+        static_cast<double>(balanced.size());
+    if (!one_family_per_shard) {
+      std::printf("phase C: shards do not serve one family each "
+                  "(largest request share %.2f)\n",
+                  max_share);
+      scaling_ok = false;
+    }
+
+    // Warm both engines; the timed windows must be all cache hits.
+    for (nb::ShardedBackboneEngine* engine : {&one, &four}) {
+      std::vector<nb::BackboneResponse> cold, warm;
+      if (!RunTrace(*engine, balanced, &cold) ||
+          !RunTrace(*engine, balanced, &warm)) {
+        scaling_ok = false;
       }
+      for (const nb::BackboneResponse& response : warm) {
+        if (!response.cache_hit) {
+          std::printf("phase C: warm-up left a cache miss\n");
+          scaling_ok = false;
+          break;
+        }
+      }
+    }
+
+    // Untimed host warm-up, both engines, all clients. On the 4-core
+    // reference VM, after ~30 s idle, four spinning threads run at about a
+    // third of their warm rate for the first ~1.2 s of load; a window
+    // taken then reads ~1.0x on every pair, both sides at the same rate.
+    for (nb::Timer warmup; warmup.ElapsedSeconds() < 1.5;) {
+      (void)TimedWarmWindow(one, balanced, threads, 2048);
+      (void)TimedWarmWindow(four, balanced, threads, 2048);
+    }
+
+    // Size the window on the slower side (1 shard) to at least the target.
+    const double target_seconds = quick ? 0.02 : 0.1;
+    int iterations = 256;
+    for (;;) {
+      const double seconds = TimedWarmWindow(one, balanced, threads,
+                                             iterations);
+      if (seconds >= target_seconds || iterations >= (1 << 22)) break;
+      iterations = static_cast<int>(std::min<double>(
+          1 << 22, std::ceil(iterations * 1.25 * target_seconds /
+                             std::max(seconds, 1e-6))));
+    }
+    const double requests_per_window =
+        static_cast<double>(threads) * iterations;
+
+    // Interleaved pairs: drift on the host hits both sides alike. When the
+    // gate misses, keep adding pairs (at most 3 rounds); every pair counts
+    // toward the median, so a real regression still fails.
+    const int pairs_per_round = quick ? 5 : 7;
+    std::vector<double> rates_1, rates_4, ratios;
+    double ratio = 0.0;
+    for (int round = 0; round < 3; ++round) {
+      for (int pair = 0; pair < pairs_per_round; ++pair) {
+        const double rate_1 =
+            requests_per_window /
+            TimedWarmWindow(one, balanced, threads, iterations);
+        const double rate_4 =
+            requests_per_window /
+            TimedWarmWindow(four, balanced, threads, iterations);
+        rates_1.push_back(rate_1);
+        rates_4.push_back(rate_4);
+        ratios.push_back(rate_4 / rate_1);
+      }
+      ratio = nb::Median(ratios);
+      if (!scaling_armed || ratio >= 1.8) break;
     }
     const double median_1 = nb::Median(rates_1);
     const double median_4 = nb::Median(rates_4);
-    const double ratio = median_4 / median_1;
-    PrintRow({"\nphase C", "threads", "1-shard/s", "4-shard/s", "ratio"});
-    PrintRow({"", std::to_string(threads), Num(median_1, 0), Num(median_4, 0),
-              Num(ratio, 2)});
-    json.RecordSeconds("warm_1shard", static_cast<int64_t>(trace.size()),
-                       threads, 1.0 / median_1, 1.0 / median_1);
-    json.RecordSeconds("warm_4shard", static_cast<int64_t>(trace.size()),
-                       threads, 1.0 / median_4, 1.0 / median_4);
+    PrintRow({"\nphase C", "threads", "pairs", "1-shard/s", "4-shard/s",
+              "ratio"});
+    PrintRow({"", std::to_string(threads), std::to_string(ratios.size()),
+              Num(median_1, 0), Num(median_4, 0), Num(ratio, 2)});
+    std::printf("per-pair ratios:");
+    for (const double r : ratios) std::printf(" %.2f", r);
+    std::printf("\n%d requests per client per window; largest shard share "
+                "%.2f\n",
+                iterations, max_share);
+    const int64_t trace_size = static_cast<int64_t>(balanced.size());
+    json.RecordSeconds("warm_1shard", trace_size, threads, 1.0 / median_1,
+                       1.0 / median_1);
+    json.RecordSeconds("warm_4shard", trace_size, threads, 1.0 / median_4,
+                       1.0 / median_4);
     json.Record("scaling_ratio_x100", 4, threads, ratio * 100.0,
                 ratio * 100.0);
-    scaling_armed = hw >= 4 && !netbone::bench::SanitizerBuild();
+    for (size_t i = 0; i < ratios.size(); ++i) {
+      json.Record("scaling_pair_ratio_x100", static_cast<int64_t>(i),
+                  threads, ratios[i] * 100.0, ratios[i] * 100.0);
+    }
+    json.Record("max_shard_share_x100", trace_size, 4, max_share * 100.0,
+                max_share * 100.0);
     if (!scaling_armed) {
       std::printf("scaling gate skipped (%u hw threads%s)\n", hw,
                   netbone::bench::SanitizerBuild() ? ", sanitizer build" : "");
@@ -537,7 +686,7 @@ int main() {
               "scaling 1->4 shards %s; rebalance (bit-identity, lineage "
               "co-location, retire) %s; per-shard warm restart %s\n",
               verdict(identity_ok),
-              scaling_armed ? verdict(scaling_ok) : "SKIPPED",
+              scaling_armed || !scaling_ok ? verdict(scaling_ok) : "SKIPPED",
               verdict(rebalance_ok), verdict(restore_ok));
   const bool ok = identity_ok && scaling_ok && rebalance_ok && restore_ok;
   return ok ? 0 : 1;

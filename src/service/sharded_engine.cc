@@ -17,6 +17,10 @@ int ShardByHash(uint64_t fingerprint, size_t num_shards) {
                           static_cast<uint64_t>(num_shards));
 }
 
+/// Source of ShardedBackboneEngine::instance_id_; 0 is never issued, so
+/// a thread's empty table cache matches no engine.
+std::atomic<uint64_t> next_instance_id{1};
+
 /// An even split of a global byte budget (<= 0 stays "unlimited").
 int64_t SplitBudget(int64_t total, int num_shards) {
   if (total <= 0) return total;
@@ -26,7 +30,9 @@ int64_t SplitBudget(int64_t total, int num_shards) {
 }  // namespace
 
 ShardedBackboneEngine::ShardedBackboneEngine(const Options& options)
-    : options_(options), routing_(std::make_shared<const RoutingTable>()) {
+    : options_(options),
+      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)),
+      routing_(std::make_shared<const RoutingTable>()) {
   const int num_shards = std::max(1, options.num_shards);
   // Split the global figures N ways: each shard prices its own residency
   // against its slice of the budget and fans its scorings out over its
@@ -94,7 +100,35 @@ void ShardedBackboneEngine::SelfHealRouting() {
   }
   if (table->overrides.empty()) return;  // the fresh-boot table stands
   table->epoch = 1;
+  PublishTable(std::move(table));
+}
+
+const ShardedBackboneEngine::RoutingTable&
+ShardedBackboneEngine::CurrentTable() const {
+  // One entry per thread: a thread that alternates between engines
+  // reloads on every switch, which is correct, only slower.
+  struct Cached {
+    uint64_t instance = 0;
+    uint64_t version = 0;
+    std::shared_ptr<const RoutingTable> table;
+  };
+  thread_local Cached cached;
+  const uint64_t version = routing_version_.load(std::memory_order_acquire);
+  if (cached.instance != instance_id_ || cached.version != version) {
+    // The acquire above pairs with PublishTable's release bump, so this
+    // load returns the table of `version` or a newer one; a newer one
+    // only costs one more reload when its bump lands.
+    cached.table = routing_.load(std::memory_order_acquire);
+    cached.instance = instance_id_;
+    cached.version = version;
+  }
+  return *cached.table;
+}
+
+void ShardedBackboneEngine::PublishTable(
+    std::shared_ptr<const RoutingTable> table) {
   routing_.store(std::move(table), std::memory_order_release);
+  routing_version_.fetch_add(1, std::memory_order_release);
 }
 
 int ShardedBackboneEngine::RouteWith(const RoutingTable& table,
@@ -105,22 +139,24 @@ int ShardedBackboneEngine::RouteWith(const RoutingTable& table,
 }
 
 int ShardedBackboneEngine::ShardOf(uint64_t fingerprint) const {
-  return RouteWith(*Table(), fingerprint);
+  return RouteWith(CurrentTable(), fingerprint);
 }
 
 uint64_t ShardedBackboneEngine::RoutingEpoch() const {
-  return Table()->epoch;
+  return CurrentTable().epoch;
 }
 
 void ShardedBackboneEngine::RecordLoad(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(load_mu_);
-  if (fingerprint_load_.size() >= options_.max_tracked_fingerprints &&
-      fingerprint_load_.find(fingerprint) == fingerprint_load_.end()) {
-    // Bounded like the negative cache: overflow resets the table. The
-    // cost is one cold rebalance window, never unbounded memory.
-    fingerprint_load_.clear();
+  LoadSlot& slot = load_slots_[obs::ThreadSlot() % kLoadSlots];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (slot.counts.size() >= options_.max_tracked_fingerprints &&
+      !slot.counts.contains(fingerprint)) {
+    // Bounded like the negative cache: overflow resets this slot's
+    // table. The cost is part of one cold rebalance window, never
+    // unbounded memory.
+    slot.counts.clear();
   }
-  ++fingerprint_load_[fingerprint];
+  ++slot.counts[fingerprint];
 }
 
 uint64_t ShardedBackboneEngine::AddGraph(Graph graph) {
@@ -150,7 +186,7 @@ uint64_t ShardedBackboneEngine::AddGraphRevision(Graph graph,
       auto next = std::make_shared<RoutingTable>(*table);
       next->epoch = table->epoch + 1;
       next->overrides[child] = target;
-      routing_.store(std::move(next), std::memory_order_release);
+      PublishTable(std::move(next));
     }
   }
   return shards_[static_cast<size_t>(target)]->AddGraphRevision(
@@ -175,7 +211,7 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
   // One routing table for the whole batch: every request routes under
   // the same epoch, so a concurrent migration cannot split the batch
   // across old and new owners of one fingerprint.
-  const std::shared_ptr<const RoutingTable> table = Table();
+  const RoutingTable& table = CurrentTable();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<BackboneRequest>> sub(num_shards);
   std::vector<std::vector<size_t>> origin(num_shards);
@@ -184,7 +220,7 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     RecordLoad(requests[i].graph);
     const size_t s =
-        static_cast<size_t>(RouteWith(*table, requests[i].graph));
+        static_cast<size_t>(RouteWith(table, requests[i].graph));
     if (sub[s].empty()) ++used;
     last_used = static_cast<int>(s);
     sub[s].push_back(requests[i]);
@@ -212,7 +248,7 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
 
 std::future<std::vector<Result<BackboneResponse>>>
 ShardedBackboneEngine::Submit(std::vector<BackboneRequest> requests) {
-  const std::shared_ptr<const RoutingTable> table = Table();
+  const RoutingTable& table = CurrentTable();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<BackboneRequest>> sub(num_shards);
   std::vector<std::vector<size_t>> origin(num_shards);
@@ -221,7 +257,7 @@ ShardedBackboneEngine::Submit(std::vector<BackboneRequest> requests) {
   for (size_t i = 0; i < requests.size(); ++i) {
     RecordLoad(requests[i].graph);
     const size_t s =
-        static_cast<size_t>(RouteWith(*table, requests[i].graph));
+        static_cast<size_t>(RouteWith(table, requests[i].graph));
     if (sub[s].empty()) ++used;
     last_used = static_cast<int>(s);
     sub[s].push_back(std::move(requests[i]));
@@ -302,7 +338,7 @@ bool ShardedBackboneEngine::MigrateFamilyLocked(
       next->overrides[fingerprint] = target;
     }
   }
-  routing_.store(std::move(next), std::memory_order_release);
+  PublishTable(std::move(next));
   pending_retire_.emplace_back(
       source, std::vector<uint64_t>(family.begin(), family.end()));
   ++migrations_;
@@ -319,14 +355,20 @@ int ShardedBackboneEngine::RebalanceNow() {
   }
   pending_retire_.clear();
 
-  const int num_shards = static_cast<int>(shards_.size());
-  if (num_shards < 2) return 0;
+  // Sum the thread slots' counts. Each slot is read at one instant under
+  // its own mutex; once writers quiesce the sum is exact.
   std::unordered_map<uint64_t, int64_t> loads;
-  {
-    std::lock_guard<std::mutex> lock(load_mu_);
-    loads = fingerprint_load_;
+  int64_t total_load = 0;
+  for (LoadSlot& slot : load_slots_) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    for (const auto& [fingerprint, count] : slot.counts) {
+      loads[fingerprint] += count;
+      total_load += count;
+    }
   }
-  if (loads.empty()) return 0;
+  rebalance_load_ = total_load;
+  const int num_shards = static_cast<int>(shards_.size());
+  if (num_shards < 2 || loads.empty()) return 0;
 
   // Deterministic inputs, deterministic decisions: loads are bucketed by
   // the current route, and every pick below breaks ties by lowest shard
@@ -451,19 +493,20 @@ obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
         per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
   }
   obs::MetricsSnapshot own;
-  const std::shared_ptr<const RoutingTable> table = Table();
+  const RoutingTable& table = CurrentTable();
   own.gauges.push_back(
       {"sharded.shards", static_cast<int64_t>(shards_.size())});
   own.gauges.push_back(
-      {"sharded.routing_epoch", static_cast<int64_t>(table->epoch)});
+      {"sharded.routing_epoch", static_cast<int64_t>(table.epoch)});
   own.gauges.push_back({"sharded.routing_overrides",
-                        static_cast<int64_t>(table->overrides.size())});
+                        static_cast<int64_t>(table.overrides.size())});
   {
     std::lock_guard<std::mutex> lock(rebalance_mu_);
     own.gauges.push_back({"sharded.migrations", migrations_});
     own.gauges.push_back(
         {"sharded.migration_failures", migration_failures_});
     own.gauges.push_back({"sharded.rebalance_cycles", rebalance_cycles_});
+    own.gauges.push_back({"sharded.rebalance_load", rebalance_load_});
   }
   out.Merge(own);
   return out;

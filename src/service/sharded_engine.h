@@ -22,6 +22,21 @@
 // count: the same (upload trace, routing epoch) pair answers the same
 // shard everywhere.
 //
+// The request path writes no cache line that another thread writes.
+//   * Routing: each thread caches the table it last loaded (a
+//     thread-local shared_ptr keyed on the engine instance) and reloads
+//     it from the atomic slot only when the routing version, an atomic
+//     counter every table swap bumps, has moved. A request reads that
+//     counter and nothing else shared; loading the atomic shared_ptr
+//     itself would lock and bump the control block, one shared write per
+//     request. The swapping thread sees its own swap on its next request.
+//   * Load counts: each request bumps its fingerprint's count in its own
+//     thread slot's table (obs::ThreadSlot(), as ShardedCounter spreads
+//     its slots), under that slot's mutex — uncontended unless two
+//     running threads' slot numbers meet modulo kLoadSlots. RebalanceNow
+//     sums the slots, so its inputs are the exact per-fingerprint
+//     request counts.
+//
 // Rebalance epoch protocol. Per-fingerprint request counters feed a
 // rebalancer (periodic via Options::rebalance_interval, or on demand via
 // RebalanceNow) that migrates the hottest fingerprint *families* — the
@@ -53,6 +68,7 @@
 #ifndef NETBONE_SERVICE_SHARDED_ENGINE_H_
 #define NETBONE_SERVICE_SHARDED_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -98,9 +114,12 @@ struct ShardedBackboneEngineOptions {
   /// churns the whole keyspace.
   int max_migrations_per_cycle = 4;
 
-  /// Bound on distinct fingerprints tracked by the load counters. On
-  /// overflow the table resets (like the negative cache): the cost is
-  /// one cold rebalance window, never unbounded memory.
+  /// Bound on distinct fingerprints tracked by each thread slot's load
+  /// table, so at most ShardedBackboneEngine::kLoadSlots times this many
+  /// in all. A slot that overflows resets its own table (like the
+  /// negative cache): the cost is that slot's share of one cold
+  /// rebalance window, never unbounded memory. Below the bound the
+  /// summed counts are exact.
   size_t max_tracked_fingerprints = 65536;
 };
 
@@ -110,6 +129,9 @@ struct ShardedBackboneEngineOptions {
 class ShardedBackboneEngine {
  public:
   using Options = ShardedBackboneEngineOptions;
+
+  /// Load-count slots: one per obs::ThreadSlot() modulo this count.
+  static constexpr size_t kLoadSlots = obs::ShardedCounter::kShards;
 
   explicit ShardedBackboneEngine(const Options& options = {});
   ~ShardedBackboneEngine();
@@ -173,9 +195,10 @@ class ShardedBackboneEngine {
   /// sum, histograms merge), each shard again under "shard<i>.", and the
   /// router's own gauges `sharded.{shards, routing_epoch,
   /// routing_overrides, migrations, migration_failures,
-  /// rebalance_cycles}`. Each shard contributes one BackboneEngine::
-  /// Metrics() snapshot, so the rollup never mixes two instants of the
-  /// same cache or store.
+  /// rebalance_cycles, rebalance_load}`, the last being the request
+  /// count the latest rebalance cycle summed. Each shard contributes one
+  /// BackboneEngine::Metrics() snapshot, so the rollup never mixes two
+  /// instants of the same cache or store.
   obs::MetricsSnapshot Metrics() const;
 
   /// Direct shard access for tests and diagnostics.
@@ -192,13 +215,21 @@ class ShardedBackboneEngine {
     std::unordered_map<uint64_t, int> overrides;  // fingerprint -> shard
   };
 
+  /// Writers' view: the table in the atomic slot, owned by the caller.
   std::shared_ptr<const RoutingTable> Table() const {
     return routing_.load(std::memory_order_acquire);
   }
+  /// Readers' view: this thread's cached table, reloaded only when the
+  /// routing version moved. The reference is valid until this thread's
+  /// next CurrentTable call, so callers use it and drop it.
+  const RoutingTable& CurrentTable() const;
+  /// Swaps in a new table and bumps the routing version. Writers only:
+  /// under rebalance_mu_, or in the constructor.
+  void PublishTable(std::shared_ptr<const RoutingTable> table);
   /// Routing under a specific table (the pure function).
   int RouteWith(const RoutingTable& table, uint64_t fingerprint) const;
 
-  /// Bumps the per-fingerprint request counter (bounded table).
+  /// Bumps the fingerprint's request count in this thread's load slot.
   void RecordLoad(uint64_t fingerprint);
 
   /// Builds the boot-time override set from what each restored shard
@@ -217,10 +248,15 @@ class ShardedBackboneEngine {
   const Options options_;
   std::vector<std::unique_ptr<BackboneEngine>> shards_;
 
-  /// Readers: one atomic shared_ptr load per routed request. Writers
-  /// (revision pinning, migration, self-heal) serialize on
-  /// rebalance_mu_, copy, edit, bump the epoch, and store.
+  /// Process-unique id that keys the thread-local table cache, so an
+  /// engine built where a destroyed one lived never reads its table.
+  const uint64_t instance_id_;
+
+  /// Writers (revision pinning, migration, self-heal) serialize on
+  /// rebalance_mu_, copy, edit, bump the epoch, and PublishTable.
+  /// Readers load it only when routing_version_ has moved.
   std::atomic<std::shared_ptr<const RoutingTable>> routing_;
+  std::atomic<uint64_t> routing_version_{0};
 
   /// Serializes routing-table writers and whole rebalance cycles; also
   /// guards the pending retirement list and the migration counters.
@@ -231,12 +267,16 @@ class ShardedBackboneEngine {
   int64_t migrations_ = 0;
   int64_t migration_failures_ = 0;
   int64_t rebalance_cycles_ = 0;
+  int64_t rebalance_load_ = 0;  ///< requests the latest cycle summed
 
-  /// Per-fingerprint request counts since the last reset — the
-  /// rebalancer's only input, so rebalance decisions are a deterministic
-  /// function of the request trace.
-  mutable std::mutex load_mu_;
-  std::unordered_map<uint64_t, int64_t> fingerprint_load_;
+  /// Per-fingerprint request counts since the last reset, one table per
+  /// thread slot — summed, the rebalancer's only input, so rebalance
+  /// decisions are a deterministic function of the request trace.
+  struct alignas(64) LoadSlot {
+    std::mutex mu;
+    std::unordered_map<uint64_t, int64_t> counts;
+  };
+  std::array<LoadSlot, kLoadSlots> load_slots_;
 
   /// Periodic rebalancer (only when rebalance_interval > 0).
   std::mutex stop_mu_;

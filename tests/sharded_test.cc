@@ -2,16 +2,19 @@
 // routing determinism at any thread count, revision co-location via
 // routing overrides, batch partition/scatter order, hot-family rebalance
 // (bit-identity, lineage-delta warm paths on the target shard, grace-
-// period retirement, failure isolation), stats rollup coherence, and the
+// period retirement, failure isolation), exact load counts and prompt
+// table swaps while threads execute, stats rollup coherence, and the
 // boot-time routing self-heal over per-shard snapshots.
 
 #include "service/sharded_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -336,6 +339,111 @@ TEST(ShardedEngineTest, RebalanceIsANoOpWhenLoadIsBalanced) {
   EXPECT_EQ(Metric(engine, "sharded.migrations"), 0);
   EXPECT_EQ(engine.ShardOf(fp_a), 0);
   EXPECT_EQ(engine.ShardOf(fp_b), 1);
+}
+
+// ---------------------------------------------------------------------------
+// The request path under concurrency: per-thread load slots and the
+// per-thread routing-table cache.
+// ---------------------------------------------------------------------------
+
+TEST(ShardedEngineTest, RebalanceSeesExactLoadWhileThreadsExecute) {
+  ShardedBackboneEngineOptions options;
+  options.num_shards = 4;
+  ShardedBackboneEngine engine(options);
+  // One fingerprint per shard: moving one could never narrow a gap, so
+  // no cycle migrates and the count is all this case checks.
+  std::vector<uint64_t> fps;
+  for (int shard = 0; shard < 4; ++shard) {
+    fps.push_back(engine.AddGraph(GraphOnShard(
+        engine, shard, 120, 700u + 100u * static_cast<uint64_t>(shard))));
+  }
+
+  // More clients than load slots, so some slots are shared; all start
+  // together so shared slots see overlapping writers.
+  constexpr int kThreads =
+      static_cast<int>(ShardedBackboneEngine::kLoadSlots) + 4;
+  constexpr int kRequestsPerThread = 1000;
+  std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  std::latch start(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t]() {
+      start.arrive_and_wait();
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        const uint64_t fp = fps[static_cast<size_t>(t + i) % fps.size()];
+        if (!engine.Execute(ShareRequest(fp)).ok()) ++failures;
+      }
+    });
+  }
+  // Cycles run while the clients do; each sees a count no larger than
+  // what has been issued and no smaller than what the last cycle saw.
+  std::thread rebalancer([&]() {
+    int64_t last = 0;
+    while (!done.load()) {
+      EXPECT_EQ(engine.RebalanceNow(), 0);
+      const int64_t seen = Metric(engine, "sharded.rebalance_load");
+      EXPECT_GE(seen, last);
+      EXPECT_LE(seen, int64_t{kThreads} * kRequestsPerThread);
+      last = seen;
+    }
+  });
+  for (std::thread& client : clients) client.join();
+  done.store(true);
+  rebalancer.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.RebalanceNow(), 0);
+  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"),
+            int64_t{kThreads} * kRequestsPerThread);
+}
+
+TEST(ShardedEngineTest, WriterThreadRoutesItsRevisionOnItsNextRequest) {
+  ShardedBackboneEngineOptions options;
+  options.num_shards = 4;
+  ShardedBackboneEngine engine(options);
+
+  // One family per client thread, each child found off its base's hash
+  // shard, so routing it by a stale table would miss: the child is
+  // interned only on the pinned shard.
+  constexpr int kThreads = 4;
+  std::vector<uint64_t> bases;
+  std::vector<Graph> children;
+  for (int t = 0; t < kThreads; ++t) {
+    const Graph base =
+        IntWeightEr(120 + 10 * t, 800u + static_cast<uint64_t>(t));
+    bases.push_back(engine.AddGraph(base));
+    for (uint64_t seed = 900;; ++seed) {
+      Graph child = TransferWeight(base, 4, seed);
+      if (engine.ShardOf(GraphFingerprint(child)) !=
+          engine.ShardOf(bases.back())) {
+        children.push_back(std::move(child));
+        break;
+      }
+    }
+  }
+
+  std::vector<std::thread> clients;
+  std::vector<int> routed(kThreads, -1);
+  std::vector<int> pinned(kThreads, -2);
+  std::vector<int> served(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t]() {
+      const size_t i = static_cast<size_t>(t);
+      // Load this thread's table cache before the swap.
+      (void)engine.Execute(ShareRequest(bases[i]));
+      const uint64_t child = engine.AddGraphRevision(children[i], bases[i]);
+      served[i] = engine.Execute(ShareRequest(child)).ok() ? 1 : 0;
+      routed[i] = engine.ShardOf(child);
+      pinned[i] = engine.ShardOf(bases[i]);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const size_t i = static_cast<size_t>(t);
+    EXPECT_EQ(served[i], 1) << "thread " << t;
+    EXPECT_EQ(routed[i], pinned[i]) << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
