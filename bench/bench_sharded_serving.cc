@@ -22,7 +22,9 @@
 //     seed-searched so each family owns one hash shard. It first checks
 //     that precondition — each of the 4 shards serves exactly one family,
 //     so no shard carries more than a quarter of the trace — and fails
-//     if it does not hold. Both engines are built and warmed first, the
+//     if it does not hold. Each client replays its own seeded permutation
+//     of the trace, so clients meet on shards at random rather than each
+//     keeping to its own. Both engines are built and warmed first, the
 //     host is loaded untimed for 1.5 s, and then the engines are measured
 //     in interleaved pairs (1, 4, 1, 4, ...); every client is parked on a
 //     barrier and only the request loops are timed, in windows of at
@@ -34,7 +36,10 @@
 //     five-fingerprint trace of phases A and B would put 3 of its 5
 //     fingerprints, 60% of the requests, on one shard, capping a 4-shard
 //     speedup at 1/0.6 = 1.67x even with perfect scaling, so it is not
-//     timed;
+//     timed. Phase C then measures, ungated, a partitioned probe: four
+//     clients, each sending only its own shard's family, once straight
+//     to the 4-shard engine's shards and once through its router — what
+//     routing costs when no two clients meet on a shard;
 //   * phase D skews load onto one lineage family sharing a shard with an
 //     independent hot fingerprint, runs RebalanceNow twice (migrate,
 //     then retire), and requires: the family moved *together*, replays
@@ -47,8 +52,9 @@
 //     with scores_computed == 0 and SortsPerformed unchanged.
 //
 // Warm throughput (median req/s at 1 and 4 shards, the median ratio,
-// every pair's ratio, and the largest per-shard request share of the
-// phase C trace) lands in BENCH_sharded_serving.json.
+// every pair's ratio, the rounds taken, the largest per-shard request
+// share of the phase C trace, and the probe's req/s straight to the
+// shards and through the router) lands in BENCH_sharded_serving.json.
 
 #include <algorithm>
 #include <chrono>
@@ -179,18 +185,13 @@ nb::Graph IntWeightEr(int num_nodes, uint64_t seed) {
   return *builder.Build();
 }
 
-/// Seconds for `threads` client threads to send `iterations` warm
-/// requests each. Client t replays the trace round-robin from offset
-/// t * n / threads, so on a trace laid out one family block per shard the
-/// clients sweep the shards a fixed distance apart. Every client is
-/// started and parked on a barrier before any request, and each times
-/// only its own loop: the window runs from the first loop start to the
-/// last loop end, so thread start-up and join stay outside it. Every
-/// request is a cache hit, so this isolates router + shard lookup +
-/// response copy.
-double TimedWarmWindow(nb::ShardedBackboneEngine& engine,
-                       const std::vector<nb::BackboneRequest>& trace,
-                       int threads, int iterations) {
+/// Seconds for `threads` client threads to make `iterations` calls each
+/// of `send(t, i)` (client t, its i-th request). Every client is started
+/// and parked on a barrier before any request, and each times only its
+/// own loop: the window runs from the first loop start to the last loop
+/// end, so thread start-up and join stay outside it.
+template <typename Send>
+double TimedWindow(int threads, int iterations, const Send& send) {
   using Clock = std::chrono::steady_clock;
   std::vector<Clock::time_point> starts(static_cast<size_t>(threads));
   std::vector<Clock::time_point> ends(static_cast<size_t>(threads));
@@ -198,14 +199,9 @@ double TimedWarmWindow(nb::ShardedBackboneEngine& engine,
   std::vector<std::thread> clients;
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t]() {
-      const size_t n = trace.size();
-      size_t at = static_cast<size_t>(t) * n / static_cast<size_t>(threads);
       ready.arrive_and_wait();
       starts[static_cast<size_t>(t)] = Clock::now();
-      for (int i = 0; i < iterations; ++i) {
-        (void)engine.Execute(trace[at]);
-        at = (at + 1) % n;
-      }
+      for (int i = 0; i < iterations; ++i) send(t, i);
       ends[static_cast<size_t>(t)] = Clock::now();
     });
   }
@@ -214,6 +210,20 @@ double TimedWarmWindow(nb::ShardedBackboneEngine& engine,
              *std::max_element(ends.begin(), ends.end()) -
              *std::min_element(starts.begin(), starts.end()))
       .count();
+}
+
+/// Warm window on `engine`: client t replays its own order round-robin.
+/// Every request is a cache hit, so this isolates router + shard lookup +
+/// response copy.
+double TimedWarmWindow(
+    nb::ShardedBackboneEngine& engine,
+    const std::vector<std::vector<nb::BackboneRequest>>& orders,
+    int threads, int iterations) {
+  return TimedWindow(threads, iterations, [&](int t, int i) {
+    const std::vector<nb::BackboneRequest>& order =
+        orders[static_cast<size_t>(t)];
+    (void)engine.Execute(order[static_cast<size_t>(i) % order.size()]);
+  });
 }
 
 }  // namespace
@@ -314,8 +324,8 @@ int main() {
   // ---- Phase C: warm throughput, 1 vs 4 shards. -----------------------
   // A balanced corpus: four families, each a base plus one registered
   // revision (pinned to its base's shard), the bases seed-searched so
-  // each family owns one hash shard. The trace lays the families out one
-  // block each, so no shard carries more than a quarter of it.
+  // each family owns one hash shard, so no shard carries more than a
+  // quarter of the trace.
   {
     const unsigned hw = std::thread::hardware_concurrency();
     const int threads = static_cast<int>(std::clamp(hw, 1u, 8u));
@@ -396,26 +406,40 @@ int main() {
       }
     }
 
+    // Each client replays its own seeded permutation of the trace, so
+    // clients meet on a shard at random, as independent clients would;
+    // no client is tied to a shard.
+    std::vector<std::vector<nb::BackboneRequest>> orders(
+        static_cast<size_t>(threads), balanced);
+    for (size_t t = 0; t < orders.size(); ++t) {
+      nb::Rng(1000 + t).Shuffle(&orders[t]);
+    }
+
     // Untimed host warm-up, both engines, all clients. On the 4-core
     // reference VM, after ~30 s idle, four spinning threads run at about a
     // third of their warm rate for the first ~1.2 s of load; a window
     // taken then reads ~1.0x on every pair, both sides at the same rate.
     for (nb::Timer warmup; warmup.ElapsedSeconds() < 1.5;) {
-      (void)TimedWarmWindow(one, balanced, threads, 2048);
-      (void)TimedWarmWindow(four, balanced, threads, 2048);
+      (void)TimedWarmWindow(one, orders, threads, 2048);
+      (void)TimedWarmWindow(four, orders, threads, 2048);
     }
 
-    // Size the window on the slower side (1 shard) to at least the target.
+    // Size windows on the slower side to at least the target.
     const double target_seconds = quick ? 0.02 : 0.1;
-    int iterations = 256;
-    for (;;) {
-      const double seconds = TimedWarmWindow(one, balanced, threads,
-                                             iterations);
-      if (seconds >= target_seconds || iterations >= (1 << 22)) break;
-      iterations = static_cast<int>(std::min<double>(
-          1 << 22, std::ceil(iterations * 1.25 * target_seconds /
-                             std::max(seconds, 1e-6))));
-    }
+    const auto size_window = [target_seconds](const auto& window) {
+      int iterations = 256;
+      for (;;) {
+        const double seconds = window(iterations);
+        if (seconds >= target_seconds || iterations >= (1 << 22)) break;
+        iterations = static_cast<int>(std::min<double>(
+            1 << 22, std::ceil(iterations * 1.25 * target_seconds /
+                               std::max(seconds, 1e-6))));
+      }
+      return iterations;
+    };
+    const int iterations = size_window([&](int n) {
+      return TimedWarmWindow(one, orders, threads, n);
+    });
     const double requests_per_window =
         static_cast<double>(threads) * iterations;
 
@@ -425,14 +449,16 @@ int main() {
     const int pairs_per_round = quick ? 5 : 7;
     std::vector<double> rates_1, rates_4, ratios;
     double ratio = 0.0;
-    for (int round = 0; round < 3; ++round) {
+    int rounds = 0;
+    while (rounds < 3) {
+      ++rounds;
       for (int pair = 0; pair < pairs_per_round; ++pair) {
         const double rate_1 =
             requests_per_window /
-            TimedWarmWindow(one, balanced, threads, iterations);
+            TimedWarmWindow(one, orders, threads, iterations);
         const double rate_4 =
             requests_per_window /
-            TimedWarmWindow(four, balanced, threads, iterations);
+            TimedWarmWindow(four, orders, threads, iterations);
         rates_1.push_back(rate_1);
         rates_4.push_back(rate_4);
         ratios.push_back(rate_4 / rate_1);
@@ -448,9 +474,9 @@ int main() {
               Num(median_1, 0), Num(median_4, 0), Num(ratio, 2)});
     std::printf("per-pair ratios:");
     for (const double r : ratios) std::printf(" %.2f", r);
-    std::printf("\n%d requests per client per window; largest shard share "
-                "%.2f\n",
-                iterations, max_share);
+    std::printf("\n%d requests per client per window, %d round(s); largest "
+                "shard share %.2f\n",
+                iterations, rounds, max_share);
     const int64_t trace_size = static_cast<int64_t>(balanced.size());
     json.RecordSeconds("warm_1shard", trace_size, threads, 1.0 / median_1,
                        1.0 / median_1);
@@ -462,8 +488,54 @@ int main() {
       json.Record("scaling_pair_ratio_x100", static_cast<int64_t>(i),
                   threads, ratios[i] * 100.0, ratios[i] * 100.0);
     }
+    json.Record("scaling_rounds", trace_size, threads, rounds, rounds);
     json.Record("max_shard_share_x100", trace_size, 4, max_share * 100.0,
                 max_share * 100.0);
+
+    // Partitioned probe (measured, not gated): four clients, client s
+    // sending only its shard's family, once straight to the 4-shard
+    // engine's shard s and once through the router. The pair isolates
+    // what routing costs when clients never meet on a shard; phase C's
+    // 4-shard figure above is the router with clients that do meet.
+    std::vector<std::vector<nb::BackboneRequest>> partitioned(4);
+    for (const nb::BackboneRequest& request : balanced) {
+      partitioned[static_cast<size_t>(four.ShardOf(request.graph))]
+          .push_back(request);
+    }
+    if (one_family_per_shard) {
+      const auto direct_window = [&](int n) {
+        return TimedWindow(4, n, [&](int s, int i) {
+          const std::vector<nb::BackboneRequest>& order =
+              partitioned[static_cast<size_t>(s)];
+          (void)four.shard(s).Execute(
+              order[static_cast<size_t>(i) % order.size()]);
+        });
+      };
+      const int probe_iterations = size_window(direct_window);
+      std::vector<double> direct_rates, router_rates, shares;
+      for (int pair = 0; pair < pairs_per_round; ++pair) {
+        const double direct =
+            4.0 * probe_iterations / direct_window(probe_iterations);
+        const double routed =
+            4.0 * probe_iterations /
+            TimedWarmWindow(four, partitioned, 4, probe_iterations);
+        direct_rates.push_back(direct);
+        router_rates.push_back(routed);
+        shares.push_back(routed / direct);
+      }
+      const double direct = nb::Median(direct_rates);
+      const double routed = nb::Median(router_rates);
+      const double share = nb::Median(shares);
+      PrintRow({"\npartitioned", "clients", "shards/s", "router/s",
+                "ratio"});
+      PrintRow({"", "4", Num(direct, 0), Num(routed, 0), Num(share, 2)});
+      json.RecordSeconds("partitioned_shards", trace_size, 4, 1.0 / direct,
+                         1.0 / direct);
+      json.RecordSeconds("partitioned_router", trace_size, 4, 1.0 / routed,
+                         1.0 / routed);
+      json.Record("partitioned_router_share_x100", trace_size, 4,
+                  share * 100.0, share * 100.0);
+    }
     if (!scaling_armed) {
       std::printf("scaling gate skipped (%u hw threads%s)\n", hw,
                   netbone::bench::SanitizerBuild() ? ", sanitizer build" : "");

@@ -103,10 +103,11 @@ void ShardedBackboneEngine::SelfHealRouting() {
   PublishTable(std::move(table));
 }
 
-const ShardedBackboneEngine::RoutingTable&
+const std::shared_ptr<const ShardedBackboneEngine::RoutingTable>&
 ShardedBackboneEngine::CurrentTable() const {
   // One entry per thread: a thread that alternates between engines
-  // reloads on every switch, which is correct, only slower.
+  // reloads on every switch (dropping the other engine's table), which is
+  // correct, only slower.
   struct Cached {
     uint64_t instance = 0;
     uint64_t version = 0;
@@ -122,7 +123,7 @@ ShardedBackboneEngine::CurrentTable() const {
     cached.instance = instance_id_;
     cached.version = version;
   }
-  return *cached.table;
+  return cached.table;
 }
 
 void ShardedBackboneEngine::PublishTable(
@@ -139,24 +140,43 @@ int ShardedBackboneEngine::RouteWith(const RoutingTable& table,
 }
 
 int ShardedBackboneEngine::ShardOf(uint64_t fingerprint) const {
-  return RouteWith(CurrentTable(), fingerprint);
+  return RouteWith(*CurrentTable(), fingerprint);
 }
 
 uint64_t ShardedBackboneEngine::RoutingEpoch() const {
-  return CurrentTable().epoch;
+  return CurrentTable()->epoch;
 }
 
 void ShardedBackboneEngine::RecordLoad(uint64_t fingerprint) {
   LoadSlot& slot = load_slots_[obs::ThreadSlot() % kLoadSlots];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.counts.size() >= options_.max_tracked_fingerprints &&
-      !slot.counts.contains(fingerprint)) {
-    // Bounded like the negative cache: overflow resets this slot's
-    // table. The cost is part of one cold rebalance window, never
-    // unbounded memory.
-    slot.counts.clear();
+  {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    const auto it = slot.counts.find(fingerprint);
+    if (it != slot.counts.end()) {
+      ++it->second;  // the warm path: nothing shared is written
+      return;
+    }
+    if (tracked_entries_.fetch_add(1, std::memory_order_relaxed) <
+        options_.max_tracked_fingerprints) {
+      slot.counts.emplace(fingerprint, 1);
+      return;
+    }
+    tracked_entries_.fetch_sub(1, std::memory_order_relaxed);
   }
-  ++slot.counts[fingerprint];
+  ResetLoadSlots(fingerprint);
+}
+
+void ShardedBackboneEngine::ResetLoadSlots(uint64_t fingerprint) {
+  // Bounded like the negative cache: an overflow resets every slot
+  // together, so the bound holds on the total. Slot mutexes are taken in
+  // index order here and one at a time everywhere else.
+  std::array<std::unique_lock<std::mutex>, kLoadSlots> locks;
+  for (size_t i = 0; i < kLoadSlots; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(load_slots_[i].mu);
+  }
+  for (LoadSlot& slot : load_slots_) slot.counts.clear();
+  load_slots_[obs::ThreadSlot() % kLoadSlots].counts.emplace(fingerprint, 1);
+  tracked_entries_.store(1, std::memory_order_relaxed);
 }
 
 uint64_t ShardedBackboneEngine::AddGraph(Graph graph) {
@@ -210,8 +230,9 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
     std::span<const BackboneRequest> requests) {
   // One routing table for the whole batch: every request routes under
   // the same epoch, so a concurrent migration cannot split the batch
-  // across old and new owners of one fingerprint.
-  const RoutingTable& table = CurrentTable();
+  // across old and new owners of one fingerprint. Held by copy, so no
+  // later CurrentTable call on this thread can drop it.
+  const std::shared_ptr<const RoutingTable> table = CurrentTable();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<BackboneRequest>> sub(num_shards);
   std::vector<std::vector<size_t>> origin(num_shards);
@@ -220,7 +241,7 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     RecordLoad(requests[i].graph);
     const size_t s =
-        static_cast<size_t>(RouteWith(table, requests[i].graph));
+        static_cast<size_t>(RouteWith(*table, requests[i].graph));
     if (sub[s].empty()) ++used;
     last_used = static_cast<int>(s);
     sub[s].push_back(requests[i]);
@@ -248,7 +269,7 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
 
 std::future<std::vector<Result<BackboneResponse>>>
 ShardedBackboneEngine::Submit(std::vector<BackboneRequest> requests) {
-  const RoutingTable& table = CurrentTable();
+  const std::shared_ptr<const RoutingTable> table = CurrentTable();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<BackboneRequest>> sub(num_shards);
   std::vector<std::vector<size_t>> origin(num_shards);
@@ -257,7 +278,7 @@ ShardedBackboneEngine::Submit(std::vector<BackboneRequest> requests) {
   for (size_t i = 0; i < requests.size(); ++i) {
     RecordLoad(requests[i].graph);
     const size_t s =
-        static_cast<size_t>(RouteWith(table, requests[i].graph));
+        static_cast<size_t>(RouteWith(*table, requests[i].graph));
     if (sub[s].empty()) ++used;
     last_used = static_cast<int>(s);
     sub[s].push_back(std::move(requests[i]));
@@ -493,13 +514,13 @@ obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
         per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
   }
   obs::MetricsSnapshot own;
-  const RoutingTable& table = CurrentTable();
+  const std::shared_ptr<const RoutingTable> table = CurrentTable();
   own.gauges.push_back(
       {"sharded.shards", static_cast<int64_t>(shards_.size())});
   own.gauges.push_back(
-      {"sharded.routing_epoch", static_cast<int64_t>(table.epoch)});
+      {"sharded.routing_epoch", static_cast<int64_t>(table->epoch)});
   own.gauges.push_back({"sharded.routing_overrides",
-                        static_cast<int64_t>(table.overrides.size())});
+                        static_cast<int64_t>(table->overrides.size())});
   {
     std::lock_guard<std::mutex> lock(rebalance_mu_);
     own.gauges.push_back({"sharded.migrations", migrations_});

@@ -30,11 +30,16 @@
 //     counter and nothing else shared; loading the atomic shared_ptr
 //     itself would lock and bump the control block, one shared write per
 //     request. The swapping thread sees its own swap on its next request.
+//     The cache keeps its last table (a small immutable override map)
+//     alive until that thread next routes or exits, even past the
+//     engine's destruction.
 //   * Load counts: each request bumps its fingerprint's count in its own
 //     thread slot's table (obs::ThreadSlot(), as ShardedCounter spreads
 //     its slots), under that slot's mutex — uncontended unless two
-//     running threads' slot numbers meet modulo kLoadSlots. RebalanceNow
-//     sums the slots, so its inputs are the exact per-fingerprint
+//     running threads' slot numbers meet modulo kLoadSlots. Only the
+//     first count of a fingerprint in a slot touches the shared entry
+//     total that enforces max_tracked_fingerprints. RebalanceNow sums the
+//     slots, so below that bound its inputs are the exact per-fingerprint
 //     request counts.
 //
 // Rebalance epoch protocol. Per-fingerprint request counters feed a
@@ -114,12 +119,13 @@ struct ShardedBackboneEngineOptions {
   /// churns the whole keyspace.
   int max_migrations_per_cycle = 4;
 
-  /// Bound on distinct fingerprints tracked by each thread slot's load
-  /// table, so at most ShardedBackboneEngine::kLoadSlots times this many
-  /// in all. A slot that overflows resets its own table (like the
-  /// negative cache): the cost is that slot's share of one cold
-  /// rebalance window, never unbounded memory. Below the bound the
-  /// summed counts are exact.
+  /// Bound on the load-count entries all thread slots hold together: one
+  /// entry per (slot, fingerprint) counted, so between this many /
+  /// ShardedBackboneEngine::kLoadSlots and this many distinct
+  /// fingerprints fit. The entry that would cross it resets every slot
+  /// at once (like the negative cache): the cost is one cold rebalance
+  /// window, never unbounded memory. Below the bound the summed counts
+  /// are exact.
   size_t max_tracked_fingerprints = 65536;
 };
 
@@ -220,9 +226,12 @@ class ShardedBackboneEngine {
     return routing_.load(std::memory_order_acquire);
   }
   /// Readers' view: this thread's cached table, reloaded only when the
-  /// routing version moved. The reference is valid until this thread's
-  /// next CurrentTable call, so callers use it and drop it.
-  const RoutingTable& CurrentTable() const;
+  /// routing version moved. The returned reference points into the
+  /// thread's cache and is valid only until this thread's next
+  /// CurrentTable call on any engine: single lookups dereference it at
+  /// once, and a caller that holds the table across other calls (the
+  /// batch paths, Metrics) copies the shared_ptr — one refcount bump.
+  const std::shared_ptr<const RoutingTable>& CurrentTable() const;
   /// Swaps in a new table and bumps the routing version. Writers only:
   /// under rebalance_mu_, or in the constructor.
   void PublishTable(std::shared_ptr<const RoutingTable> table);
@@ -231,6 +240,9 @@ class ShardedBackboneEngine {
 
   /// Bumps the fingerprint's request count in this thread's load slot.
   void RecordLoad(uint64_t fingerprint);
+  /// Clears every load slot, then counts `fingerprint` once: the
+  /// overflow path of RecordLoad. Locks the slots in index order.
+  void ResetLoadSlots(uint64_t fingerprint);
 
   /// Builds the boot-time override set from what each restored shard
   /// actually holds. Constructor only, single-threaded.
@@ -270,13 +282,18 @@ class ShardedBackboneEngine {
   int64_t rebalance_load_ = 0;  ///< requests the latest cycle summed
 
   /// Per-fingerprint request counts since the last reset, one table per
-  /// thread slot — summed, the rebalancer's only input, so rebalance
-  /// decisions are a deterministic function of the request trace.
+  /// thread slot — summed, the rebalancer's only input. Below
+  /// max_tracked_fingerprints the sums are the exact counts, so rebalance
+  /// decisions are a deterministic function of the request trace; when
+  /// an overflow reset lands depends on how requests spread over slots.
   struct alignas(64) LoadSlot {
     std::mutex mu;
     std::unordered_map<uint64_t, int64_t> counts;
   };
   std::array<LoadSlot, kLoadSlots> load_slots_;
+  /// Entries across all slots; changed only under a slot's mutex (a new
+  /// entry) or under every slot's mutex (a reset).
+  alignas(64) std::atomic<size_t> tracked_entries_{0};
 
   /// Periodic rebalancer (only when rebalance_interval > 0).
   std::mutex stop_mu_;

@@ -3,8 +3,9 @@
 // routing overrides, batch partition/scatter order, hot-family rebalance
 // (bit-identity, lineage-delta warm paths on the target shard, grace-
 // period retirement, failure isolation), exact load counts and prompt
-// table swaps while threads execute, stats rollup coherence, and the
-// boot-time routing self-heal over per-shard snapshots.
+// table swaps while threads execute, the load-count bound, stats rollup
+// coherence, and the boot-time routing self-heal over per-shard
+// snapshots.
 
 #include "service/sharded_engine.h"
 
@@ -396,6 +397,45 @@ TEST(ShardedEngineTest, RebalanceSeesExactLoadWhileThreadsExecute) {
   EXPECT_EQ(engine.RebalanceNow(), 0);
   EXPECT_EQ(Metric(engine, "sharded.rebalance_load"),
             int64_t{kThreads} * kRequestsPerThread);
+}
+
+TEST(ShardedEngineTest, LoadCountOverflowResetsEverySlotTogether) {
+  ShardedBackboneEngineOptions options;
+  options.num_shards = 2;
+  options.max_tracked_fingerprints = 3;
+  ShardedBackboneEngine engine(options);
+  // A request is counted before it is routed, so the fingerprints need
+  // not be resident (these fail NotFound).
+  const auto count = [&](uint64_t fp) {
+    (void)engine.Execute(ShareRequest(fp));
+  };
+  const auto slot = [] {
+    return obs::ThreadSlot() % ShardedBackboneEngine::kLoadSlots;
+  };
+  const size_t own_slot = slot();
+  // Runs `fn` on a thread whose load slot is not this thread's.
+  const auto on_other_slot = [&](const auto& fn) {
+    for (bool ran = false; !ran;) {
+      std::thread([&]() {
+        if (slot() == own_slot) return;
+        fn();
+        ran = true;
+      }).join();
+    }
+  };
+
+  count(1);
+  count(2);
+  on_other_slot([&]() { count(3); });  // 3 entries in all, 2 in this slot
+  count(1);
+  (void)engine.RebalanceNow();
+  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"), 4);
+
+  // A 4th entry crosses the bound on the total, though this slot holds
+  // only 2: every slot resets, and this request counts once.
+  count(3);
+  (void)engine.RebalanceNow();
+  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"), 1);
 }
 
 TEST(ShardedEngineTest, WriterThreadRoutesItsRevisionOnItsNextRequest) {
