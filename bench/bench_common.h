@@ -99,7 +99,21 @@ class JsonBenchLog {
   void Record(const std::string& method, int64_t n, int threads,
               double median_ns, double min_ns, double p95_ns = NaN()) {
     records_.push_back(Entry{method, n, threads, median_ns, min_ns,
-                             p95_ns});
+                             p95_ns, nullptr});
+  }
+
+  /// Which way a figure improves.
+  enum class Better { kLower, kHigher };
+
+  /// Appends one record of a figure that is not a time — a ratio, a share
+  /// — as both its median and min, marked with the direction in which it
+  /// improves. The record carries "better": "higher" or "lower", which
+  /// bench/compare_bench_json.py honours; records without it are times,
+  /// lower is better.
+  void RecordFigure(const std::string& method, int64_t n, int threads,
+                    double value, Better better) {
+    records_.push_back(Entry{method, n, threads, value, value, NaN(),
+                             better == Better::kHigher ? "higher" : "lower"});
   }
 
   /// Seconds-flavored convenience for harnesses that time with Timer.
@@ -127,9 +141,12 @@ class JsonBenchLog {
       // p95_ns is emitted only when recorded, so older tooling that
       // expects exactly the median/min schema keeps parsing untouched
       // files byte-identically.
-      std::string p95;
+      std::string extra;
       if (e.p95_ns == e.p95_ns) {
-        p95 = ", \"p95_ns\": " + JsonNumber(e.p95_ns);
+        extra = ", \"p95_ns\": " + JsonNumber(e.p95_ns);
+      }
+      if (e.better != nullptr) {
+        extra += std::string(", \"better\": \"") + e.better + "\"";
       }
       std::fprintf(out,
                    "    {\"method\": \"%s\", \"n\": %lld, \"threads\": %d, "
@@ -137,7 +154,7 @@ class JsonBenchLog {
                    JsonEscape(e.method).c_str(),
                    static_cast<long long>(e.n), e.threads,
                    JsonNumber(e.median_ns).c_str(),
-                   JsonNumber(e.min_ns).c_str(), p95.c_str(),
+                   JsonNumber(e.min_ns).c_str(), extra.c_str(),
                    i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -152,6 +169,7 @@ class JsonBenchLog {
     double median_ns;
     double min_ns;
     double p95_ns;  ///< NaN = not recorded (field omitted from JSON)
+    const char* better;  ///< "higher"/"lower", or nullptr for a time
   };
 
   static std::string JsonNumber(double value) {

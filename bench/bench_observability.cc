@@ -257,15 +257,20 @@ int main() {
       traced_within = traced_ratio <= 1.25;
       if (metrics_within && traced_within) break;
     }
-    if (!metrics_within || !traced_within) ok = false;
+    // Wall-clock ratios gate only the production binary: sanitizer
+    // instrumentation slows the hook paths and the base path unevenly.
+    const bool ratios_armed = !netbone::bench::SanitizerBuild();
+    if (ratios_armed && (!metrics_within || !traced_within)) ok = false;
+    const auto verdict = [ratios_armed](bool within, const char* bound) {
+      const char* word = !ratios_armed ? "skipped" : within ? "PASS" : "FAIL";
+      return std::string(word) + " (" + bound + ")";
+    };
     PrintRow({"config", "per-request", "ratio", "gate"});
     PrintRow({"all off", Num(base_s * 1e6, 2) + " us", "1.000", ""});
     PrintRow({"metrics (default)", Num(metrics_s * 1e6, 2) + " us",
-              Num(metrics_ratio, 3),
-              metrics_within ? "PASS (<=1.05)" : "FAIL (<=1.05)"});
+              Num(metrics_ratio, 3), verdict(metrics_within, "<=1.05")});
     PrintRow({"metrics+trace=1", Num(traced_s * 1e6, 2) + " us",
-              Num(traced_ratio, 3),
-              traced_within ? "PASS (<=1.25)" : "FAIL (<=1.25)"});
+              Num(traced_ratio, 3), verdict(traced_within, "<=1.25")});
     json.RecordSeconds("warm_base_per_request", num_edges, 1, base_s,
                        base_s);
     json.RecordSeconds("warm_metrics_per_request", num_edges, 1, metrics_s,

@@ -234,6 +234,7 @@ int main() {
          "scaling, rebalance + per-shard warm restart");
   const bool quick = netbone::bench::QuickMode();
   netbone::bench::JsonBenchLog json("sharded_serving");
+  using Better = netbone::bench::JsonBenchLog::Better;
   // One verdict per gate group, so the summary line names the group that
   // failed; any failure still fails the process.
   bool identity_ok = true;   // phases A and B
@@ -482,15 +483,16 @@ int main() {
                        1.0 / median_1);
     json.RecordSeconds("warm_4shard", trace_size, threads, 1.0 / median_4,
                        1.0 / median_4);
-    json.Record("scaling_ratio_x100", 4, threads, ratio * 100.0,
-                ratio * 100.0);
+    json.RecordFigure("scaling_ratio_x100", 4, threads, ratio * 100.0,
+                      Better::kHigher);
     for (size_t i = 0; i < ratios.size(); ++i) {
-      json.Record("scaling_pair_ratio_x100", static_cast<int64_t>(i),
-                  threads, ratios[i] * 100.0, ratios[i] * 100.0);
+      json.RecordFigure("scaling_pair_ratio_x100", static_cast<int64_t>(i),
+                        threads, ratios[i] * 100.0, Better::kHigher);
     }
-    json.Record("scaling_rounds", trace_size, threads, rounds, rounds);
-    json.Record("max_shard_share_x100", trace_size, 4, max_share * 100.0,
-                max_share * 100.0);
+    json.RecordFigure("scaling_rounds", trace_size, threads, rounds,
+                      Better::kLower);
+    json.RecordFigure("max_shard_share_x100", trace_size, 4,
+                      max_share * 100.0, Better::kLower);
 
     // Partitioned probe (measured, not gated): four clients, client s
     // sending only its shard's family, once straight to the 4-shard
@@ -533,8 +535,8 @@ int main() {
                          1.0 / direct);
       json.RecordSeconds("partitioned_router", trace_size, 4, 1.0 / routed,
                          1.0 / routed);
-      json.Record("partitioned_router_share_x100", trace_size, 4,
-                  share * 100.0, share * 100.0);
+      json.RecordFigure("partitioned_router_share_x100", trace_size, 4,
+                        share * 100.0, Better::kHigher);
     }
     if (!scaling_armed) {
       std::printf("scaling gate skipped (%u hw threads%s)\n", hw,

@@ -12,6 +12,13 @@ percentiles — the observability bench and MetricsSnapshot::RenderJson write
 it) are additionally gated on p95 growth with the same threshold, so tail
 latency regressions are caught even when the median holds.
 
+A record may say which way it improves with ``"better": "higher"`` or
+``"lower"`` (``JsonBenchLog::RecordFigure`` writes it for ratios and
+shares). A higher-is-better record is flagged when its median *drops* by
+more than the threshold. Records without the field are times, lower is
+better. When only one snapshot declares a direction (an older snapshot
+predates the field), that declaration holds for both.
+
 Usage:
     compare_bench_json.py [--history DIR] [--threshold PCT] [OLD NEW]
 
@@ -29,9 +36,10 @@ from pathlib import Path
 def load_snapshot(directory: Path):
     """Maps (bench, method, n, threads) -> {metric: ns} for one snapshot.
 
-    The metric dict holds ``median_ns`` and, when the record exported one,
-    ``p95_ns``. Records missing identity fields or a median are skipped
-    with a warning rather than erroring: a snapshot directory may hold
+    The metric dict holds ``median_ns``, ``p95_ns`` when the record
+    exported one, and ``better`` when it declared a direction. Records
+    missing identity fields or a median are skipped with a warning
+    rather than erroring: a snapshot directory may hold
     files written by a newer harness whose records this baseline never
     had, and one malformed entry must not block the whole comparison.
     """
@@ -58,6 +66,16 @@ def load_snapshot(directory: Path):
             p95 = record.get("p95_ns")
             if p95 is not None:
                 metrics["p95_ns"] = float(p95)
+            better = record.get("better")
+            if better is not None:
+                if better not in ("higher", "lower"):
+                    print(
+                        f"  warning: ignoring unknown direction {better!r} "
+                        f"in {path.name}: {record}",
+                        file=sys.stderr,
+                    )
+                else:
+                    metrics["better"] = better
             records[(bench, method, n, threads)] = metrics
     return records
 
@@ -78,6 +96,11 @@ def pick_latest_two(history: Path):
             f"(found {len(snapshots)}); run bench/snapshot_bench.sh first"
         )
     return snapshots[-2], snapshots[-1]
+
+
+def format_value(value: float, better: str) -> str:
+    """Times as adaptive ns units; declared figures as plain numbers."""
+    return format_ns(value) if better is None else f"{value:.1f}"
 
 
 def format_ns(ns: float) -> str:
@@ -122,25 +145,33 @@ def main() -> int:
     regressions = []
     improvements = 0
     for key in sorted(old.keys() & new.keys()):
+        # The newer declaration, else the older one, else a time.
+        declared = new[key].get("better") or old[key].get("better")
+        better = declared or "lower"
         # median always; p95 only when both snapshots exported it (a
         # record gaining or losing the field is never flagged for it).
         for metric in ("median_ns", "p95_ns"):
-            old_ns = old[key].get(metric)
-            new_ns = new[key].get(metric)
-            if old_ns is None or new_ns is None or old_ns <= 0:
+            old_value = old[key].get(metric)
+            new_value = new[key].get(metric)
+            if old_value is None or new_value is None or old_value <= 0:
                 continue
-            change = 100.0 * (new_ns - old_ns) / old_ns
-            if change > args.threshold:
-                regressions.append((key, metric, old_ns, new_ns, change))
-            elif change < -args.threshold and metric == "median_ns":
+            change = 100.0 * (new_value - old_value) / old_value
+            # How much worse, in percent: growth of a lower-is-better
+            # record, a drop of a higher-is-better one.
+            worse = change if better == "lower" else -change
+            if worse > args.threshold:
+                regressions.append(
+                    (key, metric, old_value, new_value, change, declared))
+            elif worse < -args.threshold and metric == "median_ns":
                 improvements += 1
 
-    for key, metric, old_ns, new_ns, change in regressions:
+    for key, metric, old_value, new_value, change, declared in regressions:
         bench, method, n, threads = key
         print(
             f"  REGRESSION {bench}/{method} (n={n}, threads={threads}) "
-            f"{metric}: {format_ns(old_ns)} -> {format_ns(new_ns)} "
-            f"(+{change:.1f}%)"
+            f"{metric}: {format_value(old_value, declared)} -> "
+            f"{format_value(new_value, declared)} ({change:+.1f}%"
+            f"{', higher is better' if declared == 'higher' else ''})"
         )
 
     only_old = sorted(old.keys() - new.keys())

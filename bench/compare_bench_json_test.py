@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Self-test of compare_bench_json.py on two fixture snapshots.
+
+The fixtures (tests/data/compare_bench/{old,new}) hold one record of each
+kind: times that grow and fall, a higher-is-better ratio that drops (its
+direction declared only in the newer snapshot, as when a current run is
+compared with a history snapshot that predates the field), a
+higher-is-better share that rises, and a lower-is-better share that grows.
+
+Usage:
+    compare_bench_json_test.py FIXTURE_DIR
+"""
+
+import subprocess
+import sys
+import unittest
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent / "compare_bench_json.py"
+FIXTURES = None  # set from argv in main()
+
+
+def compare(old: str, new: str):
+    """Runs the comparison; returns (exit code, REGRESSION lines, stdout)."""
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(FIXTURES / old), str(FIXTURES / new)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    flagged = [line for line in result.stdout.splitlines() if "REGRESSION" in line]
+    return result.returncode, flagged, result.stdout
+
+
+def flags(lines, method: str) -> bool:
+    return any(f"fixture/{method} " in line for line in lines)
+
+
+class CompareBenchJsonTest(unittest.TestCase):
+    def test_drop_in_higher_is_better_record_is_a_regression(self):
+        code, flagged, out = compare("old", "new")
+        self.assertEqual(code, 1, out)
+        self.assertTrue(flags(flagged, "scaling_ratio_x100"), out)
+
+    def test_rise_in_higher_is_better_record_is_an_improvement(self):
+        _, flagged, out = compare("old", "new")
+        self.assertFalse(flags(flagged, "partitioned_router_share_x100"), out)
+
+    def test_times_and_lower_is_better_figures_regress_by_growing(self):
+        _, flagged, out = compare("old", "new")
+        self.assertTrue(flags(flagged, "warm_4shard"), out)
+        self.assertTrue(flags(flagged, "max_shard_share_x100"), out)
+        self.assertFalse(flags(flagged, "warm_1shard"), out)
+        self.assertIn("3 regression(s), 2 improvement(s)", out)
+
+    def test_direction_declared_by_the_older_snapshot_holds(self):
+        # Reversed: the ratio now rises, and only the older side declares
+        # it higher-is-better.
+        _, flagged, out = compare("new", "old")
+        self.assertFalse(flags(flagged, "scaling_ratio_x100"), out)
+        self.assertTrue(flags(flagged, "partitioned_router_share_x100"), out)
+        self.assertTrue(flags(flagged, "warm_1shard"), out)
+
+
+def main() -> int:
+    global FIXTURES
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    FIXTURES = Path(sys.argv[1])
+    suite = unittest.defaultTestLoader.loadTestsFromTestCase(
+        CompareBenchJsonTest)
+    return 0 if unittest.TextTestRunner(verbosity=2).run(suite).wasSuccessful() else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

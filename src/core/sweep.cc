@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "common/parallel.h"
-#include "graph/edge_columns.h"
 #include "graph/union_find.h"
 
 namespace netbone {
@@ -271,10 +270,11 @@ struct WalkResult {
 /// rank order together with the running covered-endpoint count, so callers
 /// building prefix arrays read the walk's own counters instead of
 /// re-deriving them. `stop_at_connect` enables the early exit for
-/// single-point callers. Endpoints and weights come from the graph's SoA
-/// columns (graph/edge_columns.h): the walk visits edges in rank order —
-/// random edge ids — and the dense int32/double columns touch half the
-/// bytes per probe that striding 16-byte Edge structs would. Covered
+/// single-point callers. Endpoints and weights come from the graph's
+/// edge table: the walk visits edges in rank order — random edge ids —
+/// and one 16-byte Edge holds all three fields in one cache line, where
+/// the SoA columns (graph/edge_columns.h) would cost three lines per
+/// probe, one each for src, dst and weight. Covered
 /// endpoints are byte flags counted without a branch (`covered += 1 -
 /// flag`), so the unpredictable first-touch test costs no mispredictions;
 /// a self-loop's second endpoint reads the flag its first just set and
@@ -304,7 +304,7 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
       g.known_connectivity() == Graph::Connectivity::kDisconnected;
   if (settled && stop_at_connect) return result;
 
-  const EdgeColumns& cols = g.edge_columns();
+  const std::vector<Edge>& edges = g.edges();
   const std::span<const EdgeId> ids = order.ids();
   std::vector<uint8_t> touched(static_cast<size_t>(g.num_nodes()), 0);
   int64_t covered = 0;
@@ -323,14 +323,13 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
     // target needs none and connects at its first edge.
     int64_t merges_left = result.target_nodes - 1;
     while (rank < num_edges) {
-      const size_t id = static_cast<size_t>(ids[static_cast<size_t>(rank)]);
-      const NodeId src = cols.src[id];
-      const NodeId dst = cols.dst[id];
-      cover(src);
-      cover(dst);
-      visit(rank, cols.weight[id], covered);
+      const Edge& e =
+          edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])];
+      cover(e.src);
+      cover(e.dst);
+      visit(rank, e.weight, covered);
       ++rank;
-      merges_left -= uf.Union(src, dst) ? 1 : 0;
+      merges_left -= uf.Union(e.src, e.dst) ? 1 : 0;
       if (merges_left == 0) break;
     }
     if (merges_left != 0) {
@@ -342,10 +341,10 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
     if (stop_at_connect) return result;
   }
   for (; rank < num_edges; ++rank) {
-    const size_t id = static_cast<size_t>(ids[static_cast<size_t>(rank)]);
-    cover(cols.src[id]);
-    cover(cols.dst[id]);
-    visit(rank, cols.weight[id], covered);
+    const Edge& e = edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])];
+    cover(e.src);
+    cover(e.dst);
+    visit(rank, e.weight, covered);
   }
   return result;
 }

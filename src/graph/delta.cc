@@ -1,6 +1,8 @@
 #include "graph/delta.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace netbone {
 namespace {
@@ -13,6 +15,12 @@ bool EndpointsLess(const Edge& a, const Edge& b) {
 
 bool EndpointsEqual(const Edge& a, const Edge& b) {
   return a.src == b.src && a.dst == b.dst;
+}
+
+/// Bit-pattern inequality: +0.0 and -0.0 differ, as they do to the
+/// fingerprint and to a column copied from another graph.
+bool BitsDiffer(double a, double b) {
+  return std::bit_cast<uint64_t>(a) != std::bit_cast<uint64_t>(b);
 }
 
 }  // namespace
@@ -40,7 +48,8 @@ Result<GraphDelta> ComputeGraphDelta(const Graph& base, const Graph& next) {
   if (base.has_labels()) {
     const NodeId shared = std::min(base.num_nodes(), next.num_nodes());
     for (NodeId v = 0; v < shared; ++v) {
-      if (base.LabelOf(v) != next.LabelOf(v)) {
+      if (base.labels()[static_cast<size_t>(v)] !=
+          next.labels()[static_cast<size_t>(v)]) {
         return Status::InvalidArgument(
             "label universes differ: dense ids are not comparable");
       }
@@ -50,7 +59,7 @@ Result<GraphDelta> ComputeGraphDelta(const Graph& base, const Graph& next) {
   GraphDelta delta;
   delta.base_edges = base.num_edges();
   delta.next_edges = next.num_edges();
-  delta.totals_equal = base.matrix_total() == next.matrix_total();
+  delta.totals_equal = !BitsDiffer(base.matrix_total(), next.matrix_total());
 
   // Marginal comparison is exact: a node whose incident edge multiset is
   // unchanged accumulates the same weights in the same canonical order, so
@@ -59,8 +68,8 @@ Result<GraphDelta> ComputeGraphDelta(const Graph& base, const Graph& next) {
   const NodeId shared = std::min(base.num_nodes(), next.num_nodes());
   std::vector<char> node_changed(static_cast<size_t>(next.num_nodes()), 0);
   for (NodeId v = 0; v < shared; ++v) {
-    if (base.out_strength(v) != next.out_strength(v) ||
-        base.in_strength(v) != next.in_strength(v) ||
+    if (BitsDiffer(base.out_strength(v), next.out_strength(v)) ||
+        BitsDiffer(base.in_strength(v), next.in_strength(v)) ||
         base.out_degree(v) != next.out_degree(v) ||
         base.in_degree(v) != next.in_degree(v)) {
       delta.changed_nodes.push_back(v);
@@ -89,7 +98,7 @@ Result<GraphDelta> ComputeGraphDelta(const Graph& base, const Graph& next) {
     const Edge& be = base.edge(bi);
     const Edge& ne = next.edge(ni);
     if (EndpointsEqual(be, ne)) {
-      if (be.weight != ne.weight) {
+      if (BitsDiffer(be.weight, ne.weight)) {
         delta.changed.push_back(
             EdgeWeightChange{bi, ni, be.weight, ne.weight});
       }

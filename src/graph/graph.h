@@ -179,6 +179,10 @@ class Graph {
   /// Label of `v`; falls back to the decimal id when labels are absent.
   std::string LabelOf(NodeId v) const;
 
+  /// The label table by reference: one label per node when has_labels(),
+  /// empty otherwise. For loops over many labels, which LabelOf would copy.
+  const std::vector<std::string>& labels() const { return labels_; }
+
   /// Resolves a label to a node id; NotFound when unknown. O(1) via the
   /// label index the builder hands over, so label-heavy loaders (the
   /// occupations/countries case studies) stay linear overall.

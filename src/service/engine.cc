@@ -199,16 +199,17 @@ uint64_t BackboneEngine::AddGraph(Graph graph) {
 
 uint64_t BackboneEngine::AddGraphRevision(Graph graph,
                                           uint64_t base_fingerprint) {
-  const StoredGraph stored = graphs_.Intern(std::move(graph));
-  // The delta is extracted once, at submission, over the two sorted edge
-  // tables — request-time patching then starts from precomputed
-  // difference lists. An unresolvable or incomparable base just degrades
-  // to lineage-without-delta (the request path re-diffs or falls back).
+  // The store diffs the revision against its base once, at submission,
+  // and derives the child's fingerprint from the base's — request-time
+  // patching then starts from precomputed difference lists. An
+  // unresolvable or incomparable base just degrades to lineage-without-
+  // delta (the request path re-diffs or falls back).
+  StoredRevision revision =
+      graphs_.InternRevision(std::move(graph), base_fingerprint);
+  const StoredGraph& stored = revision.stored;
   std::shared_ptr<const GraphDelta> delta;
-  Result<GraphDelta> computed =
-      graphs_.DeltaBetween(base_fingerprint, stored.fingerprint);
-  if (computed.ok()) {
-    delta = std::make_shared<const GraphDelta>(*std::move(computed));
+  if (revision.delta.ok()) {
+    delta = std::make_shared<const GraphDelta>(*std::move(revision.delta));
   }
   // RegisterLineage ignores self-edges (a revision that dedupes to its
   // base) and zero fingerprints.

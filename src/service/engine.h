@@ -346,9 +346,11 @@ class BackboneEngine {
   /// the ScoreCache. A later cold request on the new fingerprint then
   /// resolves a warm ancestor along the lineage chain and patches its
   /// artifacts instead of rescoring the world (see
-  /// BackboneEngineOptions::enable_delta_rescore). base_fingerprint == 0
-  /// — or a graph that dedupes to its own base — degrades to plain
-  /// AddGraph.
+  /// BackboneEngineOptions::enable_delta_rescore). The store diffs the
+  /// graph against a resident base once, here, and derives its
+  /// fingerprint from the base's in O(churn) (GraphStore::InternRevision).
+  /// base_fingerprint == 0 — or a graph that dedupes to its own base —
+  /// degrades to plain AddGraph.
   uint64_t AddGraphRevision(Graph graph, uint64_t base_fingerprint);
 
   /// The resident graph for a fingerprint, or nullptr.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,99 +11,120 @@
 namespace netbone {
 namespace {
 
-/// Order-dependent chaining of already-mixed words.
-class Hasher {
- public:
-  void Mix(uint64_t v) { h_ = Mix64(h_ ^ Mix64(v)); }
+// The fingerprint is a header term plus a sum, mod 2^64, of independent
+// terms: one per edge, and one per node label for labeled graphs. Each
+// term domain has its own salt, so no term can stand in for another.
+// "netbone2" names the fingerprint version; change it with the format.
+constexpr uint64_t kHeaderSalt = 0x6e6574626f6e6532ULL;
+constexpr uint64_t kEdgeSalt = 0x9ae16a3b2f90404fULL;
+constexpr uint64_t kLabeledEndsSalt = 0xc3a5c85c97cb3127ULL;
+constexpr uint64_t kNodeSalt = 0xb492b66fbe98f273ULL;
 
-  void MixDouble(double v) { Mix(std::bit_cast<uint64_t>(v)); }
+/// The counts and flags, chained: O(1) per graph.
+uint64_t HeaderTerm(const Graph& graph) {
+  uint64_t h = Mix64(kHeaderSalt ^ (graph.directed() ? 1 : 2));
+  h = Mix64(h ^ static_cast<uint64_t>(graph.num_nodes()));
+  h = Mix64(h ^ static_cast<uint64_t>(graph.num_edges()));
+  return Mix64(h ^ (graph.has_labels() ? 1 : 0));
+}
 
-  void MixString(const std::string& s) {
-    // FNV-1a over the bytes, then folded into the chain with the length
-    // so "ab","c" and "a","bc" cannot collide as sequences.
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    }
-    Mix(h);
-    Mix(static_cast<uint64_t>(s.size()));
+/// One edge: its endpoints packed into 64 bits, then its weight's bit
+/// pattern (so +0.0 and -0.0 hash apart, as the delta tells them apart).
+uint64_t EdgeTerm(uint64_t ends, double weight) {
+  return Mix64(Mix64(ends ^ kEdgeSalt) ^ std::bit_cast<uint64_t>(weight));
+}
+
+/// Dense ids are an unlabeled graph's node identity.
+uint64_t DenseEnds(const Edge& e) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(e.src)) << 32 |
+         static_cast<uint32_t>(e.dst);
+}
+
+/// FNV-1a over the bytes, with the length mixed in.
+uint64_t LabelHash(const std::string& label) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : label) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }
+  return Mix64(h ^ static_cast<uint64_t>(label.size()));
+}
 
-  uint64_t digest() const { return h_; }
+uint64_t NodeTerm(uint64_t label_hash) {
+  return Mix64(label_hash ^ kNodeSalt);
+}
 
- private:
-  uint64_t h_ = 0x6e6574626f6e6531ULL;  // "netbone1": fingerprint version
-};
+/// A labeled graph names an edge by its endpoints' label hashes, an
+/// ordered pair if directed and (min, max) if not, so interning order
+/// does not matter.
+uint64_t LabeledEnds(uint64_t src_hash, uint64_t dst_hash, bool directed) {
+  if (!directed && src_hash > dst_hash) std::swap(src_hash, dst_hash);
+  return Mix64(src_hash ^ kLabeledEndsSalt) ^ dst_hash;
+}
+
+/// The term of edge `id` of `graph`.
+uint64_t TermOf(const Graph& graph, EdgeId id, double weight) {
+  const Edge& e = graph.edge(id);
+  if (!graph.has_labels()) return EdgeTerm(DenseEnds(e), weight);
+  const std::vector<std::string>& labels = graph.labels();
+  return EdgeTerm(LabeledEnds(LabelHash(labels[static_cast<size_t>(e.src)]),
+                              LabelHash(labels[static_cast<size_t>(e.dst)]),
+                              graph.directed()),
+                  weight);
+}
+
+/// GraphFingerprint(next) from GraphFingerprint(base) and the delta
+/// ComputeGraphDelta(base, next) returned: O(churn) terms, plus, for
+/// labeled graphs, the labels of nodes past the shared prefix. The delta
+/// guarantees the two graphs agree on directedness and on every label of
+/// that prefix, so the terms it does not name are equal in both sums.
+uint64_t DeriveFingerprint(uint64_t base_fingerprint, const Graph& base,
+                           const Graph& next, const GraphDelta& delta) {
+  uint64_t fingerprint = base_fingerprint - HeaderTerm(base) + HeaderTerm(next);
+  for (const EdgeWeightChange& change : delta.changed) {
+    fingerprint += TermOf(next, change.next_id, change.next_weight) -
+                   TermOf(base, change.base_id, change.base_weight);
+  }
+  for (const EdgeId id : delta.deleted) {
+    fingerprint -= TermOf(base, id, base.edge(id).weight);
+  }
+  for (const EdgeId id : delta.inserted) {
+    fingerprint += TermOf(next, id, next.edge(id).weight);
+  }
+  if (next.has_labels()) {
+    const NodeId shared = std::min(base.num_nodes(), next.num_nodes());
+    for (NodeId v = shared; v < base.num_nodes(); ++v) {
+      fingerprint -= NodeTerm(LabelHash(base.labels()[static_cast<size_t>(v)]));
+    }
+    for (NodeId v = shared; v < next.num_nodes(); ++v) {
+      fingerprint += NodeTerm(LabelHash(next.labels()[static_cast<size_t>(v)]));
+    }
+  }
+  return fingerprint;
+}
 
 }  // namespace
 
 uint64_t GraphFingerprint(const Graph& graph) {
-  Hasher hasher;
-  hasher.Mix(graph.directed() ? 1 : 2);
-  hasher.Mix(static_cast<uint64_t>(graph.num_nodes()));
-  hasher.Mix(static_cast<uint64_t>(graph.num_edges()));
-  hasher.Mix(graph.has_labels() ? 1 : 0);
-
+  // No term depends on another, so the sum has no dependency chain: the
+  // core overlaps the mixes of neighbouring edges.
+  uint64_t sum = HeaderTerm(graph);
   if (!graph.has_labels()) {
-    // Dense ids are the nodes' identity; the canonical (src, dst)-sorted
-    // edge table is already a content-stable sequence.
-    for (const Edge& e : graph.edges()) {
-      hasher.Mix(static_cast<uint64_t>(e.src));
-      hasher.Mix(static_cast<uint64_t>(e.dst));
-      hasher.MixDouble(e.weight);
-    }
-    return hasher.digest();
+    for (const Edge& e : graph.edges()) sum += EdgeTerm(DenseEnds(e), e.weight);
+    return sum;
   }
-
-  // Labeled graphs: dense ids depend on label interning order, so hash
-  // over label-ranked ids instead. Labels are unique (the builder interns
-  // them), so the rank is a strict permutation.
-  const NodeId n = graph.num_nodes();
-  std::vector<std::string> labels(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    labels[static_cast<size_t>(v)] = graph.LabelOf(v);
+  std::vector<uint64_t> label_hash;
+  label_hash.reserve(graph.labels().size());
+  for (const std::string& label : graph.labels()) {
+    label_hash.push_back(LabelHash(label));
+    sum += NodeTerm(label_hash.back());
   }
-  std::vector<NodeId> by_label(static_cast<size_t>(n));
-  std::iota(by_label.begin(), by_label.end(), NodeId{0});
-  std::sort(by_label.begin(), by_label.end(), [&](NodeId a, NodeId b) {
-    return labels[static_cast<size_t>(a)] < labels[static_cast<size_t>(b)];
-  });
-  std::vector<NodeId> rank(static_cast<size_t>(n));
-  for (NodeId r = 0; r < n; ++r) {
-    rank[static_cast<size_t>(by_label[static_cast<size_t>(r)])] = r;
-  }
-  // The node universe, in label order (covers isolates too).
-  for (const NodeId v : by_label) {
-    hasher.MixString(labels[static_cast<size_t>(v)]);
-  }
-  // Edges remapped to label ranks, re-canonicalized and re-sorted: the
-  // same labeled network yields the same sequence whatever the interning
-  // order was. Post-dedup, (src, dst) pairs are unique, so the order is a
-  // strict total order.
-  struct RankedEdge {
-    NodeId src;
-    NodeId dst;
-    double weight;
-  };
-  std::vector<RankedEdge> ranked;
-  ranked.reserve(static_cast<size_t>(graph.num_edges()));
   for (const Edge& e : graph.edges()) {
-    NodeId src = rank[static_cast<size_t>(e.src)];
-    NodeId dst = rank[static_cast<size_t>(e.dst)];
-    if (!graph.directed() && src > dst) std::swap(src, dst);
-    ranked.push_back(RankedEdge{src, dst, e.weight});
+    sum += EdgeTerm(LabeledEnds(label_hash[static_cast<size_t>(e.src)],
+                                label_hash[static_cast<size_t>(e.dst)],
+                                graph.directed()),
+                    e.weight);
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedEdge& a, const RankedEdge& b) {
-              if (a.src != b.src) return a.src < b.src;
-              return a.dst < b.dst;
-            });
-  for (const RankedEdge& e : ranked) {
-    hasher.Mix(static_cast<uint64_t>(e.src));
-    hasher.Mix(static_cast<uint64_t>(e.dst));
-    hasher.MixDouble(e.weight);
-  }
-  return hasher.digest();
+  return sum;
 }
 
 int64_t ApproxGraphBytes(const Graph& graph) {
@@ -115,8 +135,7 @@ int64_t ApproxGraphBytes(const Graph& graph) {
   bytes += n * static_cast<int64_t>(2 * sizeof(double) +
                                     2 * sizeof(int64_t));
   if (graph.has_labels()) {
-    for (NodeId v = 0; v < n; ++v) {
-      const std::string label = graph.LabelOf(v);
+    for (const std::string& label : graph.labels()) {
       // Twice: the label vector and the label->id index both hold a copy.
       bytes += 2 * (static_cast<int64_t>(sizeof(std::string)) +
                     StringBytes(label));
@@ -166,12 +185,42 @@ StoredGraph GraphStore::Intern(Graph graph) {
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
                            &intern_ns_);
   const uint64_t fingerprint = GraphFingerprint(graph);
+  return Adopt(std::move(graph), fingerprint).first;
+}
+
+StoredRevision GraphStore::InternRevision(Graph graph,
+                                          uint64_t base_fingerprint) {
+  obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
+                           &intern_ns_);
+  // Resolve the base (refreshing its recency), then diff outside the
+  // store lock: the walk is O(E) and the handle keeps the base alive
+  // whatever the budget evicts meanwhile.
+  const std::shared_ptr<const Graph> base = Find(base_fingerprint);
+  Result<GraphDelta> delta =
+      base != nullptr ? ComputeGraphDelta(*base, graph)
+                      : Result<GraphDelta>(Status::NotFound(
+                            "base fingerprint is not resident"));
+  const uint64_t fingerprint =
+      delta.ok() ? DeriveFingerprint(base_fingerprint, *base, graph, *delta)
+                 : GraphFingerprint(graph);
+  const bool labeled = graph.has_labels();
+  auto [stored, adopted] = Adopt(std::move(graph), fingerprint);
+  // A labeled graph can dedupe to a resident copy whose labels were
+  // interned in another order: the delta must index the resident's table.
+  if (delta.ok() && !adopted && labeled) {
+    delta = ComputeGraphDelta(*base, *stored.graph);
+  }
+  return StoredRevision{std::move(stored), std::move(delta)};
+}
+
+std::pair<StoredGraph, bool> GraphStore::Adopt(Graph graph,
+                                               uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = graphs_.find(fingerprint);
   if (it != graphs_.end()) {
     ++dedup_hits_;
     TouchLocked(it->second);
-    return StoredGraph{fingerprint, it->second.graph};
+    return {StoredGraph{fingerprint, it->second.graph}, false};
   }
   auto resident = std::make_shared<const Graph>(std::move(graph));
   lru_.push_front(fingerprint);
@@ -183,7 +232,7 @@ StoredGraph GraphStore::Intern(Graph graph) {
   graphs_.emplace(fingerprint, std::move(entry));
   ++inserts_;
   TrimLocked(/*keep=*/fingerprint);
-  return StoredGraph{fingerprint, std::move(resident)};
+  return {StoredGraph{fingerprint, std::move(resident)}, true};
 }
 
 std::shared_ptr<const Graph> GraphStore::Find(uint64_t fingerprint) const {
@@ -192,22 +241,6 @@ std::shared_ptr<const Graph> GraphStore::Find(uint64_t fingerprint) const {
   if (it == graphs_.end()) return nullptr;
   TouchLocked(it->second);
   return it->second.graph;
-}
-
-Result<GraphDelta> GraphStore::DeltaBetween(uint64_t base_fingerprint,
-                                            uint64_t next_fingerprint) const {
-  // Resolve both handles first (each Find refreshes recency), then diff
-  // outside the store lock — the walk is O(E) and the handles keep the
-  // graphs alive regardless of eviction.
-  const std::shared_ptr<const Graph> base = Find(base_fingerprint);
-  if (base == nullptr) {
-    return Status::NotFound("base fingerprint is not resident");
-  }
-  const std::shared_ptr<const Graph> next = Find(next_fingerprint);
-  if (next == nullptr) {
-    return Status::NotFound("next fingerprint is not resident");
-  }
-  return ComputeGraphDelta(*base, *next);
 }
 
 bool GraphStore::Erase(uint64_t fingerprint) {

@@ -30,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"  // Mix64, the shared hash diffusion step
@@ -40,13 +41,18 @@
 
 namespace netbone {
 
-/// Stable content fingerprint over the canonical edge table: two Graphs
-/// hash equal iff they describe the same weighted network. For labeled
-/// graphs the hash is computed over label-ranked node ids, so it does not
-/// depend on the order in which labels were interned at build time (the
-/// same CSV loaded in a different row order fingerprints identically).
-/// Unlabeled graphs hash their dense-id edge table directly — dense ids
-/// are the identity of their nodes. Collisions are possible in principle
+/// Stable content fingerprint: two Graphs hash equal iff they describe
+/// the same weighted network. It is a header term (directedness, node and
+/// edge counts, whether labeled) plus a sum, mod 2^64, of independent
+/// terms, one per edge: a strong mix of the edge's endpoints and its
+/// weight's bit pattern. Unlabeled graphs name endpoints by dense id, the
+/// identity of their nodes. Labeled graphs name them by label hash (an
+/// ordered pair if directed, (min, max) if not) and add one term per node
+/// label, so the hash does not depend on the order in which labels were
+/// interned at build time (the same CSV loaded in a different row order
+/// fingerprints identically). A sum has no dependency chain, and a
+/// revision's fingerprint follows from its parent's in O(churn)
+/// (GraphStore::InternRevision). Collisions are possible in principle
 /// (64-bit) and accepted: the store treats equal fingerprints as equal
 /// content.
 uint64_t GraphFingerprint(const Graph& graph);
@@ -64,10 +70,19 @@ struct StoredGraph {
   std::shared_ptr<const Graph> graph;
 };
 
+/// What GraphStore::InternRevision hands back: the interned child, and
+/// the delta from its base, or why there is none (base not resident, or
+/// the diff refused).
+struct StoredRevision {
+  StoredGraph stored;
+  Result<GraphDelta> delta;
+};
+
 /// Thread-safe content-addressed store with optional LRU-under-byte-
-/// budget eviction. Intern() is the only way in: submitting a graph whose
-/// fingerprint is already resident returns the existing copy and drops
-/// the new one. Intern() and Find() both count as uses for recency.
+/// budget eviction. Intern() and InternRevision() are the only ways in:
+/// submitting a graph whose fingerprint is already resident returns the
+/// existing copy and drops the new one. Both, and Find(), count as uses
+/// for recency.
 class GraphStore {
  public:
   /// byte_budget <= 0 means unlimited (no eviction) — the default.
@@ -86,13 +101,15 @@ class GraphStore {
   /// or nullptr.
   std::shared_ptr<const Graph> Find(uint64_t fingerprint) const;
 
-  /// Sparse difference between two resident graphs, computed over their
-  /// canonical sorted edge tables (graph/delta.h) — the submission-time
-  /// hook for callers tracking graph revisions. NotFound when either
-  /// fingerprint is not resident; both graphs count as used (recency).
-  Result<GraphDelta> DeltaBetween(uint64_t base_fingerprint,
-                                  uint64_t next_fingerprint) const;
-
+  /// The revision road. Resolves `base_fingerprint` (refreshing its
+  /// recency), diffs `graph` against it (ComputeGraphDelta), derives the
+  /// child's fingerprint from the base's plus the O(churn) terms the delta
+  /// names, and interns under it as Intern() would. The fingerprint
+  /// always equals GraphFingerprint(graph). When the base is not resident
+  /// or the diff refuses (directedness or labels differ), it hashes in
+  /// full and returns the reason in place of the delta. The delta indexes
+  /// the base's and the resident child's edge tables.
+  StoredRevision InternRevision(Graph graph, uint64_t base_fingerprint);
   /// Drops a resident graph (outstanding shared_ptrs stay valid), pinned
   /// or not — Erase is the explicit admin override, not the budget path.
   /// Returns false when the fingerprint is unknown.
@@ -118,7 +135,9 @@ class GraphStore {
   /// `evictions`, `byte_budget`), read under a single lock acquisition so
   /// a snapshot never tears, and its operation latency histograms
   /// (intern/evict, populated only while set_metrics_timing(true)) under
-  /// `<prefix>.<name>`. Find is not
+  /// `<prefix>.<name>`. `intern_ns` times each Intern (full hash and
+  /// insert) and each InternRevision (base lookup, diff, fingerprint
+  /// derivation or full hash, insert). Find is not
   /// timed: a clock pair would cost about as much as the call, and a
   /// traced request's cache_lookup span already covers it. The caller
   /// owns unregistration via the `owner` cookie.
@@ -138,6 +157,10 @@ class GraphStore {
     std::list<uint64_t>::iterator lru_it;
   };
 
+  /// Inserts `graph` under `fingerprint`, or returns the resident copy
+  /// with it; the bool says whether `graph` was adopted. Either way the
+  /// entry becomes most-recently-used.
+  std::pair<StoredGraph, bool> Adopt(Graph graph, uint64_t fingerprint);
   /// Moves the entry to the MRU front. Precondition: mu_ held.
   void TouchLocked(Entry& entry) const;
   /// Evicts LRU-first unpinned entries until the budget holds (or only
@@ -157,7 +180,7 @@ class GraphStore {
   int64_t evictions_ = 0;
 
   std::atomic<bool> metrics_timing_{false};
-  obs::LatencyHistogram intern_ns_;  ///< Intern latency (fingerprint + insert)
+  obs::LatencyHistogram intern_ns_;  ///< Intern/InternRevision latency
   obs::LatencyHistogram evict_ns_;   ///< per-Trim latency when it evicted
 };
 

@@ -499,11 +499,25 @@ obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
   // Three views in one snapshot: the unprefixed rollup (same-name
   // metrics merge across shards — counters sum, histograms merge
   // bucket-wise, both order-independent), each shard again under its
-  // "shard<i>." namespace, and the router's own gauges.
+  // "shard<i>." namespace, and the router's own gauges. Every shard reads
+  // its `fault.<site>.*` gauges from the one process-wide injector, so
+  // they are not per-shard facts: they leave the shard views and the
+  // router emits one copy.
   std::vector<obs::MetricsSnapshot> per_shard;
   per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     per_shard.push_back(shard->Metrics());
+  }
+  obs::MetricsSnapshot own;
+  for (obs::MetricsSnapshot& snapshot : per_shard) {
+    std::vector<obs::MetricsSnapshot::Value>& gauges = snapshot.gauges;
+    const auto faults = std::stable_partition(
+        gauges.begin(), gauges.end(),
+        [](const obs::MetricsSnapshot::Value& v) {
+          return !v.name.starts_with("fault.");
+        });
+    if (own.gauges.empty()) own.gauges.assign(faults, gauges.end());
+    gauges.erase(faults, gauges.end());
   }
   obs::MetricsSnapshot out;
   for (const obs::MetricsSnapshot& snapshot : per_shard) {
@@ -513,7 +527,6 @@ obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
     out.Merge(
         per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
   }
-  obs::MetricsSnapshot own;
   const std::shared_ptr<const RoutingTable> table = CurrentTable();
   own.gauges.push_back(
       {"sharded.shards", static_cast<int64_t>(shards_.size())});

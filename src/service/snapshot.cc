@@ -31,7 +31,9 @@ namespace {
 // "netbsnap" as little-endian bytes; rejects every non-snapshot file up
 // front without guessing at sections.
 constexpr uint64_t kSnapshotMagic = 0x70616E736274656EULL;
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 2: graphs are keyed by the summed fingerprint
+// (service/graph_store.h); a version-1 file's keys are no longer valid.
+constexpr uint32_t kSnapshotVersion = 2;
 // Written as a u64; a foreign-endian reader sees the bytes reversed and
 // rejects the file as NotSupported instead of decoding garbage.
 constexpr uint64_t kEndianTag = 0x0102030405060708ULL;

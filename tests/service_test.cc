@@ -1767,24 +1767,30 @@ TEST(BackboneEngineFaultTest, DegradedHssFallsBackToSampledApproximation) {
   EXPECT_GE(Metric(engine, "engine.degraded_served"), 1);
 }
 
-TEST(GraphStoreTest, DeltaBetweenResidentGraphs) {
+TEST(GraphStoreTest, InternRevisionDiffsAgainstResidentBase) {
   GraphStore store;
   const Graph base = IntWeightGraph(17, /*num_nodes=*/60);
   const Graph next = TransferWeight(base, 3, 21);
   const StoredGraph stored_base = store.Intern(base);
-  const StoredGraph stored_next = store.Intern(next);
 
-  const Result<GraphDelta> delta =
-      store.DeltaBetween(stored_base.fingerprint, stored_next.fingerprint);
-  ASSERT_TRUE(delta.ok());
-  EXPECT_TRUE(delta->totals_equal);
-  EXPECT_EQ(delta->base_edges, base.num_edges());
+  StoredRevision revision = store.InternRevision(next, stored_base.fingerprint);
+  ASSERT_TRUE(revision.delta.ok());
+  EXPECT_TRUE(revision.delta->totals_equal);
+  EXPECT_EQ(revision.delta->base_edges, base.num_edges());
+  EXPECT_EQ(revision.stored.fingerprint, GraphFingerprint(next));
+  EXPECT_EQ(store.Find(revision.stored.fingerprint), revision.stored.graph);
   // Identity mirrors the direct computation.
   const Result<GraphDelta> direct = ComputeGraphDelta(base, next);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(delta->AffectedEdges(), direct->AffectedEdges());
+  EXPECT_EQ(revision.delta->AffectedEdges(), direct->AffectedEdges());
 
-  EXPECT_FALSE(store.DeltaBetween(stored_base.fingerprint, 12345u).ok());
+  // An unknown base: no delta, and the child is still interned under its
+  // full hash.
+  const Graph other = TransferWeight(base, 3, 22);
+  revision = store.InternRevision(other, 12345u);
+  EXPECT_EQ(revision.delta.status().code(), Status::Code::kNotFound);
+  EXPECT_EQ(revision.stored.fingerprint, GraphFingerprint(other));
+  EXPECT_NE(store.Find(revision.stored.fingerprint), nullptr);
 }
 
 }  // namespace

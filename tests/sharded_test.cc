@@ -28,6 +28,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "service/engine.h"
+#include "service/fault_injection.h"
 #include "service/graph_store.h"
 #include "metric_value.h"
 
@@ -175,6 +176,9 @@ TEST(ShardedEngineTest, RevisionIsPinnedToBaseShard) {
     current = TransferWeight(current, 4, 31u + static_cast<uint64_t>(i));
     const uint64_t child = engine.AddGraphRevision(current, parent);
     ASSERT_NE(child, parent);
+    // The router hashed the child in full to route it; the shard derived
+    // its fingerprint from the parent's. The two agree.
+    EXPECT_EQ(child, GraphFingerprint(current));
     EXPECT_EQ(engine.ShardOf(child), home);
     // The graph must actually live on that shard, not just route there.
     EXPECT_NE(engine.shard(home).FindGraph(child), nullptr);
@@ -521,6 +525,42 @@ TEST(ShardedEngineTest, MetricsRollupSumsShards) {
             static_cast<int64_t>(fps.size()) * 2);
   EXPECT_EQ(Metric(metrics, "store.graphs"),
             static_cast<int64_t>(fps.size()));
+}
+
+TEST(ShardedEngineTest, MetricsEmitProcessWideFaultGaugesOnce) {
+  // Every shard reads the one installed injector, so summing the shards'
+  // fault gauges would report N times the injector's own counts.
+  FaultInjector injector(/*seed=*/17);
+  injector.Configure(FaultSite::kScoringFailure, FaultSpec{.probability = 0.5});
+  injector.Configure(FaultSite::kCacheInsertFailure,
+                     FaultSpec{.probability = 0.25});
+  ScopedFaultInjection scope(&injector);
+
+  ShardedBackboneEngineOptions options;
+  options.num_shards = 3;
+  ShardedBackboneEngine engine(options);
+  for (int i = 0; i < 6; ++i) {
+    const uint64_t fp = engine.AddGraph(
+        IntWeightEr(110 + 10 * i, 740u + static_cast<uint64_t>(i)));
+    (void)engine.Execute(ShareRequest(fp));
+  }
+
+  const obs::MetricsSnapshot metrics = engine.Metrics();
+  ASSERT_GT(injector.draws(FaultSite::kScoringFailure), 0);
+  for (int s = 0; s < kNumFaultSites; ++s) {
+    const FaultSite site = static_cast<FaultSite>(s);
+    const std::string base = std::string("fault.") + FaultSiteName(site);
+    EXPECT_EQ(Metric(metrics, base + ".injected"), injector.injected(site))
+        << base;
+    EXPECT_EQ(Metric(metrics, base + ".draws"), injector.draws(site))
+        << base;
+  }
+  // Not a per-shard fact: no shard view repeats them.
+  for (const obs::MetricsSnapshot::Value& gauge : metrics.gauges) {
+    EXPECT_FALSE(gauge.name.starts_with("shard") &&
+                 gauge.name.find(".fault.") != std::string::npos)
+        << gauge.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
