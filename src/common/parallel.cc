@@ -196,7 +196,6 @@ void TaskScheduler::RegisterMetrics(obs::MetricRegistry& registry,
   registry.RegisterCounter(prefix + ".inline_runs", &inline_runs_, this);
   registry.RegisterGauge(
       prefix + ".workers", [this] { return int64_t{num_workers()}; }, this);
-  registry.RegisterHistogram(prefix + ".task_ns", &task_ns_, this);
 }
 
 void TaskScheduler::WorkerLoop(int worker_id) {
@@ -256,15 +255,7 @@ bool TaskScheduler::HelpOnce() {
 
 void TaskScheduler::ExecuteTask(Task* task) {
   TaskGroup* group = task->group;
-  if (task_timing_.load(std::memory_order_relaxed)) {
-    const auto start = std::chrono::steady_clock::now();
-    task->fn();
-    task_ns_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-  } else {
-    task->fn();
-  }
+  task->fn();
   tasks_executed_.Increment();
   delete task;
   // The group may be destroyed the instant a waiter observes pending == 0,

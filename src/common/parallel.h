@@ -107,14 +107,7 @@ class TaskScheduler {
   /// Deque-owning worker threads (0 for a size-1 scheduler).
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Turns on per-task latency recording into the task_ns histogram.
-  /// Off by default: the clock reads (~20ns/task) are the one piece of
-  /// scheduler instrumentation that is not free.
-  void EnableTaskTiming(bool on) {
-    task_timing_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Registers this scheduler's counters/histogram under
+  /// Registers this scheduler's counters and worker gauge under
   /// `<prefix>.<name>` using `this` as the owner cookie. Global()
   /// self-registers into MetricRegistry::Global() under "scheduler".
   /// Steals, parks and wakes are the load-balance story: high steals
@@ -182,15 +175,13 @@ class TaskScheduler {
 
   // Observability (obs/metrics.h): relaxed sharded counters — one
   // fetch_add per event on the owner's cache line, negligible next to
-  // the work being scheduled. Task timing is opt-in (two clock reads).
+  // the work being scheduled.
   obs::ShardedCounter tasks_executed_;
   obs::ShardedCounter steals_;
   obs::ShardedCounter parks_;
   obs::ShardedCounter wakes_;
   obs::ShardedCounter injected_count_;
   obs::ShardedCounter inline_runs_;
-  obs::LatencyHistogram task_ns_;
-  std::atomic<bool> task_timing_{false};
   obs::MetricRegistry* metrics_registry_ = nullptr;  // set by RegisterMetrics
 };
 

@@ -14,10 +14,11 @@ namespace netbone {
 namespace {
 
 /// Copies clean slots and collects the dirty set, then rescores the dirty
-/// ids through `score_range` (the method's batched kernel over the
-/// successor's SoA columns) with `replay_edge` regenerating the winning
-/// per-edge Status — ParallelScoreEdgeRangeSubset hands the contiguous
-/// runs that dominate real deltas (endpoint stars) to whole vector lanes.
+/// ids through `score_range` (NC/DF: the batched kernel over the
+/// successor's SoA columns; NT: NaiveThresholdRange's weight copy) with
+/// `replay_edge` regenerating the winning per-edge Status —
+/// ParallelScoreEdgeRangeSubset hands the contiguous runs that dominate
+/// real deltas (endpoint stars) to whole vector lanes.
 /// `needs_marginals` is false for the naive threshold, whose score reads
 /// only the weight — its dirty set is exactly the changed/inserted edges.
 ///
@@ -175,15 +176,13 @@ Result<std::optional<DeltaRescoreResult>> DeltaRescore(
           },
           [](EdgeId) { return Status::OK(); });
     }
-    case Method::kNaiveThreshold: {
-      const EdgeColumns& cols = next.edge_columns();
+    case Method::kNaiveThreshold:
       return PatchScores(
           base, next, delta, options, /*needs_marginals=*/false,
-          [&cols](int64_t begin, int64_t end, EdgeScore* out) {
-            return NaiveThresholdBatch(cols, begin, end, out);
+          [&next](int64_t begin, int64_t end, EdgeScore* out) {
+            return NaiveThresholdRange(next, begin, end, out);
           },
           [](EdgeId) { return Status::OK(); });
-    }
     default:
       return not_incremental;
   }

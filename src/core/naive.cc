@@ -1,20 +1,24 @@
 #include "core/naive.h"
 
-#include "core/simd_kernels.h"
-#include "graph/edge_columns.h"
-
 namespace netbone {
+
+int64_t NaiveThresholdRange(const Graph& graph, int64_t begin, int64_t end,
+                            EdgeScore* out) {
+  for (EdgeId id = begin; id < end; ++id) {
+    out[id] = EdgeScore{graph.edge(id).weight, 0.0};
+  }
+  return -1;
+}
 
 Result<ScoredEdges> NaiveThreshold(const Graph& graph,
                                    const NaiveThresholdOptions& options) {
   if (graph.num_edges() == 0) {
     return Status::FailedPrecondition("graph has no edges");
   }
-  const EdgeColumns& cols = graph.edge_columns();
   Result<std::vector<EdgeScore>> scores = ParallelScoreEdgeRanges(
       graph, options.num_threads,
-      [&cols](int64_t begin, int64_t end, EdgeScore* out) {
-        return NaiveThresholdBatch(cols, begin, end, out);
+      [&graph](int64_t begin, int64_t end, EdgeScore* out) {
+        return NaiveThresholdRange(graph, begin, end, out);
       },
       [](EdgeId) { return Status::OK(); },  // NT accepts every edge
       options.cancel);

@@ -29,6 +29,13 @@ struct NaiveThresholdOptions {
 Result<ScoredEdges> NaiveThreshold(const Graph& graph,
                                    const NaiveThresholdOptions& options = {});
 
+/// Writes out[id] = {weight, 0} for edges [begin, end), the weight copied
+/// from the edge table: the one NT scorer, shared by NaiveThreshold and
+/// DeltaRescore so the full and patched paths write the same bits. Never
+/// fails; returns -1 like the batch kernels (core/simd_kernels.h).
+int64_t NaiveThresholdRange(const Graph& graph, int64_t begin, int64_t end,
+                            EdgeScore* out);
+
 }  // namespace netbone
 
 #endif  // NETBONE_CORE_NAIVE_H_

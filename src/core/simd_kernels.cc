@@ -13,8 +13,7 @@ namespace {
 using internal_simd::KernelTable;
 
 const KernelTable kScalarTable = {&internal_simd::ScalarNcRange,
-                                  &internal_simd::ScalarDfRange,
-                                  &internal_simd::ScalarNtRange};
+                                  &internal_simd::ScalarDfRange};
 
 /// The table compiled for exactly `level`, or nullptr when the build
 /// left that ISA out.
@@ -161,16 +160,6 @@ int64_t DisparityFilterBatch(const EdgeColumns& cols,
                              int64_t end, EdgeScore* out) {
   return DisparityFilterBatchAt(ActiveSimdLevel(), cols, rule, begin, end,
                                 out);
-}
-
-int64_t NaiveThresholdBatchAt(SimdLevel level, const EdgeColumns& cols,
-                              int64_t begin, int64_t end, EdgeScore* out) {
-  return TableForExact(ClampToUsable(level))->nt(cols, begin, end, out);
-}
-
-int64_t NaiveThresholdBatch(const EdgeColumns& cols, int64_t begin,
-                            int64_t end, EdgeScore* out) {
-  return NaiveThresholdBatchAt(ActiveSimdLevel(), cols, begin, end, out);
 }
 
 }  // namespace netbone

@@ -9,8 +9,12 @@
 // wire under every caller:
 //
 //   The batched result is BIT-IDENTICAL to running the scalar per-edge
-//   oracle (NoiseCorrectedEdge / DisparityFilterEdgeScore / naive) over
-//   the same range, at every width, on every input.
+//   oracle (NoiseCorrectedEdge / DisparityFilterEdgeScore) over the same
+//   range, at every width, on every input.
+//
+// The naive threshold has no kernel: its score is the weight itself, a
+// copy straight from the edge table (NaiveThresholdRange, core/naive.h)
+// that lanes would not speed up.
 //
 // That holds because the kernels use only IEEE correctly-rounded ops
 // (+,-,*,/,sqrt) in exactly the scalar oracle's expression grouping, their
@@ -116,15 +120,6 @@ int64_t DisparityFilterBatch(const EdgeColumns& cols,
 int64_t DisparityFilterBatchAt(SimdLevel level, const EdgeColumns& cols,
                                DisparityEndpointRule rule, int64_t begin,
                                int64_t end, EdgeScore* out);
-
-/// Scores edges [begin, end) with the naive-threshold kernel (score =
-/// weight, sdev = 0) at the active level. Never fails.
-int64_t NaiveThresholdBatch(const EdgeColumns& cols, int64_t begin,
-                            int64_t end, EdgeScore* out);
-
-/// NaiveThresholdBatch at an explicit level (clamped to host support).
-int64_t NaiveThresholdBatchAt(SimdLevel level, const EdgeColumns& cols,
-                              int64_t begin, int64_t end, EdgeScore* out);
 
 }  // namespace netbone
 

@@ -239,26 +239,10 @@ int64_t VecDfRange(const EdgeColumns& cols, DisparityEndpointRule rule,
   return -1;
 }
 
-/// NT over [begin, end): score = weight, sdev = 0. Pure interleave.
-template <class T>
-int64_t VecNtRange(const EdgeColumns& cols, int64_t begin, int64_t end,
-                   EdgeScore* out) {
-  using VD = typename T::VD;
-  constexpr int64_t W = T::kWidth;
-  const VD vzero = T::Set1(0.0);
-  int64_t i = begin;
-  for (; i + W <= end; i += W) {
-    const VD w = T::Load(&cols.weight[static_cast<size_t>(i)]);
-    T::StorePairs(reinterpret_cast<double*>(out + i), w, vzero);
-  }
-  if (i < end) ScalarNtRange(cols, i, end, out);
-  return -1;
-}
-
 /// Builds one ISA's dispatch entries from its trait.
 template <class T>
 constexpr KernelTable MakeKernelTable() {
-  return KernelTable{&VecNcRange<T>, &VecDfRange<T>, &VecNtRange<T>};
+  return KernelTable{&VecNcRange<T>, &VecDfRange<T>};
 }
 
 }  // namespace netbone::internal_simd

@@ -79,22 +79,12 @@ inline int64_t ScalarDfRange(const EdgeColumns& cols,
   return -1;
 }
 
-/// Scalar NT oracle over [begin, end): score = weight, sdev = 0.
-inline int64_t ScalarNtRange(const EdgeColumns& cols, int64_t begin,
-                             int64_t end, EdgeScore* out) {
-  for (int64_t i = begin; i < end; ++i) {
-    out[i] = EdgeScore{cols.weight[static_cast<size_t>(i)], 0.0};
-  }
-  return -1;
-}
-
 /// One ISA's kernel set; the dispatcher holds one table per SimdLevel.
 struct KernelTable {
   int64_t (*nc)(const EdgeColumns&, const NcKernelConfig&, int64_t, int64_t,
                 EdgeScore*);
   int64_t (*df)(const EdgeColumns&, DisparityEndpointRule, int64_t, int64_t,
                 EdgeScore*);
-  int64_t (*nt)(const EdgeColumns&, int64_t, int64_t, EdgeScore*);
 };
 
 /// Per-ISA tables. Each lives in its own TU, compiled with that ISA's

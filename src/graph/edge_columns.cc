@@ -6,16 +6,13 @@
 namespace netbone {
 
 int64_t EdgeColumns::bytes() const {
-  return VectorBytes(src) + VectorBytes(dst) + VectorBytes(weight) +
-         VectorBytes(n_i) + VectorBytes(n_j) + VectorBytes(dm1_i) +
-         VectorBytes(dm1_j);
+  return VectorBytes(weight) + VectorBytes(n_i) + VectorBytes(n_j) +
+         VectorBytes(dm1_i) + VectorBytes(dm1_j);
 }
 
 void MaterializeEdgeColumns(const Graph& graph, EdgeColumns* columns) {
   const int64_t n = graph.num_edges();
   const size_t count = static_cast<size_t>(n);
-  columns->src.resize(count);
-  columns->dst.resize(count);
   columns->weight.resize(count);
   columns->n_i.resize(count);
   columns->n_j.resize(count);
@@ -24,8 +21,6 @@ void MaterializeEdgeColumns(const Graph& graph, EdgeColumns* columns) {
   const std::vector<Edge>& edges = graph.edges();
   for (size_t k = 0; k < count; ++k) {
     const Edge& e = edges[k];
-    columns->src[k] = e.src;
-    columns->dst[k] = e.dst;
     columns->weight[k] = e.weight;
     // Bitwise the same values the per-edge oracle reads: the gather copies
     // doubles, it never recomputes them.

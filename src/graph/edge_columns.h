@@ -3,14 +3,15 @@
 // Structure-of-arrays view of a Graph's canonical edge table, materialized
 // once per graph and cached alongside it (Graph::edge_columns()).
 //
-// The local scoring kernels (NC, DF, NT) are pure per-edge functions of
+// The local scoring kernels (NC, DF) are pure per-edge functions of
 // (n_ij, n_i., n_.j, n_..). On the canonical AoS edge table every edge
 // pays two to four *random* loads (strengths and degrees indexed by node
 // id) plus a strided 16-byte struct read. The columns below pre-gather
 // those inputs into contiguous streams, which is what lets the batched
 // SIMD kernels (core/simd_kernels.h) consume whole lanes with nothing but
-// sequential loads — and what the delta-rescore dirty-run path and the
-// sweep engine's union-find pass read instead of striding Edge structs.
+// sequential loads — and what the delta-rescore dirty-run path reads
+// instead of striding Edge structs. The naive threshold reads only the
+// weight, straight from the edge table, so it never builds these.
 //
 // Contents are a pure function of the graph, derived bit-for-bit from the
 // same arrays the scalar kernels read (out_strength / in_strength /
@@ -37,10 +38,6 @@ class Graph;
 /// Contiguous per-edge input columns, index-aligned with the canonical
 /// (src, dst)-sorted edge table: entry k describes graph.edge(k).
 struct EdgeColumns {
-  /// Endpoint node ids (the sweep engine's union-find pass reads these
-  /// instead of striding Edge structs).
-  std::vector<int32_t> src;
-  std::vector<int32_t> dst;
   /// Edge weight n_ij.
   std::vector<double> weight;
   /// Pre-gathered marginals: n_i. = out_strength(src), n_.j =
@@ -58,7 +55,7 @@ struct EdgeColumns {
   int64_t size() const { return static_cast<int64_t>(weight.size()); }
 
   /// Heap bytes held by the columns (capacity-based, matching
-  /// common/bytes.h accounting): ~48 bytes per edge when materialized.
+  /// common/bytes.h accounting): 40 bytes per edge when materialized.
   int64_t bytes() const;
 };
 

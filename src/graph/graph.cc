@@ -39,7 +39,7 @@ bool Graph::InheritEdgeFacts(const Graph& ancestor,
   if (ancestor.edge_columns_materialized()) {
     std::call_once(cache.once, [this, &from, &cache, &delta] {
       EdgeColumns& columns = cache.columns;
-      columns = from.columns;  // src, dst, dm1_i, dm1_j: same edge set
+      columns = from.columns;  // dm1_i, dm1_j: same edge set
       for (const EdgeWeightChange& change : delta.changed) {
         const size_t id = static_cast<size_t>(change.next_id);
         columns.weight[id] = edges_[id].weight;

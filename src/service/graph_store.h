@@ -41,6 +41,10 @@
 
 namespace netbone {
 
+namespace internal {
+struct SnapshotStoreAccess;
+}  // namespace internal
+
 /// Stable content fingerprint: two Graphs hash equal iff they describe
 /// the same weighted network. It is a header term (directedness, node and
 /// edge counts, whether labeled) plus a sum, mod 2^64, of independent
@@ -79,7 +83,8 @@ struct StoredRevision {
 };
 
 /// Thread-safe content-addressed store with optional LRU-under-byte-
-/// budget eviction. Intern() and InternRevision() are the only ways in:
+/// budget eviction. Intern() and InternRevision() are the only public
+/// ways in (snapshot restore has a private one that skips re-hashing):
 /// submitting a graph whose fingerprint is already resident returns the
 /// existing copy and drops the new one. Both, and Find(), count as uses
 /// for recency.
@@ -150,6 +155,12 @@ class GraphStore {
   }
 
  private:
+  // Snapshot restore has just checked a decoded graph against its stored
+  // fingerprint and interns it under that key through Adopt rather than
+  // hashing it a second time (service/snapshot.cc). Nothing else may
+  // hand the store a key.
+  friend struct internal::SnapshotStoreAccess;
+
   struct Entry {
     std::shared_ptr<const Graph> graph;
     int64_t bytes = 0;

@@ -312,6 +312,19 @@ std::string SnapshotFilePath(const std::string& snapshot_dir) {
   return snapshot_dir + "/netbone.snapshot";
 }
 
+namespace internal {
+
+struct SnapshotStoreAccess {
+  /// Interns a decoded graph under the fingerprint restore has just
+  /// checked it against, without hashing it a second time.
+  static StoredGraph Intern(GraphStore* store, Graph graph,
+                            uint64_t fingerprint) {
+    return store->Adopt(std::move(graph), fingerprint).first;
+  }
+};
+
+}  // namespace internal
+
 namespace {
 
 // Serializes the snapshot image (header + sections + footer) for `store`
@@ -460,7 +473,8 @@ Result<SnapshotRestoreReport> RestoreFromImage(
                 "graph content does not match its fingerprint");
           }
           if (resident == 1) {
-            const StoredGraph stored = store->Intern(std::move(graph));
+            const StoredGraph stored = internal::SnapshotStoreAccess::Intern(
+                store, std::move(graph), fingerprint);
             graphs.emplace(fingerprint, stored.graph);
           } else {
             graphs.emplace(fingerprint, std::make_shared<const Graph>(

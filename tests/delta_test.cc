@@ -7,7 +7,9 @@
 // sorts.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -346,6 +348,45 @@ TEST(DeltaRescoreTest, NaiveThresholdDirtiesOnlyChangedEdges) {
   ASSERT_TRUE(patched->has_value());
   // NT reads only the weight: the endpoint stars stay clean.
   EXPECT_EQ((*patched)->dirty, (std::vector<EdgeId>{0}));
+}
+
+TEST(DeltaRescoreTest, NaiveThresholdKeepsSignedZerosOnFullAndPatchedPaths) {
+  // NT's score is the weight itself, sign bit included: -0.0 passes the
+  // builder's non-negative check and must come back as -0.0 from the full
+  // sweep and from both patch shapes (weight-only and structural).
+  const Graph base = BuildGraph(
+      Directedness::kUndirected, 5,
+      {{0, 1, -0.0}, {1, 2, 4.0}, {2, 3, 0.0}, {3, 4, 4.0}});
+  const Graph reweighted = BuildGraph(
+      Directedness::kUndirected, 5,
+      {{0, 1, -0.0}, {1, 2, -0.0}, {2, 3, 0.0}, {3, 4, 4.0}});
+  const Graph grown = BuildGraph(
+      Directedness::kUndirected, 5,
+      {{0, 1, -0.0}, {0, 4, -0.0}, {1, 2, 4.0}, {2, 3, 0.0}, {3, 4, 4.0}});
+  const Result<ScoredEdges> base_scored =
+      RunMethod(Method::kNaiveThreshold, base);
+  ASSERT_TRUE(base_scored.ok());
+  EXPECT_TRUE(std::signbit(base_scored->at(0).score));
+  for (const Graph* next : {&reweighted, &grown}) {
+    const Result<GraphDelta> delta = ComputeGraphDelta(base, *next);
+    ASSERT_TRUE(delta.ok());
+    const Result<ScoredEdges> full = RunMethod(Method::kNaiveThreshold, *next);
+    ASSERT_TRUE(full.ok());
+    for (EdgeId id = 0; id < next->num_edges(); ++id) {
+      EXPECT_EQ(std::signbit(full->at(id).score),
+                std::signbit(next->edge(id).weight))
+          << "edge " << id;
+    }
+    const Result<std::optional<DeltaRescoreResult>> patched = DeltaRescore(
+        Method::kNaiveThreshold, *base_scored, *next, *delta, {});
+    ASSERT_TRUE(patched.ok());
+    ASSERT_TRUE(patched->has_value());
+    const std::vector<EdgeScore>& got = (*patched)->scores;
+    ASSERT_EQ(got.size(), full->scores().size());
+    EXPECT_EQ(std::memcmp(got.data(), full->scores().data(),
+                          got.size() * sizeof(EdgeScore)),
+              0);
+  }
 }
 
 TEST(DeltaRescoreTest, NoiseCorrectedRefusesMovedTotals) {

@@ -6,6 +6,8 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -295,17 +297,25 @@ Graph Reobserved(const Graph& g, int transfers) {
   return WithWeights(g, weights);
 }
 
+/// A double column's bit patterns: operator== would equate +0.0 and -0.0.
+std::vector<uint64_t> Bits(const std::vector<double>& column) {
+  std::vector<uint64_t> bits(column.size());
+  if (!column.empty()) {
+    std::memcpy(bits.data(), column.data(), column.size() * sizeof(double));
+  }
+  return bits;
+}
+
 void ExpectColumnsEqual(const EdgeColumns& got, const EdgeColumns& want) {
-  // Element for element and bit for bit (operator== on doubles; no NaNs
-  // in any column).
-  EXPECT_EQ(got.src, want.src);
-  EXPECT_EQ(got.dst, want.dst);
-  EXPECT_EQ(got.weight, want.weight);
-  EXPECT_EQ(got.n_i, want.n_i);
-  EXPECT_EQ(got.n_j, want.n_j);
-  EXPECT_EQ(got.dm1_i, want.dm1_i);
-  EXPECT_EQ(got.dm1_j, want.dm1_j);
+  // Element for element and bit for bit.
+  EXPECT_EQ(Bits(got.weight), Bits(want.weight));
+  EXPECT_EQ(Bits(got.n_i), Bits(want.n_i));
+  EXPECT_EQ(Bits(got.n_j), Bits(want.n_j));
+  EXPECT_EQ(Bits(got.dm1_i), Bits(want.dm1_i));
+  EXPECT_EQ(Bits(got.dm1_j), Bits(want.dm1_j));
   EXPECT_EQ(got.bytes(), want.bytes());
+  // Five 8-byte columns: weight, n_i, n_j, dm1_i, dm1_j.
+  EXPECT_EQ(got.bytes(), 40 * got.size());
 }
 
 /// Derives `child`'s columns from `ancestor` (columns built first) and
@@ -370,6 +380,24 @@ TEST(InheritEdgeFactsTest, TransferThroughSharedEndpointKeepsItsStrength) {
   EXPECT_EQ(delta->changed_nodes, (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(delta->changed.size(), 2u);
   ExpectDerivedColumnsMatch(base, child);
+}
+
+TEST(InheritEdgeFactsTest, SignedZeroWeightsDeriveBitwise) {
+  // 0.0 -> -0.0 is a change (the delta compares bit patterns), and the
+  // derived weight column must carry the sign bit the edge table holds.
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.AddEdge(0, 1, 0.0);
+  builder.AddEdge(0, 2, 2.0);
+  builder.AddEdge(1, 3, 1.0);
+  builder.AddEdge(3, 4, 0.0);
+  const Graph base = *builder.Build();
+  std::vector<double> weights = WeightsOf(base);
+  weights[static_cast<size_t>(base.FindEdge(0, 1))] = -0.0;
+  weights[static_cast<size_t>(base.FindEdge(3, 4))] = -0.0;
+  const Graph child = WithWeights(base, weights);
+  ExpectDerivedColumnsMatch(base, child);
+  EXPECT_TRUE(std::signbit(
+      child.edge_columns().weight[static_cast<size_t>(child.FindEdge(0, 1))]));
 }
 
 TEST(InheritEdgeFactsTest, StructuralDeltaDerivesNothing) {

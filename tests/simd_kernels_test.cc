@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,11 +159,6 @@ void CheckGraphAgainstScalar(const Graph& graph) {
             },
             level, begin, end, "df");
       }
-      ExpectRangeMatchesScalar(
-          [&](SimdLevel at, int64_t b, int64_t e, EdgeScore* out) {
-            return NaiveThresholdBatchAt(at, cols, b, e, out);
-          },
-          level, begin, end, "nt");
     }
   }
 }
@@ -303,29 +299,39 @@ TEST(SimdKernelsTest, FullSweepsBitIdenticalAcrossLevelsAndThreads) {
     NaiveThresholdOptions nt;
     nt.num_threads = threads;
 
-    const Result<ScoredEdges> nc_vec = NoiseCorrected(*graph, nc);
-    const Result<ScoredEdges> df_vec = DisparityFilter(*graph, df);
-    const Result<ScoredEdges> nt_vec = NaiveThreshold(*graph, nt);
-    ASSERT_TRUE(nc_vec.ok() && df_vec.ok() && nt_vec.ok());
-
-    std::vector<NoiseCorrectedDetail> details;
-    const Result<ScoredEdges> nc_detail =
-        NoiseCorrectedWithDetails(*graph, nc, &details);
-    ASSERT_TRUE(nc_detail.ok());
-    EXPECT_TRUE(BitEqual(nc_vec->scores(), nc_detail->scores()))
-        << "threads=" << threads;
-
-    ScopedSimdLevelOverride scalar(SimdLevel::kScalar);
+    std::optional<ScopedSimdLevelOverride> scalar(SimdLevel::kScalar);
     const Result<ScoredEdges> nc_ref = NoiseCorrected(*graph, nc);
     const Result<ScoredEdges> df_ref = DisparityFilter(*graph, df);
     const Result<ScoredEdges> nt_ref = NaiveThreshold(*graph, nt);
     ASSERT_TRUE(nc_ref.ok() && df_ref.ok() && nt_ref.ok());
-    EXPECT_TRUE(BitEqual(nc_vec->scores(), nc_ref->scores()))
+    scalar.reset();
+
+    // The per-edge oracle path, independent of every kernel.
+    std::vector<NoiseCorrectedDetail> details;
+    const Result<ScoredEdges> nc_detail =
+        NoiseCorrectedWithDetails(*graph, nc, &details);
+    ASSERT_TRUE(nc_detail.ok());
+    EXPECT_TRUE(BitEqual(nc_ref->scores(), nc_detail->scores()))
         << "threads=" << threads;
-    EXPECT_TRUE(BitEqual(df_vec->scores(), df_ref->scores()))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitEqual(nt_vec->scores(), nt_ref->scores()))
-        << "threads=" << threads;
+    for (EdgeId id = 0; id < graph->num_edges(); ++id) {
+      ASSERT_TRUE(BitEqual(nt_ref->at(id),
+                           EdgeScore{graph->edge(id).weight, 0.0}))
+          << "edge " << id;
+    }
+
+    for (const SimdLevel level : SupportedSimdLevels()) {
+      ScopedSimdLevelOverride forced(level);
+      const Result<ScoredEdges> nc_vec = NoiseCorrected(*graph, nc);
+      const Result<ScoredEdges> df_vec = DisparityFilter(*graph, df);
+      const Result<ScoredEdges> nt_vec = NaiveThreshold(*graph, nt);
+      ASSERT_TRUE(nc_vec.ok() && df_vec.ok() && nt_vec.ok());
+      EXPECT_TRUE(BitEqual(nc_vec->scores(), nc_ref->scores()))
+          << "threads=" << threads << " level=" << SimdLevelName(level);
+      EXPECT_TRUE(BitEqual(df_vec->scores(), df_ref->scores()))
+          << "threads=" << threads << " level=" << SimdLevelName(level);
+      EXPECT_TRUE(BitEqual(nt_vec->scores(), nt_ref->scores()))
+          << "threads=" << threads << " level=" << SimdLevelName(level);
+    }
   }
 }
 

@@ -10,12 +10,15 @@
 
 #include "service/snapshot.h"
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -527,6 +530,60 @@ TEST(SnapshotTest, SeededCorruptionFuzzNeverCrashes) {
   fs::remove_all(dir);
 }
 
+/// Re-keys the image's first section — a graph section, since every
+/// image writes its graphs first — to `key` with the given resident flag,
+/// and re-seals both of its checksums, so the key is the only fault.
+void RekeyFirstGraphSection(std::vector<unsigned char>* image, uint64_t key,
+                            uint32_t resident) {
+  constexpr size_t kFileHeaderBytes = 24;
+  constexpr size_t kSectionHeaderBytes = 32;
+  unsigned char* header = image->data() + kFileHeaderBytes;
+  uint32_t type;
+  uint64_t payload_len;
+  std::memcpy(&type, header, sizeof(type));
+  std::memcpy(&payload_len, header + 8, sizeof(payload_len));
+  ASSERT_EQ(type, 1u);  // kGraph
+  unsigned char* payload = header + kSectionHeaderBytes;
+  std::memcpy(payload, &key, sizeof(key));
+  std::memcpy(payload + 8, &resident, sizeof(resident));
+  const uint64_t payload_hash = Checksum64(payload, payload_len);
+  std::memcpy(header + 16, &payload_hash, sizeof(payload_hash));
+  const uint64_t header_hash = Checksum64(header, 24);
+  std::memcpy(header + 24, &header_hash, sizeof(header_hash));
+}
+
+TEST(SnapshotTest, GraphSectionUnderWrongKeyIsQuarantined) {
+  const std::string dir = TempPath("snapshot_wrong_key");
+  fs::create_directories(dir);
+  const uint64_t fingerprint = PopulateSnapshot(dir);
+  const std::string path = SnapshotFilePath(dir);
+  const std::vector<unsigned char> pristine = ReadBytes(path);
+  const uint64_t wrong_key = fingerprint ^ 0x9E3779B97F4A7C15ULL;
+
+  for (const uint32_t resident : {1u, 0u}) {
+    std::vector<unsigned char> image = pristine;
+    RekeyFirstGraphSection(&image, wrong_key, resident);
+    WriteBytes(path, image);
+
+    GraphStore store;
+    ScoreCache cache(0);
+    auto report = RestoreSnapshot(path, &store, &cache);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    // Every checksum holds, so only the content check can catch the key:
+    // the graph is quarantined and its three entries with it.
+    EXPECT_TRUE(report->committed) << "resident=" << resident;
+    EXPECT_EQ(report->graphs_restored, 0) << "resident=" << resident;
+    EXPECT_EQ(report->entries_restored, 0) << "resident=" << resident;
+    EXPECT_EQ(report->sections_quarantined, 4) << "resident=" << resident;
+    EXPECT_EQ(report->first_error.code(), Status::Code::kCorruption);
+    EXPECT_EQ(store.Find(fingerprint), nullptr) << "resident=" << resident;
+    EXPECT_EQ(store.Find(wrong_key), nullptr) << "resident=" << resident;
+    EXPECT_TRUE(store.ResidentGraphs().empty());
+    EXPECT_TRUE(cache.Entries().empty());
+  }
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------- engine warm restart
 
 TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
@@ -589,6 +646,63 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
     EXPECT_EQ(response->sweep, reference[i].sweep);
     EXPECT_EQ(response->connect_k, reference[i].connect_k);
   }
+  EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
+  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
+  fs::remove_all(dir);
+}
+
+TEST(WarmRestartTest, PeriodicSnapshotRestoresWarm) {
+  const std::string dir = TempPath("periodic_snapshot");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  auto graph = GenerateErdosRenyi(
+      {.num_nodes = 200, .average_degree = 3.0, .seed = 17});
+  ASSERT_TRUE(graph.ok());
+  BackboneRequest request;
+  request.method = Method::kNoiseCorrected;
+  request.kind = RequestKind::kTopShare;
+  request.share = 0.3;
+
+  BackboneResponse reference;
+  {
+    BackboneEngineOptions options;
+    options.snapshot_dir = dir;
+    options.snapshot_on_shutdown = false;  // only the timer writes
+    options.snapshot_interval = std::chrono::milliseconds(10);
+    BackboneEngine engine(options);
+    request.graph = engine.AddGraph(*graph);
+    auto response = engine.Execute(request);
+    ASSERT_TRUE(response.ok());
+    reference = *std::move(response);
+    // A write already under way may predate the entry; the second one
+    // to finish from here on began after it was cached.
+    const int64_t writes = Metric(engine, "engine.snapshot_writes");
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (Metric(engine, "engine.snapshot_writes") < writes + 2 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(Metric(engine, "engine.snapshot_writes"), writes + 2);
+    EXPECT_EQ(Metric(engine, "engine.snapshot_failures"), 0);
+  }
+  ASSERT_TRUE(fs::exists(SnapshotFilePath(dir)));
+
+  BackboneEngineOptions options;
+  options.snapshot_dir = dir;
+  options.snapshot_on_shutdown = false;
+  BackboneEngine restarted(options);
+  EXPECT_EQ(Metric(restarted, "engine.restored_graphs"), 1);
+  EXPECT_EQ(Metric(restarted, "engine.restored_entries"), 1);
+  EXPECT_EQ(Metric(restarted, "engine.quarantined_sections"), 0);
+
+  const int64_t sorts_before = ScoreOrder::SortsPerformed();
+  auto response = restarted.Execute(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->cache_hit);
+  EXPECT_EQ(response->kept, reference.kept);
+  EXPECT_EQ(response->weight_share, reference.weight_share);
   EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   fs::remove_all(dir);
