@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Records one bench snapshot: runs the smoke-labeled harnesses (quick mode)
-# with their JSON logs redirected into a timestamped directory under
-# bench/history/, so the perf trajectory accumulates across PRs and
+# Records one bench snapshot: runs the smoke- and timing-labeled harnesses
+# (quick mode) with their JSON logs redirected into a timestamped directory
+# under bench/history/, so the perf trajectory accumulates across PRs and
 # compare_bench_json.py can diff the latest two runs. Harnesses that dump
 # a metrics snapshot (METRICS_*.json — bench_observability's merged
 # registry readout, including exported latency percentiles) honour the
@@ -23,8 +23,8 @@ label=${label:-$stamp}
 history_dir="$(cd "$(dirname "$0")" && pwd)/history/$label"
 
 mkdir -p "$history_dir"
-NETBONE_BENCH_JSON_DIR="$history_dir" ctest --test-dir "$build" -L smoke \
-  --output-on-failure
+NETBONE_BENCH_JSON_DIR="$history_dir" ctest --test-dir "$build" \
+  -L 'smoke|timing' --output-on-failure
 bench_count=$(ls "$history_dir"/BENCH_*.json 2>/dev/null | wc -l)
 metrics_count=$(ls "$history_dir"/METRICS_*.json 2>/dev/null | wc -l)
 echo "recorded $bench_count bench + $metrics_count metrics JSON file(s)" \

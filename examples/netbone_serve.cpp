@@ -357,8 +357,6 @@ int main(int argc, char** argv) {
                 value("sharded.routing_epoch"));
     std::printf("%-28s %12lld\n", "routing overrides",
                 value("sharded.routing_overrides"));
-    std::printf("%-28s %12lld\n", "families migrated",
-                value("sharded.migrations"));
     for (int s = 0; s < engine.num_shards(); ++s) {
       std::printf("shard %-22d %12lld requests\n", s,
                   value("shard" + std::to_string(s) + ".engine.requests"));

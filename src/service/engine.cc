@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/parallel.h"
@@ -229,64 +228,6 @@ std::vector<uint64_t> BackboneEngine::ResidentFingerprints() const {
     fingerprints.push_back(stored.fingerprint);
   }
   return fingerprints;
-}
-
-std::vector<uint64_t> BackboneEngine::LineageFamily(
-    uint64_t fingerprint) const {
-  // Undirected reachability over the lineage records: parent edges and
-  // child edges both keep a family together (migrating a child without
-  // its warm parent would sever the delta path at the destination).
-  std::unordered_map<uint64_t, std::vector<uint64_t>> adjacency;
-  for (const auto& [child, lineage] : cache_.LineageEntries()) {
-    if (lineage.parent == 0) continue;
-    adjacency[child].push_back(lineage.parent);
-    adjacency[lineage.parent].push_back(child);
-  }
-  std::unordered_set<uint64_t> visited{fingerprint};
-  std::vector<uint64_t> frontier{fingerprint};
-  while (!frontier.empty()) {
-    const uint64_t current = frontier.back();
-    frontier.pop_back();
-    const auto it = adjacency.find(current);
-    if (it == adjacency.end()) continue;
-    for (const uint64_t next : it->second) {
-      if (visited.insert(next).second) frontier.push_back(next);
-    }
-  }
-  std::vector<uint64_t> family(visited.begin(), visited.end());
-  std::sort(family.begin(), family.end());
-  return family;
-}
-
-std::string BackboneEngine::ExportFingerprintState(
-    std::span<const uint64_t> fingerprints) const {
-  return EncodeFingerprintState(graphs_, cache_, fingerprints);
-}
-
-Result<SnapshotRestoreReport> BackboneEngine::ImportFingerprintState(
-    std::string_view blob) {
-  return DecodeFingerprintState(blob, &graphs_, &cache_);
-}
-
-int64_t BackboneEngine::RetireFingerprints(
-    std::span<const uint64_t> fingerprints) {
-  int64_t dropped = 0;
-  for (const uint64_t fingerprint : fingerprints) {
-    dropped += cache_.EraseGraphEntries(fingerprint);
-    if (graphs_.Erase(fingerprint)) ++dropped;
-  }
-  // Negative entries are keyed on the same fingerprints; drop them too so
-  // the new owner's verdicts are authoritative from the first request.
-  {
-    std::lock_guard<std::mutex> lock(score_mu_);
-    for (auto it = negative_.begin(); it != negative_.end();) {
-      const bool retired =
-          std::find(fingerprints.begin(), fingerprints.end(),
-                    it->first.graph) != fingerprints.end();
-      it = retired ? negative_.erase(it) : std::next(it);
-    }
-  }
-  return dropped;
 }
 
 void BackboneEngine::RememberFailureLocked(const ScoreKey& key,

@@ -398,43 +398,10 @@ class BackboneEngine {
   /// (the writer holds the store/cache locks only to enumerate).
   Status WriteSnapshotNow();
 
-  // -------------------------------------------------------------------------
-  // Shard-migration hooks (service/sharded_engine.h). A migration moves a
-  // fingerprint *family* — graph, cached scores, lineage records — between
-  // engines as a checksummed snapshot-format blob, so the receiving shard
-  // serves it warm (zero rescores, zero sorts) exactly as a restore would.
-  // -------------------------------------------------------------------------
-
   /// Fingerprints of graphs currently resident in this engine's store,
-  /// least-recently-used first.
+  /// least-recently-used first. ShardedBackboneEngine's boot self-heal
+  /// reads it to route each restored graph to the shard that holds it.
   std::vector<uint64_t> ResidentFingerprints() const;
-
-  /// The lineage-connected family of `fingerprint`: every fingerprint
-  /// reachable from it over the cache's lineage records (child <-> parent,
-  /// both directions), itself included; sorted ascending. Migration moves
-  /// whole families so the lineage-delta warm path keeps its ancestors on
-  /// the same shard.
-  std::vector<uint64_t> LineageFamily(uint64_t fingerprint) const;
-
-  /// Serializes the state belonging to `fingerprints` (resident graphs,
-  /// cached scores, lineage records) as an in-memory snapshot image —
-  /// the migration transport. The source keeps everything; exporting
-  /// never mutates.
-  std::string ExportFingerprintState(
-      std::span<const uint64_t> fingerprints) const;
-
-  /// Imports a blob produced by ExportFingerprintState on another shard:
-  /// graphs re-Intern, score entries re-Put (warm), lineage re-registers.
-  /// Strict — a blob that does not decode cleanly is an error and nothing
-  /// partial is kept by contract (the caller abandons the migration; the
-  /// source still has the state).
-  Result<SnapshotRestoreReport> ImportFingerprintState(std::string_view blob);
-
-  /// Drops every trace of `fingerprints` from this engine: resident
-  /// graphs, cached scores, lineage records, and negative-cache entries.
-  /// The retirement half of a migration, called after the routing swap's
-  /// grace period. Returns the number of graphs + score entries dropped.
-  int64_t RetireFingerprints(std::span<const uint64_t> fingerprints);
 
   /// One consistent snapshot of every metric the engine registered —
   /// the engine's only counter readout:

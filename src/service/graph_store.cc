@@ -158,7 +158,7 @@ void GraphStore::TouchLocked(Entry& entry) const {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-void GraphStore::TrimLocked(std::optional<uint64_t> keep) {
+void GraphStore::TrimLocked(uint64_t keep) {
   if (byte_budget_ <= 0) return;
   if (resident_bytes_ <= byte_budget_) return;
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
@@ -171,7 +171,7 @@ void GraphStore::TrimLocked(std::optional<uint64_t> keep) {
   auto it = lru_.end();
   while (resident_bytes_ > byte_budget_ && it != lru_.begin()) {
     --it;
-    if (keep.has_value() && *it == *keep) continue;
+    if (*it == keep) continue;
     const auto entry_it = graphs_.find(*it);
     if (entry_it->second.pins > 0) continue;
     resident_bytes_ -= entry_it->second.bytes;
@@ -231,7 +231,7 @@ std::pair<StoredGraph, bool> GraphStore::Adopt(Graph graph,
   resident_bytes_ += entry.bytes;
   graphs_.emplace(fingerprint, std::move(entry));
   ++inserts_;
-  TrimLocked(/*keep=*/fingerprint);
+  TrimLocked(fingerprint);
   return {StoredGraph{fingerprint, std::move(resident)}, true};
 }
 
@@ -241,16 +241,6 @@ std::shared_ptr<const Graph> GraphStore::Find(uint64_t fingerprint) const {
   if (it == graphs_.end()) return nullptr;
   TouchLocked(it->second);
   return it->second.graph;
-}
-
-bool GraphStore::Erase(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = graphs_.find(fingerprint);
-  if (it == graphs_.end()) return false;
-  resident_bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  graphs_.erase(it);
-  return true;
 }
 
 void GraphStore::Pin(uint64_t fingerprint) {
@@ -263,12 +253,6 @@ void GraphStore::Unpin(uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = graphs_.find(fingerprint);
   if (it != graphs_.end() && it->second.pins > 0) --it->second.pins;
-}
-
-void GraphStore::set_byte_budget(int64_t byte_budget) {
-  std::lock_guard<std::mutex> lock(mu_);
-  byte_budget_ = byte_budget;
-  TrimLocked();
 }
 
 std::vector<StoredGraph> GraphStore::ResidentGraphs() const {

@@ -27,7 +27,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -115,19 +114,12 @@ class GraphStore {
   /// full and returns the reason in place of the delta. The delta indexes
   /// the base's and the resident child's edge tables.
   StoredRevision InternRevision(Graph graph, uint64_t base_fingerprint);
-  /// Drops a resident graph (outstanding shared_ptrs stay valid), pinned
-  /// or not — Erase is the explicit admin override, not the budget path.
-  /// Returns false when the fingerprint is unknown.
-  bool Erase(uint64_t fingerprint);
 
   /// In-flight refcount: while a fingerprint holds pins the budget never
   /// evicts it. No-op when the fingerprint is not resident. Balance every
   /// Pin with one Unpin.
   void Pin(uint64_t fingerprint);
   void Unpin(uint64_t fingerprint);
-
-  /// Changes the budget (<= 0 = unlimited) and trims immediately.
-  void set_byte_budget(int64_t byte_budget);
 
   /// All resident graphs, least-recently-used first and without touching
   /// recency — the snapshot writer's enumeration order (restoring by
@@ -178,10 +170,10 @@ class GraphStore {
   /// pinned / kept entries remain). `keep` exempts one fingerprint — the
   /// graph Intern is in the middle of handing back. Precondition: mu_
   /// held.
-  void TrimLocked(std::optional<uint64_t> keep = std::nullopt);
+  void TrimLocked(uint64_t keep);
 
   mutable std::mutex mu_;
-  int64_t byte_budget_;
+  const int64_t byte_budget_;
   // Logically-const bookkeeping: Find() refreshes recency.
   mutable std::list<uint64_t> lru_;  // front = most recently used
   mutable std::unordered_map<uint64_t, Entry> graphs_;

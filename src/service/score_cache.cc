@@ -154,21 +154,6 @@ void ScoreCache::Put(const ScoreKey& key,
   TrimLocked();
 }
 
-void ScoreCache::set_byte_budget(int64_t byte_budget) {
-  std::lock_guard<std::mutex> lock(mu_);
-  byte_budget_ = byte_budget;
-  TrimLocked();
-}
-
-void ScoreCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  lineage_.clear();
-  lineage_bytes_ = 0;
-  bytes_ = 0;
-}
-
 std::vector<std::pair<ScoreKey, std::shared_ptr<const CachedScore>>>
 ScoreCache::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -192,32 +177,6 @@ ScoreCache::LineageEntries() const {
     entries.emplace_back(child, record);
   }
   return entries;
-}
-
-int64_t ScoreCache::EraseGraphEntries(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.graph == fingerprint) {
-      bytes_ -= it->second->bytes();
-      index_.erase(it->first);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  const auto lineage_it = lineage_.find(fingerprint);
-  if (lineage_it != lineage_.end()) {
-    const int64_t record_bytes =
-        kLineageEntryBytes + (lineage_it->second.delta != nullptr
-                                  ? lineage_it->second.delta->ApproxBytes()
-                                  : 0);
-    bytes_ -= record_bytes;
-    lineage_bytes_ -= record_bytes;
-    lineage_.erase(lineage_it);
-  }
-  return dropped;
 }
 
 void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,

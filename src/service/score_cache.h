@@ -222,22 +222,12 @@ class ScoreCache {
   /// The lineage record for `child` (parent == 0 when none).
   Lineage LineageFor(uint64_t child) const;
 
-  /// The registered base fingerprint for `child`, or 0.
-  uint64_t LineageParent(uint64_t child) const {
-    return LineageFor(child).parent;
-  }
-
   /// Inserts (or replaces) the entry as most-recently-used, then evicts
   /// least-recently-used entries until the budget holds again. The budget
   /// is strict: an entry larger than the whole budget is evicted
   /// immediately (the caller's shared_ptr keeps it usable for the
   /// in-flight request).
   void Put(const ScoreKey& key, std::shared_ptr<const CachedScore> score);
-
-  /// Changes the budget (<= 0 = unlimited) and trims immediately.
-  void set_byte_budget(int64_t byte_budget);
-
-  void Clear();
 
   /// All resident entries, least-recently-used first and without touching
   /// recency — the snapshot writer's enumeration order, chosen so a
@@ -248,13 +238,6 @@ class ScoreCache {
 
   /// All lineage records (child fingerprint + record), unordered.
   std::vector<std::pair<uint64_t, Lineage>> LineageEntries() const;
-
-  /// Drops every score entry keyed on `fingerprint` plus its lineage
-  /// record, adjusting the byte accounting (not counted as evictions —
-  /// this is shard-migration retirement, not budget pressure). Entries
-  /// still referenced elsewhere stay valid through their shared_ptrs.
-  /// Returns the number of score entries dropped.
-  int64_t EraseGraphEntries(uint64_t fingerprint);
 
   /// Registers this cache's counters and occupancy as one gauge group
   /// (`hits`, `misses`, `evictions`, `entries`, `lineage_entries`,
@@ -291,7 +274,7 @@ class ScoreCache {
       std::list<std::pair<ScoreKey, std::shared_ptr<const CachedScore>>>;
 
   mutable std::mutex mu_;
-  int64_t byte_budget_;
+  const int64_t byte_budget_;
   int64_t bytes_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

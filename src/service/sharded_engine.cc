@@ -30,8 +30,7 @@ int64_t SplitBudget(int64_t total, int num_shards) {
 }  // namespace
 
 ShardedBackboneEngine::ShardedBackboneEngine(const Options& options)
-    : options_(options),
-      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)),
+    : instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)),
       routing_(std::make_shared<const RoutingTable>()) {
   const int num_shards = std::max(1, options.num_shards);
   // Split the global figures N ways: each shard prices its own residency
@@ -53,30 +52,14 @@ ShardedBackboneEngine::ShardedBackboneEngine(const Options& options)
     shards_.push_back(std::make_unique<BackboneEngine>(shard_options));
   }
   SelfHealRouting();
-  if (options_.rebalance_interval.count() > 0) {
-    rebalancer_ = std::thread([this] { RebalancerLoop(); });
-  }
-}
-
-ShardedBackboneEngine::~ShardedBackboneEngine() {
-  if (rebalancer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(stop_mu_);
-      shutdown_ = true;
-    }
-    stop_cv_.notify_all();
-    rebalancer_.join();
-  }
-  // Shards destruct next (each drains its dispatcher and writes its own
-  // shutdown snapshot into its subdirectory).
 }
 
 void ShardedBackboneEngine::SelfHealRouting() {
   // What each restored shard actually holds decides the boot routing:
-  // a fingerprint resident off its hash shard was migrated there before
-  // the restart, and an override keeps it warm. The hash owner wins when
-  // two shards hold a copy (no override needed); otherwise the lowest
-  // holding shard index does.
+  // a fingerprint resident off its hash shard is a revision pinned to its
+  // base's shard before the restart, and an override keeps it warm. The
+  // hash owner wins when two shards hold a copy (no override needed);
+  // otherwise the lowest holding shard index does.
   const size_t num_shards = shards_.size();
   std::vector<std::vector<uint64_t>> resident(num_shards);
   std::unordered_set<uint64_t> hash_owned;
@@ -99,7 +82,6 @@ void ShardedBackboneEngine::SelfHealRouting() {
     }
   }
   if (table->overrides.empty()) return;  // the fresh-boot table stands
-  table->epoch = 1;
   PublishTable(std::move(table));
 }
 
@@ -144,39 +126,7 @@ int ShardedBackboneEngine::ShardOf(uint64_t fingerprint) const {
 }
 
 uint64_t ShardedBackboneEngine::RoutingEpoch() const {
-  return CurrentTable()->epoch;
-}
-
-void ShardedBackboneEngine::RecordLoad(uint64_t fingerprint) {
-  LoadSlot& slot = load_slots_[obs::ThreadSlot() % kLoadSlots];
-  {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    const auto it = slot.counts.find(fingerprint);
-    if (it != slot.counts.end()) {
-      ++it->second;  // the warm path: nothing shared is written
-      return;
-    }
-    if (tracked_entries_.fetch_add(1, std::memory_order_relaxed) <
-        options_.max_tracked_fingerprints) {
-      slot.counts.emplace(fingerprint, 1);
-      return;
-    }
-    tracked_entries_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  ResetLoadSlots(fingerprint);
-}
-
-void ShardedBackboneEngine::ResetLoadSlots(uint64_t fingerprint) {
-  // Bounded like the negative cache: an overflow resets every slot
-  // together, so the bound holds on the total. Slot mutexes are taken in
-  // index order here and one at a time everywhere else.
-  std::array<std::unique_lock<std::mutex>, kLoadSlots> locks;
-  for (size_t i = 0; i < kLoadSlots; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(load_slots_[i].mu);
-  }
-  for (LoadSlot& slot : load_slots_) slot.counts.clear();
-  load_slots_[obs::ThreadSlot() % kLoadSlots].counts.emplace(fingerprint, 1);
-  tracked_entries_.store(1, std::memory_order_relaxed);
+  return routing_version_.load(std::memory_order_acquire);
 }
 
 uint64_t ShardedBackboneEngine::AddGraph(Graph graph) {
@@ -199,12 +149,11 @@ uint64_t ShardedBackboneEngine::AddGraphRevision(Graph graph,
     // installed *before* the intern — a concurrent request on the child
     // either routes to the target (and coalesces there) or NotFounds,
     // never scores on a shard the family does not live on.
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
+    std::lock_guard<std::mutex> lock(routing_mu_);
     const std::shared_ptr<const RoutingTable> table = Table();
     target = RouteWith(*table, base_fingerprint);
     if (RouteWith(*table, child) != target) {
       auto next = std::make_shared<RoutingTable>(*table);
-      next->epoch = table->epoch + 1;
       next->overrides[child] = target;
       PublishTable(std::move(next));
     }
@@ -221,7 +170,6 @@ std::shared_ptr<const Graph> ShardedBackboneEngine::FindGraph(
 
 Result<BackboneResponse> ShardedBackboneEngine::Execute(
     const BackboneRequest& request) {
-  RecordLoad(request.graph);
   return shards_[static_cast<size_t>(ShardOf(request.graph))]->Execute(
       request);
 }
@@ -229,9 +177,8 @@ Result<BackboneResponse> ShardedBackboneEngine::Execute(
 std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
     std::span<const BackboneRequest> requests) {
   // One routing table for the whole batch: every request routes under
-  // the same epoch, so a concurrent migration cannot split the batch
-  // across old and new owners of one fingerprint. Held by copy, so no
-  // later CurrentTable call on this thread can drop it.
+  // the same epoch. Held by copy, so no later CurrentTable call on this
+  // thread can drop it.
   const std::shared_ptr<const RoutingTable> table = CurrentTable();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<BackboneRequest>> sub(num_shards);
@@ -239,7 +186,6 @@ std::vector<Result<BackboneResponse>> ShardedBackboneEngine::ExecuteBatch(
   int used = 0;
   int last_used = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
-    RecordLoad(requests[i].graph);
     const size_t s =
         static_cast<size_t>(RouteWith(*table, requests[i].graph));
     if (sub[s].empty()) ++used;
@@ -276,7 +222,6 @@ ShardedBackboneEngine::Submit(std::vector<BackboneRequest> requests) {
   int used = 0;
   int last_used = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
-    RecordLoad(requests[i].graph);
     const size_t s =
         static_cast<size_t>(RouteWith(*table, requests[i].graph));
     if (sub[s].empty()) ++used;
@@ -333,168 +278,6 @@ Status ShardedBackboneEngine::WriteSnapshotNow() {
   return first;
 }
 
-bool ShardedBackboneEngine::MigrateFamilyLocked(
-    std::span<const uint64_t> family, int source, int target) {
-  // Export -> import -> swap. The source keeps everything until the
-  // retirement one cycle later, so a request routed under the old table
-  // an instant before the swap still finds its state.
-  const std::string blob =
-      shards_[static_cast<size_t>(source)]->ExportFingerprintState(family);
-  Result<SnapshotRestoreReport> imported =
-      shards_[static_cast<size_t>(target)]->ImportFingerprintState(blob);
-  if (!imported.ok()) {
-    // Abandoned: routing untouched, the source still serves the family.
-    // (The target may hold a partial import; it is unreachable by
-    // routing and its bytes age out of the target's LRU budgets.)
-    ++migration_failures_;
-    return false;
-  }
-  const std::shared_ptr<const RoutingTable> table = Table();
-  auto next = std::make_shared<RoutingTable>(*table);
-  next->epoch = table->epoch + 1;
-  for (const uint64_t fingerprint : family) {
-    if (ShardByHash(fingerprint, shards_.size()) == target) {
-      next->overrides.erase(fingerprint);  // home again: hash suffices
-    } else {
-      next->overrides[fingerprint] = target;
-    }
-  }
-  PublishTable(std::move(next));
-  pending_retire_.emplace_back(
-      source, std::vector<uint64_t>(family.begin(), family.end()));
-  ++migrations_;
-  return true;
-}
-
-int ShardedBackboneEngine::RebalanceNow() {
-  std::lock_guard<std::mutex> cycle(rebalance_mu_);
-  ++rebalance_cycles_;
-  // Grace period expired: families whose routing moved last cycle are
-  // retired from their old shards now.
-  for (const auto& [shard, family] : pending_retire_) {
-    shards_[static_cast<size_t>(shard)]->RetireFingerprints(family);
-  }
-  pending_retire_.clear();
-
-  // Sum the thread slots' counts. Each slot is read at one instant under
-  // its own mutex; once writers quiesce the sum is exact.
-  std::unordered_map<uint64_t, int64_t> loads;
-  int64_t total_load = 0;
-  for (LoadSlot& slot : load_slots_) {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    for (const auto& [fingerprint, count] : slot.counts) {
-      loads[fingerprint] += count;
-      total_load += count;
-    }
-  }
-  rebalance_load_ = total_load;
-  const int num_shards = static_cast<int>(shards_.size());
-  if (num_shards < 2 || loads.empty()) return 0;
-
-  // Deterministic inputs, deterministic decisions: loads are bucketed by
-  // the current route, and every pick below breaks ties by lowest shard
-  // index / lowest fingerprint — the same trace yields the same
-  // migrations at any thread count.
-  std::vector<int64_t> shard_load(static_cast<size_t>(num_shards), 0);
-  std::vector<std::vector<std::pair<uint64_t, int64_t>>> by_shard(
-      static_cast<size_t>(num_shards));
-  {
-    const std::shared_ptr<const RoutingTable> table = Table();
-    for (const auto& [fingerprint, count] : loads) {
-      const size_t s =
-          static_cast<size_t>(RouteWith(*table, fingerprint));
-      shard_load[s] += count;
-      by_shard[s].emplace_back(fingerprint, count);
-    }
-  }
-  for (auto& bucket : by_shard) {
-    std::sort(bucket.begin(), bucket.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-  }
-
-  int migrated = 0;
-  std::unordered_set<uint64_t> attempted;
-  while (migrated < options_.max_migrations_per_cycle) {
-    int source = 0;
-    int target = 0;
-    for (int s = 1; s < num_shards; ++s) {
-      if (shard_load[static_cast<size_t>(s)] >
-          shard_load[static_cast<size_t>(source)]) {
-        source = s;
-      }
-      if (shard_load[static_cast<size_t>(s)] <
-          shard_load[static_cast<size_t>(target)]) {
-        target = s;
-      }
-    }
-    const int64_t source_load = shard_load[static_cast<size_t>(source)];
-    const int64_t target_load = shard_load[static_cast<size_t>(target)];
-    if (source == target ||
-        static_cast<double>(source_load) <=
-            options_.rebalance_load_ratio *
-                static_cast<double>(target_load)) {
-      break;  // balanced enough
-    }
-    // Hottest not-yet-attempted fingerprint on the hot shard.
-    uint64_t candidate = 0;
-    bool found = false;
-    for (const auto& [fingerprint, count] :
-         by_shard[static_cast<size_t>(source)]) {
-      if (attempted.count(fingerprint) == 0) {
-        candidate = fingerprint;
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
-    // The whole lineage family moves together (or not at all), so the
-    // delta warm path survives on the target. Members already routed
-    // elsewhere are excluded defensively; the co-location invariant
-    // makes that set empty in practice.
-    std::vector<uint64_t> family =
-        shards_[static_cast<size_t>(source)]->LineageFamily(candidate);
-    {
-      const std::shared_ptr<const RoutingTable> table = Table();
-      std::erase_if(family, [&](uint64_t fingerprint) {
-        return RouteWith(*table, fingerprint) != source;
-      });
-    }
-    int64_t family_load = 0;
-    for (const uint64_t fingerprint : family) {
-      attempted.insert(fingerprint);
-      const auto it = loads.find(fingerprint);
-      if (it != loads.end()) family_load += it->second;
-    }
-    if (family.empty()) continue;
-    // Only move when it actually narrows the gap — migrating a family
-    // hotter than the whole imbalance would just swap which shard burns.
-    if (family_load <= 0 || family_load >= source_load - target_load) {
-      continue;
-    }
-    if (!MigrateFamilyLocked(family, source, target)) continue;
-    shard_load[static_cast<size_t>(source)] -= family_load;
-    shard_load[static_cast<size_t>(target)] += family_load;
-    ++migrated;
-  }
-  return migrated;
-}
-
-void ShardedBackboneEngine::RebalancerLoop() {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!shutdown_) {
-    if (stop_cv_.wait_for(lock, options_.rebalance_interval,
-                          [this] { return shutdown_; })) {
-      break;
-    }
-    lock.unlock();
-    RebalanceNow();
-    lock.lock();
-  }
-}
-
 obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
   // Three views in one snapshot: the unprefixed rollup (same-name
   // metrics merge across shards — counters sum, histograms merge
@@ -527,21 +310,13 @@ obs::MetricsSnapshot ShardedBackboneEngine::Metrics() const {
     out.Merge(
         per_shard[i].WithPrefix("shard" + std::to_string(i) + "."));
   }
-  const std::shared_ptr<const RoutingTable> table = CurrentTable();
   own.gauges.push_back(
       {"sharded.shards", static_cast<int64_t>(shards_.size())});
   own.gauges.push_back(
-      {"sharded.routing_epoch", static_cast<int64_t>(table->epoch)});
+      {"sharded.routing_epoch", static_cast<int64_t>(RoutingEpoch())});
   own.gauges.push_back({"sharded.routing_overrides",
-                        static_cast<int64_t>(table->overrides.size())});
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
-    own.gauges.push_back({"sharded.migrations", migrations_});
-    own.gauges.push_back(
-        {"sharded.migration_failures", migration_failures_});
-    own.gauges.push_back({"sharded.rebalance_cycles", rebalance_cycles_});
-    own.gauges.push_back({"sharded.rebalance_load", rebalance_load_});
-  }
+                        static_cast<int64_t>(
+                            CurrentTable()->overrides.size())});
   out.Merge(own);
   return out;
 }

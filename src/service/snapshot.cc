@@ -12,9 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -328,15 +326,10 @@ struct SnapshotStoreAccess {
 namespace {
 
 // Serializes the snapshot image (header + sections + footer) for `store`
-// + `cache` into a byte string. When `filter` is non-null only state
-// belonging to those fingerprints is emitted — the shard-migration
-// subset; a null filter is the full snapshot.
-std::string BuildSnapshotImage(
-    const GraphStore& store, const ScoreCache& cache,
-    const std::unordered_set<uint64_t>* filter, SnapshotWriteStats* stats) {
-  const auto wanted = [filter](uint64_t fingerprint) {
-    return filter == nullptr || filter->count(fingerprint) > 0;
-  };
+// + `cache` into a byte string.
+std::string BuildSnapshotImage(const GraphStore& store,
+                               const ScoreCache& cache,
+                               SnapshotWriteStats* stats) {
   ByteWriter file;
   file.U64(kSnapshotMagic);
   file.U32(kSnapshotVersion);
@@ -357,7 +350,6 @@ std::string BuildSnapshotImage(
   const auto entries = cache.Entries();
   std::unordered_map<uint64_t, bool> written_graphs;
   for (const StoredGraph& resident : residents) {
-    if (!wanted(resident.fingerprint)) continue;
     ByteWriter payload;
     EncodeGraphSection(resident.fingerprint, /*resident=*/true,
                        *resident.graph, &payload);
@@ -366,7 +358,6 @@ std::string BuildSnapshotImage(
     ++stats->graphs;
   }
   for (const auto& [key, entry] : entries) {
-    if (!wanted(key.graph)) continue;
     if (written_graphs.emplace(key.graph, false).second) {
       ByteWriter payload;
       EncodeGraphSection(key.graph, /*resident=*/false, entry->graph(),
@@ -377,7 +368,6 @@ std::string BuildSnapshotImage(
   }
 
   for (const auto& [key, entry] : entries) {
-    if (!wanted(key.graph)) continue;
     ByteWriter payload;
     EncodeScoreEntrySection(key, *entry, &payload);
     emit(SectionType::kScoreEntry, payload.buffer());
@@ -385,7 +375,6 @@ std::string BuildSnapshotImage(
   }
 
   for (const auto& [child, record] : cache.LineageEntries()) {
-    if (!wanted(child)) continue;
     ByteWriter payload;
     EncodeLineageSection(child, record, &payload);
     emit(SectionType::kLineage, payload.buffer());
@@ -402,9 +391,8 @@ std::string BuildSnapshotImage(
   return file.buffer();
 }
 
-// The salvage walk over an in-memory snapshot image — the shared body of
-// RestoreSnapshot (file restore, quarantine-tolerant) and
-// DecodeFingerprintState (migration blob, strict caller).
+// The salvage walk over an in-memory snapshot image: RestoreSnapshot's
+// body once the file is read.
 Result<SnapshotRestoreReport> RestoreFromImage(
     std::span<const unsigned char> file, GraphStore* store,
     ScoreCache* cache) {
@@ -591,8 +579,7 @@ Result<SnapshotWriteStats> WriteSnapshot(const std::string& path,
     return Status::IOError("injected snapshot write failure");
   }
   SnapshotWriteStats stats;
-  const std::string image =
-      BuildSnapshotImage(store, cache, /*filter=*/nullptr, &stats);
+  const std::string image = BuildSnapshotImage(store, cache, &stats);
   NETBONE_RETURN_IF_ERROR(WriteFileDurably(path, image));
   return stats;
 }
@@ -604,36 +591,6 @@ Result<SnapshotRestoreReport> RestoreSnapshot(const std::string& path,
                            ReadFileFully(path));
   return RestoreFromImage(std::span<const unsigned char>(bytes), store,
                           cache);
-}
-
-std::string EncodeFingerprintState(const GraphStore& store,
-                                   const ScoreCache& cache,
-                                   std::span<const uint64_t> fingerprints,
-                                   SnapshotWriteStats* stats) {
-  const std::unordered_set<uint64_t> filter(fingerprints.begin(),
-                                            fingerprints.end());
-  SnapshotWriteStats local;
-  std::string image =
-      BuildSnapshotImage(store, cache, &filter,
-                         stats != nullptr ? stats : &local);
-  return image;
-}
-
-Result<SnapshotRestoreReport> DecodeFingerprintState(
-    std::string_view image, GraphStore* store, ScoreCache* cache) {
-  const std::span<const unsigned char> bytes(
-      reinterpret_cast<const unsigned char*>(image.data()), image.size());
-  NETBONE_ASSIGN_OR_RETURN(SnapshotRestoreReport report,
-                           RestoreFromImage(bytes, store, cache));
-  // A migration blob travels process-to-process memory, not a crashing
-  // disk: salvage semantics do not apply. Anything short of a clean,
-  // fully-committed decode means the migration must be abandoned (the
-  // source shard still has everything).
-  if (!report.committed || report.sections_quarantined > 0) {
-    if (!report.first_error.ok()) return report.first_error;
-    return Status::Corruption("fingerprint state blob did not decode cleanly");
-  }
-  return report;
 }
 
 }  // namespace netbone

@@ -41,9 +41,7 @@
 #define NETBONE_SERVICE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <string_view>
 
 #include "common/result.h"
 #include "service/graph_store.h"
@@ -94,28 +92,6 @@ struct SnapshotRestoreReport {
 Result<SnapshotRestoreReport> RestoreSnapshot(const std::string& path,
                                               GraphStore* store,
                                               ScoreCache* cache);
-
-/// Serializes just the state belonging to `fingerprints` — their resident
-/// graphs, every cached score keyed on them (with non-resident entry
-/// graphs riding along), and their lineage records — as an in-memory
-/// snapshot image (identical framing and checksums to the file format).
-/// This is the shard-migration transport: the bytes that move a hot
-/// fingerprint family between engine shards. `stats` (optional) reports
-/// what was encoded.
-std::string EncodeFingerprintState(const GraphStore& store,
-                                   const ScoreCache& cache,
-                                   std::span<const uint64_t> fingerprints,
-                                   SnapshotWriteStats* stats = nullptr);
-
-/// Decodes an EncodeFingerprintState image into `store` + `cache`
-/// (graphs re-Interned, entries re-Put, lineage re-registered). Strict,
-/// unlike file restore: a blob that does not decode cleanly and
-/// completely — any quarantined section, any missing footer — is an
-/// error, because the caller still holds the source state and must
-/// abandon the migration rather than import half a family.
-Result<SnapshotRestoreReport> DecodeFingerprintState(std::string_view image,
-                                                     GraphStore* store,
-                                                     ScoreCache* cache);
 
 }  // namespace netbone
 

@@ -1,21 +1,15 @@
 // Tests for sharded serving (service/sharded_engine.h): fingerprint
 // routing determinism at any thread count, revision co-location via
-// routing overrides, batch partition/scatter order, hot-family rebalance
-// (bit-identity, lineage-delta warm paths on the target shard, grace-
-// period retirement, failure isolation), exact load counts and prompt
-// table swaps while threads execute, the load-count bound, stats rollup
-// coherence, and the boot-time routing self-heal over per-shard
-// snapshots.
+// routing overrides, batch partition/scatter order, prompt table swaps
+// while threads execute, stats rollup coherence, and the boot-time
+// routing self-heal over per-shard snapshots.
 
 #include "service/sharded_engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <future>
-#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,200 +241,8 @@ TEST(ShardedEngineTest, BatchResultsComeBackInRequestOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalance.
+// Table swaps under concurrent clients.
 // ---------------------------------------------------------------------------
-
-TEST(ShardedEngineTest, RebalanceMigratesHotFamilyAndKeepsBitIdentity) {
-  ShardedBackboneEngineOptions options;
-  options.num_shards = 4;
-  ShardedBackboneEngine engine(options);
-
-  // A lineage family {A, A'} and an independent B on the same shard, so
-  // migrating the family narrows the gap without emptying the source.
-  const Graph graph_a = GraphOnShard(engine, 1, 140, 300);
-  const Graph graph_b = GraphOnShard(engine, 1, 155, 400);
-  ASSERT_NE(GraphFingerprint(graph_a), GraphFingerprint(graph_b));
-  const uint64_t fp_a = engine.AddGraph(graph_a);
-  const uint64_t fp_rev =
-      engine.AddGraphRevision(TransferWeight(graph_a, 4, 77), fp_a);
-  const uint64_t fp_b = engine.AddGraph(graph_b);
-  ASSERT_EQ(engine.ShardOf(fp_a), 1);
-  ASSERT_EQ(engine.ShardOf(fp_b), 1);
-
-  // Warm everything, then skew the load counters onto the family.
-  const auto ref_a = engine.Execute(ShareRequest(fp_a));
-  const auto ref_rev = engine.Execute(ShareRequest(fp_rev));
-  const auto ref_b = engine.Execute(ShareRequest(fp_b));
-  ASSERT_TRUE(ref_a.ok() && ref_rev.ok() && ref_b.ok());
-  for (int i = 0; i < 120; ++i) {
-    ASSERT_TRUE(engine.Execute(ShareRequest(fp_a)).ok());
-    if (i < 60) ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
-    if (i < 40) ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
-  }
-
-  const int64_t scores_before = Metric(engine, "engine.scores_computed");
-  const int64_t sorts_before = ScoreOrder::SortsPerformed();
-  const int moved = engine.RebalanceNow();
-  EXPECT_GE(moved, 1);
-  EXPECT_GE(Metric(engine, "sharded.migrations"), 1);
-
-  // The family moved together; the bystander stayed.
-  const int target = engine.ShardOf(fp_a);
-  EXPECT_NE(target, 1);
-  EXPECT_EQ(engine.ShardOf(fp_rev), target);
-  EXPECT_EQ(engine.ShardOf(fp_b), 1);
-
-  // Migrated state serves warm and bit-identically.
-  const auto after_a = engine.Execute(ShareRequest(fp_a));
-  const auto after_rev = engine.Execute(ShareRequest(fp_rev));
-  const auto after_b = engine.Execute(ShareRequest(fp_b));
-  ASSERT_TRUE(after_a.ok() && after_rev.ok() && after_b.ok());
-  EXPECT_TRUE(SamePayload(*after_a, *ref_a));
-  EXPECT_TRUE(SamePayload(*after_rev, *ref_rev));
-  EXPECT_TRUE(SamePayload(*after_b, *ref_b));
-  EXPECT_TRUE(after_a->cache_hit);
-  EXPECT_TRUE(after_rev->cache_hit);
-  EXPECT_EQ(Metric(engine, "engine.scores_computed"), scores_before);
-  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
-
-  // Lineage survives the move: a new revision of the migrated head pins
-  // to the target shard and delta-patches there.
-  const uint64_t fp_child =
-      engine.AddGraphRevision(TransferWeight(graph_a, 3, 88), fp_rev);
-  EXPECT_EQ(engine.ShardOf(fp_child), target);
-  const int64_t target_deltas =
-      Metric(engine.shard(target), "engine.delta_rescores");
-  ASSERT_TRUE(engine.Execute(ShareRequest(fp_child)).ok());
-  EXPECT_GT(Metric(engine.shard(target), "engine.delta_rescores"),
-            target_deltas);
-
-  // Grace period: the source still holds the graph after the migrating
-  // cycle, and retires it on the next one.
-  EXPECT_NE(engine.shard(1).FindGraph(fp_a), nullptr);
-  (void)engine.RebalanceNow();
-  EXPECT_EQ(engine.shard(1).FindGraph(fp_a), nullptr);
-  EXPECT_EQ(engine.shard(1).FindGraph(fp_rev), nullptr);
-  EXPECT_NE(engine.shard(1).FindGraph(fp_b), nullptr);
-
-  // ... and the retired copy is not resurrected by further requests.
-  const auto again = engine.Execute(ShareRequest(fp_a));
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(SamePayload(*again, *ref_a));
-}
-
-TEST(ShardedEngineTest, RebalanceIsANoOpWhenLoadIsBalanced) {
-  ShardedBackboneEngineOptions options;
-  options.num_shards = 2;
-  ShardedBackboneEngine engine(options);
-  const uint64_t fp_a = engine.AddGraph(GraphOnShard(engine, 0, 120, 500));
-  const uint64_t fp_b = engine.AddGraph(GraphOnShard(engine, 1, 120, 600));
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(engine.Execute(ShareRequest(fp_a)).ok());
-    ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
-  }
-  const uint64_t epoch_before = engine.RoutingEpoch();
-  EXPECT_EQ(engine.RebalanceNow(), 0);
-  EXPECT_EQ(engine.RoutingEpoch(), epoch_before);
-  EXPECT_EQ(Metric(engine, "sharded.migrations"), 0);
-  EXPECT_EQ(engine.ShardOf(fp_a), 0);
-  EXPECT_EQ(engine.ShardOf(fp_b), 1);
-}
-
-// ---------------------------------------------------------------------------
-// The request path under concurrency: per-thread load slots and the
-// per-thread routing-table cache.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedEngineTest, RebalanceSeesExactLoadWhileThreadsExecute) {
-  ShardedBackboneEngineOptions options;
-  options.num_shards = 4;
-  ShardedBackboneEngine engine(options);
-  // One fingerprint per shard: moving one could never narrow a gap, so
-  // no cycle migrates and the count is all this case checks.
-  std::vector<uint64_t> fps;
-  for (int shard = 0; shard < 4; ++shard) {
-    fps.push_back(engine.AddGraph(GraphOnShard(
-        engine, shard, 120, 700u + 100u * static_cast<uint64_t>(shard))));
-  }
-
-  // More clients than load slots, so some slots are shared; all start
-  // together so shared slots see overlapping writers.
-  constexpr int kThreads =
-      static_cast<int>(ShardedBackboneEngine::kLoadSlots) + 4;
-  constexpr int kRequestsPerThread = 1000;
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
-  std::latch start(kThreads);
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t]() {
-      start.arrive_and_wait();
-      for (int i = 0; i < kRequestsPerThread; ++i) {
-        const uint64_t fp = fps[static_cast<size_t>(t + i) % fps.size()];
-        if (!engine.Execute(ShareRequest(fp)).ok()) ++failures;
-      }
-    });
-  }
-  // Cycles run while the clients do; each sees a count no larger than
-  // what has been issued and no smaller than what the last cycle saw.
-  std::thread rebalancer([&]() {
-    int64_t last = 0;
-    while (!done.load()) {
-      EXPECT_EQ(engine.RebalanceNow(), 0);
-      const int64_t seen = Metric(engine, "sharded.rebalance_load");
-      EXPECT_GE(seen, last);
-      EXPECT_LE(seen, int64_t{kThreads} * kRequestsPerThread);
-      last = seen;
-    }
-  });
-  for (std::thread& client : clients) client.join();
-  done.store(true);
-  rebalancer.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.RebalanceNow(), 0);
-  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"),
-            int64_t{kThreads} * kRequestsPerThread);
-}
-
-TEST(ShardedEngineTest, LoadCountOverflowResetsEverySlotTogether) {
-  ShardedBackboneEngineOptions options;
-  options.num_shards = 2;
-  options.max_tracked_fingerprints = 3;
-  ShardedBackboneEngine engine(options);
-  // A request is counted before it is routed, so the fingerprints need
-  // not be resident (these fail NotFound).
-  const auto count = [&](uint64_t fp) {
-    (void)engine.Execute(ShareRequest(fp));
-  };
-  const auto slot = [] {
-    return obs::ThreadSlot() % ShardedBackboneEngine::kLoadSlots;
-  };
-  const size_t own_slot = slot();
-  // Runs `fn` on a thread whose load slot is not this thread's.
-  const auto on_other_slot = [&](const auto& fn) {
-    for (bool ran = false; !ran;) {
-      std::thread([&]() {
-        if (slot() == own_slot) return;
-        fn();
-        ran = true;
-      }).join();
-    }
-  };
-
-  count(1);
-  count(2);
-  on_other_slot([&]() { count(3); });  // 3 entries in all, 2 in this slot
-  count(1);
-  (void)engine.RebalanceNow();
-  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"), 4);
-
-  // A 4th entry crosses the bound on the total, though this slot holds
-  // only 2: every slot resets, and this request counts once.
-  count(3);
-  (void)engine.RebalanceNow();
-  EXPECT_EQ(Metric(engine, "sharded.rebalance_load"), 1);
-}
 
 TEST(ShardedEngineTest, WriterThreadRoutesItsRevisionOnItsNextRequest) {
   ShardedBackboneEngineOptions options;
@@ -579,32 +381,27 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
   options.engine.snapshot_on_shutdown = false;
 
   uint64_t fp_a = 0, fp_rev = 0, fp_b = 0;
-  int target = -1;
+  int hash_shard = -1;
   BackboneResponse want_a, want_rev, want_b;
   {
     ShardedBackboneEngine engine(options);
     const Graph graph_a = GraphOnShard(engine, 2, 130, 800);
     const Graph graph_b = GraphOnShard(engine, 2, 145, 900);
     fp_a = engine.AddGraph(graph_a);
-    fp_rev = engine.AddGraphRevision(TransferWeight(graph_a, 4, 99), fp_a);
     fp_b = engine.AddGraph(graph_b);
+    // A revision whose hash shard is not its base's: pinning puts it on
+    // shard 2, and only the boot self-heal can route it there again.
+    Graph revision;
+    for (uint64_t seed = 99;; ++seed) {
+      revision = TransferWeight(graph_a, 4, seed);
+      hash_shard = engine.ShardOf(GraphFingerprint(revision));
+      if (hash_shard != 2) break;
+    }
+    fp_rev = engine.AddGraphRevision(std::move(revision), fp_a);
+    ASSERT_EQ(engine.ShardOf(fp_rev), 2);
     want_a = *engine.Execute(ShareRequest(fp_a));
     want_rev = *engine.Execute(ShareRequest(fp_rev));
     want_b = *engine.Execute(ShareRequest(fp_b));
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(engine.Execute(ShareRequest(fp_a)).ok());
-      if (i < 50) ASSERT_TRUE(engine.Execute(ShareRequest(fp_rev)).ok());
-      if (i < 35) ASSERT_TRUE(engine.Execute(ShareRequest(fp_b)).ok());
-    }
-    ASSERT_GE(engine.RebalanceNow(), 1);
-    target = engine.ShardOf(fp_a);
-    ASSERT_NE(target, 2);
-    // Let the grace period elapse so the source retires its copy; until
-    // then both shards hold the family and boot self-heal would route to
-    // the hash owner (also correct — both copies are warm — but not the
-    // post-retirement steady state this test pins down).
-    (void)engine.RebalanceNow();
-    ASSERT_EQ(engine.shard(2).FindGraph(fp_a), nullptr);
     ASSERT_TRUE(engine.WriteSnapshotNow().ok());
   }
 
@@ -615,11 +412,15 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
     EXPECT_GT(Metric(stats, "engine.restored_graphs"), 0);
     EXPECT_EQ(Metric(stats, "engine.quarantined_sections"), 0);
 
-    // Self-heal routes the migrated family to the shard that holds it.
-    EXPECT_EQ(engine.ShardOf(fp_a), target);
-    EXPECT_EQ(engine.ShardOf(fp_rev), target);
+    // Self-heal routes the pinned revision to its base's shard, which
+    // holds it, not to its hash shard.
+    EXPECT_EQ(engine.ShardOf(fp_a), 2);
+    EXPECT_EQ(engine.ShardOf(fp_rev), 2);
     EXPECT_EQ(engine.ShardOf(fp_b), 2);
-    EXPECT_GE(Metric(stats, "sharded.routing_overrides"), 1);
+    EXPECT_EQ(engine.shard(hash_shard).FindGraph(fp_rev), nullptr);
+    EXPECT_EQ(Metric(stats, "sharded.routing_overrides"), 1);
+    EXPECT_EQ(engine.RoutingEpoch(), 1u);
+    EXPECT_EQ(Metric(stats, "sharded.routing_epoch"), 1);
 
     // Fully warm, bit-identical serving from the per-shard snapshots.
     const int64_t sorts_before = ScoreOrder::SortsPerformed();
@@ -632,6 +433,7 @@ TEST(ShardedEngineTest, WarmRestartRestoresEveryShardAndHealsRouting) {
     EXPECT_TRUE(SamePayload(*got_b, want_b));
     EXPECT_TRUE(got_a->cache_hit && got_rev->cache_hit && got_b->cache_hit);
     EXPECT_EQ(Metric(engine, "engine.scores_computed"), 0);
+    EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 0);
     EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   }
 
