@@ -13,9 +13,11 @@
 // both at one thread, with the GraphDelta precomputed as the engine does
 // at AddGraphRevision (submission-time, amortized across methods and
 // requests — the full side's AddGraph fingerprint is likewise untimed).
-// The SweepProfile rebuild is identical batch work on both paths (the
+// The SweepProfile build is identical batch work on both paths (the
 // union-find pass is not incremental by design) and is reported
-// separately, as are the end-to-end engine latencies.
+// separately, as are the end-to-end engine latencies. The engine builds
+// no profile for either request timed there: each asks one TopShare
+// point of a fresh entry, answered by one O(E) pass (EvaluatePrefix).
 //
 // Contract being demonstrated (and enforced — the process exits non-zero
 // on any violation):
@@ -303,7 +305,8 @@ int main() {
   }
   std::printf(
       "\nengine end-to-end (1 thread): cold %s us median vs revision %s us "
-      "median (shared response assembly + profile rebuild included)\n",
+      "median (shared response assembly included; neither builds a sweep "
+      "profile)\n",
       Num(nb::Median(engine_full_times) * 1e6, 1).c_str(),
       Num(nb::Median(engine_patch_times) * 1e6, 1).c_str());
   json.RecordSeconds("engine_cold", num_edges, 1,

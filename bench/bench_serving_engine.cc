@@ -2,20 +2,25 @@
 // warm-cache request latency, hit rate, and requests/sec on the 2000-node
 // bench graph.
 //
-// Contract being demonstrated (and enforced — the process exits non-zero
-// on any violation):
-//   * warm extraction requests on a cached (graph, method) key perform
-//     zero rescoring and zero sorts (engine scores_computed stays flat
-//     and ScoreOrder::SortsPerformed advances by exactly one per method,
-//     from the single cold request);
-//   * every response is bit-identical to the uncached RunMethod +
-//     TopShare + CoverageOfMask path, at every engine thread count;
-//   * the warm path is >= 10x faster than the cold path in median
+// Usage: bench_serving_engine [identity|timing]. No argument runs both;
+// identity and timing are separate ctest entries, so a slow host fails
+// only the timing one. The process exits non-zero on any violation of
+// the gates the run arms:
+//   * identity: warm extraction requests on a cached (graph, method) key
+//     perform zero rescoring and zero sorts (engine scores_computed stays
+//     flat and ScoreOrder::SortsPerformed advances by exactly one per
+//     method, from the single cold request); the cold request builds no
+//     sweep profile and the first warm hit builds exactly one; every
+//     response is bit-identical to the uncached RunMethod + TopShare +
+//     CoverageOfMask path, at every engine thread count;
+//   * timing: the warm path is >= 10x faster than the cold path in median
 //     latency (median taken across methods; per-method ratios printed
-//     and recorded in BENCH_serving_engine.json).
+//     and recorded in BENCH_serving_engine.json, with the mixed-method
+//     warm throughput).
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -47,7 +52,14 @@ nb::BackboneRequest ShareRequest(uint64_t graph, nb::Method method,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string gates = argc > 1 ? argv[1] : "";
+  if (argc > 2 || (argc == 2 && gates != "identity" && gates != "timing")) {
+    std::fprintf(stderr, "usage: %s [identity|timing]\n", argv[0]);
+    return 2;
+  }
+  const bool run_identity = gates != "timing";
+  const bool run_timing = gates != "identity";
   Banner("serving engine",
          "cold vs warm-cache backbone requests on the 2000-node graph");
   const bool quick = netbone::bench::QuickMode();
@@ -66,7 +78,9 @@ int main() {
 
   bool ok = true;
   std::vector<double> ratios;
-  PrintRow({"method", "cold ms", "warm us", "ratio", "hit rate"});
+  if (run_timing) {
+    PrintRow({"method", "cold ms", "warm us", "ratio", "hit rate"});
+  }
 
   for (const nb::Method method : methods) {
     // Reference: the uncached library path (what callers did before the
@@ -78,10 +92,11 @@ int main() {
       continue;
     }
 
-    // Cold: a fresh engine per repetition — first request pays scoring,
-    // the one sort, and the sweep pass.
+    // Cold: a fresh engine per repetition — the first request pays
+    // scoring, the one sort, and one O(E) pass for its point; it builds
+    // no sweep profile.
     std::vector<double> cold_times;
-    for (int rep = 0; rep < cold_reps; ++rep) {
+    for (int rep = 0; rep < (run_timing ? cold_reps : 1); ++rep) {
       nb::BackboneEngine engine;
       const uint64_t fingerprint = engine.AddGraph(*nb::GenerateErdosRenyi(
           {.num_nodes = 2000, .average_degree = 3.0, .seed = 78}));
@@ -91,11 +106,16 @@ int main() {
       const auto response = engine.Execute(request);
       cold_times.push_back(timer.ElapsedSeconds());
       if (!response.ok() || response->cache_hit) ok = false;
+      if (run_identity &&
+          engine.Metrics().ValueOf("engine.profiles_built", -1) != 0) {
+        ok = false;
+      }
     }
 
-    // Reference results for every warm share, via the uncached path.
-    // Computed up front because TopShare(scored, share) sorts per call —
-    // the warm window below must observe zero sorts from the engine.
+    // The warm shares, and for the identity checks their reference
+    // results via the uncached path — computed up front because
+    // TopShare(scored, share) sorts per call, and the warm window below
+    // must observe zero sorts from the engine.
     std::vector<double> shares;
     std::vector<std::vector<nb::EdgeId>> ref_edges;
     std::vector<int64_t> ref_kept;
@@ -103,20 +123,23 @@ int main() {
     for (int rep = 0; rep < warm_reps; ++rep) {
       const double share =
           0.05 + 0.9 * static_cast<double>(rep) / warm_reps;
+      shares.push_back(share);
+      if (!run_identity) continue;
       const nb::BackboneMask mask = nb::TopShare(*scored, share);
       const auto coverage = nb::CoverageOfMask(*graph, mask);
       if (!coverage.ok()) {
         ok = false;
+        shares.pop_back();
         continue;
       }
-      shares.push_back(share);
       ref_edges.push_back(nb::MaskToEdgeIds(mask));
       ref_kept.push_back(mask.kept);
       ref_coverage.push_back(*coverage);
     }
 
     // Warm: one engine, many requests on the cached key with varying
-    // thresholds. Zero sorts and zero rescoring, pinned below.
+    // thresholds. Zero sorts and zero rescoring, pinned below; the first
+    // hit builds the sweep profile, once.
     nb::BackboneEngine engine;
     const uint64_t fingerprint = engine.AddGraph(*nb::GenerateErdosRenyi(
         {.num_nodes = 2000, .average_degree = 3.0, .seed = 78}));
@@ -134,35 +157,46 @@ int main() {
       nb::Timer timer;
       const auto response = engine.Execute(request);
       warm_times.push_back(timer.ElapsedSeconds());
-      if (!response.ok() || !response->cache_hit) ok = false;
+      if (!response.ok() || !response->cache_hit) {
+        ok = false;
+        continue;
+      }
 
       // Bit-identity with the uncached path at this share.
-      if (response->kept_edges != ref_edges[rep] ||
-          response->kept != ref_kept[rep] ||
-          response->coverage != ref_coverage[rep]) {
+      if (run_identity && (response->kept_edges != ref_edges[rep] ||
+                           response->kept != ref_kept[rep] ||
+                           response->coverage != ref_coverage[rep])) {
         ok = false;
       }
     }
-    if (engine.Metrics().ValueOf("engine.scores_computed") != scores_before) {
-      ok = false;
-    }
-    if (nb::ScoreOrder::SortsPerformed() != sorts_before) ok = false;
-
-    // Identity across engine thread counts (1 vs 2 vs 4 workers).
-    for (const int threads : {1, 2, 4}) {
-      nb::BackboneEngineOptions options;
-      options.num_threads = threads;
-      nb::BackboneEngine threaded(options);
-      const uint64_t fp = threaded.AddGraph(*nb::GenerateErdosRenyi(
-          {.num_nodes = 2000, .average_degree = 3.0, .seed = 78}));
-      const auto response =
-          threaded.Execute(ShareRequest(fp, method, 0.25));
-      const nb::BackboneMask mask = nb::TopShare(*scored, 0.25);
-      if (!response.ok() || response->kept_edges != nb::MaskToEdgeIds(mask)) {
+    if (run_identity) {
+      if (engine.Metrics().ValueOf("engine.scores_computed") !=
+          scores_before) {
         ok = false;
+      }
+      if (nb::ScoreOrder::SortsPerformed() != sorts_before) ok = false;
+      if (engine.Metrics().ValueOf("engine.profiles_built", -1) != 1) {
+        ok = false;
+      }
+
+      // Identity across engine thread counts (1 vs 2 vs 4 workers).
+      for (const int threads : {1, 2, 4}) {
+        nb::BackboneEngineOptions options;
+        options.num_threads = threads;
+        nb::BackboneEngine threaded(options);
+        const uint64_t fp = threaded.AddGraph(*nb::GenerateErdosRenyi(
+            {.num_nodes = 2000, .average_degree = 3.0, .seed = 78}));
+        const auto response =
+            threaded.Execute(ShareRequest(fp, method, 0.25));
+        const nb::BackboneMask mask = nb::TopShare(*scored, 0.25);
+        if (!response.ok() ||
+            response->kept_edges != nb::MaskToEdgeIds(mask)) {
+          ok = false;
+        }
       }
     }
 
+    if (!run_timing) continue;
     const double cold_med = nb::Median(cold_times);
     const double warm_med = nb::Median(warm_times);
     const double ratio = warm_med > 0.0 ? cold_med / warm_med : 0.0;
@@ -210,23 +244,28 @@ int main() {
       if (!engine.Execute(request).ok()) ok = false;
     }
     const double elapsed = timer.ElapsedSeconds();
-    const double rps = static_cast<double>(requests) / elapsed;
-    std::printf("\nwarm mixed workload: %d requests in %s s = %s req/s\n",
-                requests, Num(elapsed, 3).c_str(), Num(rps, 0).c_str());
-    json.RecordSeconds("warm_mixed_per_request", num_edges, 1,
-                       elapsed / requests, elapsed / requests);
+    if (run_timing) {
+      const double rps = static_cast<double>(requests) / elapsed;
+      std::printf("\nwarm mixed workload: %d requests in %s s = %s req/s\n",
+                  requests, Num(elapsed, 3).c_str(), Num(rps, 0).c_str());
+      json.RecordSeconds("warm_mixed_per_request", num_edges, 1,
+                         elapsed / requests, elapsed / requests);
+    }
   }
 
   const double median_ratio = ratios.empty() ? 0.0 : nb::Median(ratios);
-  const bool fast_enough =
-      median_ratio >= 10.0 || netbone::bench::SanitizerBuild();
+  const bool fast_enough = !run_timing || median_ratio >= 10.0 ||
+                           netbone::bench::SanitizerBuild();
+  const char* timing_verdict =
+      !run_timing                        ? "NOT RUN"
+      : netbone::bench::SanitizerBuild() ? "skipped, sanitizer build"
+      : fast_enough                      ? "PASS"
+                                         : "FAIL";
   std::printf(
       "%lld edges; median warm-vs-cold ratio %sx (>= 10x required: %s); "
       "identity/zero-sort checks: %s\n",
-      static_cast<long long>(num_edges), Num(median_ratio, 1).c_str(),
-      netbone::bench::SanitizerBuild()
-          ? "skipped, sanitizer build"
-          : (fast_enough ? "PASS" : "FAIL"),
-      ok ? "PASS" : "FAIL");
+      static_cast<long long>(num_edges),
+      run_timing ? Num(median_ratio, 1).c_str() : "-", timing_verdict,
+      !run_identity ? "NOT RUN" : ok ? "PASS" : "FAIL");
   return ok && fast_enough ? 0 : 1;
 }

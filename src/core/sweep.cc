@@ -265,20 +265,54 @@ struct WalkResult {
   int64_t target_nodes = 0;
 };
 
+/// The per-edge step of every walk of the order — the profile's, the
+/// connect walk's and the point evaluation's — so they count one way:
+/// covered endpoints and the kept weight, summed in rank order. Endpoints
+/// and weights come from the graph's edge table: a walk visits edges in
+/// rank order — random edge ids — and one 16-byte Edge holds all three
+/// fields in one cache line, where the SoA columns (graph/edge_columns.h)
+/// would cost three lines per probe, one each for src, dst and weight.
+/// Covered endpoints are byte flags counted without a branch (`covered
+/// += 1 - flag`), so the unpredictable first-touch test costs no
+/// mispredictions; a self-loop's second endpoint reads the flag its first
+/// just set and counts once.
+class PrefixTally {
+ public:
+  explicit PrefixTally(const Graph& g)
+      : touched_(static_cast<size_t>(g.num_nodes()), 0) {}
+
+  /// Adds one edge of the prefix: its endpoints and its weight.
+  void Keep(const Edge& e) {
+    Cover(e.src);
+    Cover(e.dst);
+    weight_ += e.weight;
+  }
+
+  /// Adds an edge's weight alone (a rank past the prefix that still
+  /// counts towards the rank-order total).
+  void AddWeight(const Edge& e) { weight_ += e.weight; }
+
+  int64_t covered() const { return covered_; }
+  double weight() const { return weight_; }
+
+ private:
+  void Cover(NodeId v) {
+    uint8_t& flag = touched_[static_cast<size_t>(v)];
+    covered_ += 1 - flag;
+    flag = 1;
+  }
+
+  std::vector<uint8_t> touched_;
+  int64_t covered_ = 0;
+  double weight_ = 0.0;
+};
+
 /// The connect-index walk shared by GrowUntilConnected and
-/// BuildSweepProfile: feeds `visit(rank, weight, covered)` the edges in
-/// rank order together with the running covered-endpoint count, so callers
-/// building prefix arrays read the walk's own counters instead of
-/// re-deriving them. `stop_at_connect` enables the early exit for
-/// single-point callers. Endpoints and weights come from the graph's
-/// edge table: the walk visits edges in rank order — random edge ids —
-/// and one 16-byte Edge holds all three fields in one cache line, where
-/// the SoA columns (graph/edge_columns.h) would cost three lines per
-/// probe, one each for src, dst and weight. Covered
-/// endpoints are byte flags counted without a branch (`covered += 1 -
-/// flag`), so the unpredictable first-touch test costs no mispredictions;
-/// a self-loop's second endpoint reads the flag its first just set and
-/// counts once.
+/// BuildSweepProfile: keeps the edges in rank order in a PrefixTally and
+/// feeds `visit(rank, tally)` the tally after each, so callers building
+/// prefix arrays read the walk's own counters instead of re-deriving
+/// them. `stop_at_connect` enables the early exit for single-point
+/// callers.
 ///
 /// Two loops. The first runs union-find and only runs while connectivity
 /// is undecided: once the prefix connects the non-isolated nodes, later
@@ -306,13 +340,7 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
 
   const std::vector<Edge>& edges = g.edges();
   const std::span<const EdgeId> ids = order.ids();
-  std::vector<uint8_t> touched(static_cast<size_t>(g.num_nodes()), 0);
-  int64_t covered = 0;
-  const auto cover = [&](NodeId v) {
-    uint8_t& flag = touched[static_cast<size_t>(v)];
-    covered += 1 - flag;
-    flag = 1;
-  };
+  PrefixTally tally(g);
 
   int64_t rank = 0;
   if (!settled) {
@@ -325,9 +353,8 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
     while (rank < num_edges) {
       const Edge& e =
           edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])];
-      cover(e.src);
-      cover(e.dst);
-      visit(rank, e.weight, covered);
+      tally.Keep(e);
+      visit(rank, tally);
       ++rank;
       merges_left -= uf.Union(e.src, e.dst) ? 1 : 0;
       if (merges_left == 0) break;
@@ -341,10 +368,8 @@ WalkResult WalkOrder(const ScoreOrder& order, bool stop_at_connect,
     if (stop_at_connect) return result;
   }
   for (; rank < num_edges; ++rank) {
-    const Edge& e = edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])];
-    cover(e.src);
-    cover(e.dst);
-    visit(rank, e.weight, covered);
+    tally.Keep(edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])]);
+    visit(rank, tally);
   }
   return result;
 }
@@ -616,17 +641,39 @@ SweepProfile BuildSweepProfile(const ScoreOrder& order) {
   profile.covered_nodes.assign(static_cast<size_t>(num_edges) + 1, 0);
   profile.kept_weight.assign(static_cast<size_t>(num_edges) + 1, 0.0);
 
-  double weight = 0.0;
   const WalkResult walk = WalkOrder(
       order, /*stop_at_connect=*/false,
-      [&](int64_t rank, double edge_weight, int64_t covered) {
-        weight += edge_weight;
-        profile.covered_nodes[static_cast<size_t>(rank) + 1] = covered;
-        profile.kept_weight[static_cast<size_t>(rank) + 1] = weight;
+      [&](int64_t rank, const PrefixTally& tally) {
+        profile.covered_nodes[static_cast<size_t>(rank) + 1] =
+            tally.covered();
+        profile.kept_weight[static_cast<size_t>(rank) + 1] = tally.weight();
       });
   profile.connect_k = walk.connect_k;
   profile.target_nodes = walk.target_nodes;
   return profile;
+}
+
+PrefixPoint EvaluatePrefix(const ScoreOrder& order, int64_t k) {
+  const Graph& g = order.graph();
+  const int64_t num_edges = order.size();
+  k = std::clamp<int64_t>(k, 0, num_edges);
+  const std::vector<Edge>& edges = g.edges();
+  const std::span<const EdgeId> ids = order.ids();
+  PrefixTally tally(g);
+  int64_t rank = 0;
+  for (; rank < k; ++rank) {
+    tally.Keep(edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])]);
+  }
+  const double kept_weight = tally.weight();
+  for (; rank < num_edges; ++rank) {
+    tally.AddWeight(
+        edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])]);
+  }
+  PrefixPoint point;
+  point.target_nodes = g.num_nodes() - g.CountIsolates();
+  point.coverage = CoverageRatio(tally.covered(), point.target_nodes);
+  point.weight_share = WeightShareRatio(kept_weight, tally.weight());
+  return point;
 }
 
 BackboneMask TopK(const ScoreOrder& order, int64_t k) {
@@ -639,7 +686,7 @@ BackboneMask TopShare(const ScoreOrder& order, double share) {
 
 BackboneMask GrowUntilConnected(const ScoreOrder& order) {
   const WalkResult walk = WalkOrder(order, /*stop_at_connect=*/true,
-                                    [](int64_t, double, int64_t) {});
+                                    [](int64_t, const PrefixTally&) {});
   return order.PrefixMask(walk.connect_k);
 }
 

@@ -13,6 +13,9 @@
 // an incremental union-find that runs only until connectivity is settled
 // yield Coverage, kept-weight share, and the GrowUntilConnected stopping
 // index for all P thresholds in O(E + E a(E) + P) total (SweepProfile).
+// A caller that wants one point, once, evaluates that prefix alone
+// (EvaluatePrefix): the same coverage and kept-weight share, bit for bit,
+// in one O(E) pass with no union-find and no per-rank arrays.
 //
 // The single-point entry points in core/filter.h (TopK, TopShare,
 // GrowUntilConnected) are thin wrappers over the overloads below, so every
@@ -156,9 +159,25 @@ class ScoreOrder {
   std::vector<EdgeId> ids_;
 };
 
+/// Coverage of a prefix covering `covered` of `target_nodes` non-isolated
+/// nodes, as CoverageOfMask computes it (NaN when the target is empty).
+/// SweepProfile and EvaluatePrefix both divide here.
+inline double CoverageRatio(int64_t covered, int64_t target_nodes) {
+  return static_cast<double>(covered) / static_cast<double>(target_nodes);
+}
+
+/// Share of `total` weight that a prefix of weight `kept` retains (0 when
+/// the graph has no weight). SweepProfile and EvaluatePrefix both divide
+/// here.
+inline double WeightShareRatio(double kept, double total) {
+  return total > 0.0 ? kept / total : 0.0;
+}
+
 /// Prefix profile of the full descending sweep, computed by one linear
 /// pass over a ScoreOrder. Index k describes the backbone that keeps the
-/// first k edges of the order (k in [0, |E|]).
+/// first k edges of the order (k in [0, |E|]). It holds 16 bytes per
+/// edge; a caller that asks for one point once needs none of it
+/// (EvaluatePrefix).
 struct SweepProfile {
   /// covered_nodes[k]: distinct endpoints among the first k edges — the
   /// Coverage numerator at prefix k.
@@ -180,15 +199,14 @@ struct SweepProfile {
 
   /// Coverage at prefix k, as CoverageOfMask would compute it.
   double CoverageAt(int64_t k) const {
-    return static_cast<double>(covered_nodes[static_cast<size_t>(k)]) /
-           static_cast<double>(target_nodes);
+    return CoverageRatio(covered_nodes[static_cast<size_t>(k)], target_nodes);
   }
 
   /// Share of total weight retained at prefix k (0 when the graph has no
   /// weight).
   double WeightShareAt(int64_t k) const {
-    const double total = kept_weight.back();
-    return total > 0.0 ? kept_weight[static_cast<size_t>(k)] / total : 0.0;
+    return WeightShareRatio(kept_weight[static_cast<size_t>(k)],
+                            kept_weight.back());
   }
 };
 
@@ -204,6 +222,26 @@ struct SweepProfile {
 /// tail. Either way the profile is identical to a walk that unions every
 /// edge.
 SweepProfile BuildSweepProfile(const ScoreOrder& order);
+
+/// One prefix of an order, evaluated alone: each field equals the
+/// profile's (BuildSweepProfile) at the same prefix.
+struct PrefixPoint {
+  double coverage = 0.0;      ///< CoverageAt(k)
+  double weight_share = 0.0;  ///< WeightShareAt(k)
+  int64_t target_nodes = 0;   ///< target_nodes
+};
+
+/// The sweep profile's answer at prefix k (clamped to [0, |E|]), bit for
+/// bit, without building the profile: one walk of the order that covers
+/// the endpoints of the first k ranks with byte flags and sums the weight
+/// of all |E| ranks in rank order, the kept weight read off at k — the
+/// profile walk's own per-edge step, so the sums round identically. No
+/// union-find runs and no per-rank array is kept, so it costs O(|V| + E)
+/// time, one byte per node, and learns nothing about connectivity: the
+/// graph's known_connectivity() is left as it was. For a caller that asks
+/// one point of an order once; a caller that asks many builds the profile
+/// and reads it in O(1) per point.
+PrefixPoint EvaluatePrefix(const ScoreOrder& order, int64_t k);
 
 /// TopK riding a precomputed order: no sort, O(E) mask build.
 BackboneMask TopK(const ScoreOrder& order, int64_t k);

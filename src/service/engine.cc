@@ -561,25 +561,46 @@ void BackboneEngine::ClearNegativeCache() {
 }
 
 Result<BackboneResponse> BackboneEngine::BuildResponse(
-    const BackboneRequest& request, const CachedScore& score,
-    bool cache_hit) const {
+    const BackboneRequest& request, const CachedScore& score, bool cache_hit,
+    ProfileUse use) {
   const ScoreOrder& order = score.order();
-  const SweepProfile& profile = score.profile();
   BackboneResponse response;
   response.cache_hit = cache_hit;
 
+  // The sweep profile as `use` allows: built at most once per entry (the
+  // build is counted), or only read when already held — nullptr then.
+  const auto profile = [&]() -> const SweepProfile* {
+    if (const SweepProfile* held = score.built_profile()) return held;
+    if (use == ProfileUse::kNeverBuild) return nullptr;
+    bool built = false;
+    const SweepProfile& fresh = score.profile(&built);
+    if (built) profiles_built_.Increment();
+    return &fresh;
+  };
+  // One prefix: read off the profile when this request may build it or
+  // the entry holds it, else evaluated alone — bit-identical either way.
+  const auto point = [&](int64_t k) -> PrefixPoint {
+    const SweepProfile* held =
+        use == ProfileUse::kBuild ? profile() : score.built_profile();
+    if (held == nullptr) return EvaluatePrefix(order, k);
+    return PrefixPoint{held->CoverageAt(k), held->WeightShareAt(k),
+                       held->target_nodes};
+  };
   const auto fill_extraction = [&](int64_t k) {
     // PrefixIds clamps the same way, so `kept` needs no edge list; the
     // O(k + |E|/64) bitmap walk only runs when the caller wants one.
     const int64_t kept = std::clamp<int64_t>(k, 0, order.size());
+    const PrefixPoint at = point(kept);
     response.kept = kept;
-    if (profile.target_nodes > 0) {
-      response.coverage = profile.CoverageAt(kept);
-    }
-    response.weight_share = profile.WeightShareAt(kept);
+    if (at.target_nodes > 0) response.coverage = at.coverage;
+    response.weight_share = at.weight_share;
     if (request.include_edges) {
       response.kept_edges = order.PrefixIds(k);
     }
+  };
+  const auto no_profile = [] {
+    return Status::FailedPrecondition(
+        "the entry holds no sweep profile and this path builds none");
   };
 
   switch (request.kind) {
@@ -595,11 +616,16 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
       // FilterByScore keeps.
       fill_extraction(order.CountAbove(request.threshold));
       break;
-    case RequestKind::kGrowUntilConnected:
-      fill_extraction(profile.connect_k);
+    case RequestKind::kGrowUntilConnected: {
+      const SweepProfile* held = profile();
+      if (held == nullptr) return no_profile();
+      fill_extraction(held->connect_k);
       break;
+    }
     case RequestKind::kSweep: {
-      if (profile.target_nodes <= 0) {
+      const SweepProfile* held = profile();
+      if (held == nullptr) return no_profile();
+      if (held->target_nodes <= 0) {
         return Status::FailedPrecondition(
             "graph has no connected node to cover");
       }
@@ -607,20 +633,21 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
       for (const double share : request.shares) {
         const int64_t k = order.KForShare(share);
         response.sweep.push_back(
-            SweepPoint{k, profile.CoverageAt(k), profile.WeightShareAt(k)});
+            SweepPoint{k, held->CoverageAt(k), held->WeightShareAt(k)});
       }
-      response.connect_k = profile.connect_k;
+      response.connect_k = held->connect_k;
       break;
     }
     case RequestKind::kCoveragePoint: {
-      if (profile.target_nodes <= 0) {
+      const int64_t k = order.KForShare(request.share);
+      const PrefixPoint at = point(k);
+      if (at.target_nodes <= 0) {
         return Status::FailedPrecondition(
             "graph has no connected node to cover");
       }
-      const int64_t k = order.KForShare(request.share);
       response.kept = k;
-      response.coverage = profile.CoverageAt(k);
-      response.weight_share = profile.WeightShareAt(k);
+      response.coverage = at.coverage;
+      response.weight_share = at.weight_share;
       break;
     }
     case RequestKind::kStabilityPoint: {
@@ -718,7 +745,8 @@ Result<BackboneResponse> BackboneEngine::Execute(
                                 : tracer_.NowNs();
   }
   Result<BackboneResponse> response =
-      BuildResponse(request, **score, info.cache_hit);
+      BuildResponse(request, **score, info.cache_hit,
+                    info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
   RecordOutcome(request, response.ok(), /*degraded=*/false, info, begin_ns,
                 deadline, /*queue_wait_ns=*/0);
   return response;
@@ -733,7 +761,8 @@ std::optional<Result<BackboneResponse>> BackboneEngine::TryDegradedResponse(
   // what that snapshot's own requests were served. No blocking, so this
   // path is also safe from ExecuteBatch's phase-2 tasks.
   Result<BackboneResponse> response =
-      BuildResponse(request, *ancestor.entry, /*cache_hit=*/true);
+      BuildResponse(request, *ancestor.entry, /*cache_hit=*/true,
+                    ProfileUse::kNeverBuild);
   if (!response.ok()) return std::nullopt;
   response->degraded = true;
   response->degraded_from = ancestor.fingerprint;
@@ -771,8 +800,9 @@ BackboneEngine::TryDegradedSampledHss(
                                               lifetime_.token());
   graphs_.Unpin(request.graph);
   if (!score.ok()) return std::nullopt;
-  Result<BackboneResponse> response =
-      BuildResponse(request, **score, sampled_info.cache_hit);
+  Result<BackboneResponse> response = BuildResponse(
+      request, **score, sampled_info.cache_hit,
+      sampled_info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
   if (!response.ok()) return std::nullopt;
   response->degraded = true;
   response->degraded_from = request.graph;
@@ -849,6 +879,7 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   // computing as long as any request still wants it.
   std::vector<SteadyClock::time_point> key_deadlines;
   std::unordered_map<ScoreKey, size_t, ScoreKeyHash> key_slots;
+  std::vector<int64_t> key_requests;  // requests per key
   for (int64_t i = 0; i < n; ++i) {
     const BackboneRequest& request = requests[static_cast<size_t>(i)];
     if (deadlines[static_cast<size_t>(i)] <= entry_now) {
@@ -868,12 +899,14 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       keys.push_back(key);
       key_graphs.push_back(graph);
       key_deadlines.push_back(deadlines[static_cast<size_t>(i)]);
+      key_requests.push_back(0);
     } else {
       key_deadlines[it->second] = std::max(
           key_deadlines[it->second], deadlines[static_cast<size_t>(i)]);
     }
     resolved[static_cast<size_t>(i)].graph = std::move(graph);
     resolved[static_cast<size_t>(i)].key_slot = it->second;
+    ++key_requests[it->second];
   }
 
   // One cancel source per key (latest member deadline, chained under
@@ -1038,7 +1071,13 @@ BackboneEngine::ExecuteBatchWithDeadlines(
               }
             } else {
               if (info.timed) info.extract_start_ns = tracer_.NowNs();
-              out[slot] = BuildResponse(request, **score, info.cache_hit);
+              // A key the batch asks more than once is a repeat within
+              // the batch: its requests share one profile build.
+              const bool repeated = key_requests[r.key_slot] > 1;
+              out[slot] = BuildResponse(
+                  request, **score, info.cache_hit,
+                  info.cache_hit || repeated ? ProfileUse::kBuild
+                                             : ProfileUse::kPoint);
             }
           }
           RecordOutcome(request, out[slot]->ok(), degraded, info, begin_ns,
@@ -1273,6 +1312,7 @@ void BackboneEngine::RegisterEngineMetrics() {
   counter("engine.background_refreshes", &background_refreshes_);
   counter("engine.snapshot_writes", &snapshot_writes_);
   counter("engine.snapshot_failures", &snapshot_failures_);
+  counter("engine.profiles_built", &profiles_built_);
 
   registry_.RegisterGauge(
       "engine.queue_depth",

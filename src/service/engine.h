@@ -5,8 +5,9 @@
 // 2017) into a request pipeline. Clients intern graphs once (AddGraph,
 // content-addressed via service/graph_store.h), then issue typed
 // BackboneRequests; the engine amortizes the expensive inference step —
-// scoring + the one sort + the one sweep pass — across every request that
-// shares a (graph, method, options) key (service/score_cache.h).
+// scoring + the one sort + the one sweep pass, once it is needed — across
+// every request that shares a (graph, method, options) key
+// (service/score_cache.h).
 //
 // Request lifecycle:
 //   1. resolve the graph fingerprint against the GraphStore;
@@ -19,8 +20,12 @@
 //      new graph and only the affected edges are rescored, the score
 //      order merged without a global sort (core/delta_rescore.h);
 //   3. answer the request from the cached artifact chain: extraction
-//      kinds are an O(E) prefix-mask walk, coverage points are O(1) reads
-//      of the sweep profile, zero rescoring and zero sorts when warm.
+//      kinds are an O(k + E/64) prefix walk, coverage points are O(1)
+//      reads of the sweep profile, zero rescoring and zero sorts when
+//      warm. The profile is built lazily: the request whose resolve
+//      produced the entry answers its one point without it (one O(E)
+//      pass, core/sweep.h EvaluatePrefix), and the entry's first hit
+//      builds it, once.
 //
 // Warm-path contract (pinned by tests/service_test.cc and
 // bench/bench_serving_engine.cc): requests on a cached key advance
@@ -120,14 +125,17 @@ enum class RequestKind {
   /// Backbone keeping edges with score strictly above `threshold`
   /// (FilterByScore semantics).
   kScoreThreshold,
-  /// The Doubly Stochastic stopping rule (GrowUntilConnected semantics).
+  /// The Doubly Stochastic stopping rule (GrowUntilConnected semantics),
+  /// read off the entry's sweep profile like kSweep.
   kGrowUntilConnected,
   /// Coverage / kept-weight share over a whole share grid plus the
-  /// connect index — the full sweep profile, O(1) per point when warm.
+  /// connect index. Always read off the entry's sweep profile (built by
+  /// the first request that needs it), O(1) per point.
   kSweep,
   /// Coverage + kept-weight share at one retention share; no edge list is
-  /// materialized, making this the cheapest warm request (pure profile
-  /// reads).
+  /// materialized. Warm, it is the cheapest request (two profile reads);
+  /// on the request that resolved the entry, one O(E) pass instead of the
+  /// profile build.
   kCoveragePoint,
   /// Stability (Spearman of consecutive-snapshot weights, Sec. V-F) of
   /// the share-backbone of `graph` against `next_graph`.
@@ -410,7 +418,9 @@ class BackboneEngine {
   ///    delta_fallbacks, shed_batches, rejected_batches,
   ///    inflight_rejected, deadline_hits, cancellations, retries,
   ///    negative_exempt, degraded_served, background_refreshes,
-  ///    snapshot_writes, snapshot_failures}`;
+  ///    snapshot_writes, snapshot_failures, profiles_built}`
+  ///    (profiles_built counts sweep profiles built while answering
+  ///    requests; a snapshot write builds the rest uncounted);
   ///  * gauges `engine.{queue_depth, inflight_scores, negative_entries}`
   ///    (live negative entries only), the constructor's restore outcome
   ///    `engine.{restored_graphs, restored_entries, restored_lineage,
@@ -509,7 +519,7 @@ class BackboneEngine {
   /// The incremental fast path for a cold key: walks the cache's lineage
   /// map (bounded hops) for a warm ancestor entry of the same (method,
   /// options), diffs the ancestor's graph against `graph`, and patches
-  /// scores + order + profile (core/delta_rescore.h, zero global sorts).
+  /// scores + order (core/delta_rescore.h, zero global sorts).
   /// Returns nullptr when not applicable — no lineage, no warm ancestor,
   /// a non-incremental method or delta — and the caller runs the full
   /// rescore. Never blocks on other requests' work.
@@ -517,10 +527,29 @@ class BackboneEngine {
       const ScoreKey& key, const std::shared_ptr<const Graph>& graph,
       const CancelToken& cancel, ResolveInfo* info);
 
-  /// Pure response assembly from a resolved score; never blocks.
+  /// What BuildResponse may do with the entry's lazily built sweep
+  /// profile (CachedScore::profile). Every choice answers bit-identically.
+  enum class ProfileUse {
+    /// A cache hit: build the profile if the entry has none (once per
+    /// entry), then read every kind off it.
+    kBuild,
+    /// The request whose resolve produced the entry (cold, delta or
+    /// coalesced): TopK, TopShare, ScoreThreshold and CoveragePoint
+    /// evaluate their one prefix alone unless the profile is held;
+    /// Sweep and GrowUntilConnected build it.
+    kPoint,
+    /// A degraded serve: read the profile if held, else evaluate the
+    /// point kinds alone; never build — Sweep and GrowUntilConnected then
+    /// fail FailedPrecondition.
+    kNeverBuild,
+  };
+
+  /// Response assembly from a resolved score. Never blocks on other
+  /// requests' work; a concurrent first build of the same profile is
+  /// waited for, not repeated.
   Result<BackboneResponse> BuildResponse(const BackboneRequest& request,
                                          const CachedScore& score,
-                                         bool cache_hit) const;
+                                         bool cache_hit, ProfileUse use);
 
   /// A warm cache entry along `key`'s lineage chain (the same walk the
   /// delta path uses), plus its fingerprint. entry == nullptr when none.
@@ -641,6 +670,7 @@ class BackboneEngine {
   obs::ShardedCounter background_refreshes_;  ///< queued by degradation
   obs::ShardedCounter snapshot_writes_;    ///< snapshots committed to disk
   obs::ShardedCounter snapshot_failures_;  ///< snapshot writes that failed
+  obs::ShardedCounter profiles_built_;  ///< sweep profiles built on demand
 
   /// Latency distributions (populated when Options::enable_metrics), one
   /// per (request kind, answer path) pair, so a request pays a single

@@ -8,20 +8,24 @@
 
 namespace netbone {
 
-void CachedScore::FinishBuild() {
-  profile_ = BuildSweepProfile(*order_);
-  PriceBytes();
-}
-
 void CachedScore::PriceBytes() {
+  const int64_t ranks = order_->size() + 1;
   bytes_ = static_cast<int64_t>(sizeof(CachedScore)) +
            VectorBytes(scored_.scores()) +
            static_cast<int64_t>(order_->ids().size() * sizeof(EdgeId)) +
-           VectorBytes(profile_.covered_nodes) +
-           VectorBytes(profile_.kept_weight);
+           ranks * static_cast<int64_t>(sizeof(int64_t) + sizeof(double));
   if (provenance_.has_value()) {
     bytes_ += static_cast<int64_t>(sizeof(DeltaProvenance));
   }
+}
+
+const SweepProfile& CachedScore::profile(bool* built) const {
+  std::call_once(profile_once_, [this, built] {
+    profile_ = BuildSweepProfile(*order_);
+    profile_ready_.store(true, std::memory_order_release);
+    if (built != nullptr) *built = true;
+  });
+  return profile_;
 }
 
 std::shared_ptr<const CachedScore> CachedScore::Build(
@@ -34,7 +38,7 @@ std::shared_ptr<const CachedScore> CachedScore::Build(
   entry->graph_ = std::move(graph);
   entry->scored_ = std::move(scored);
   entry->order_.emplace(entry->scored_, num_threads);
-  entry->FinishBuild();
+  entry->PriceBytes();
   return entry;
 }
 
@@ -52,7 +56,7 @@ std::shared_ptr<const CachedScore> CachedScore::BuildPatched(
   entry->provenance_ = DeltaProvenance{base_fingerprint,
                                        static_cast<int64_t>(dirty.size()),
                                        entry->scored_.size()};
-  entry->FinishBuild();
+  entry->PriceBytes();
   return entry;
 }
 
@@ -69,7 +73,10 @@ Result<std::shared_ptr<const CachedScore>> CachedScore::Restore(
       ScoreOrder::FromPermutation(entry->scored_, std::move(order_ids));
   if (!order.ok()) return order.status();
   entry->order_.emplace(std::move(*order));
-  entry->profile_ = std::move(profile);
+  std::call_once(entry->profile_once_, [&entry, &profile] {
+    entry->profile_ = std::move(profile);
+    entry->profile_ready_.store(true, std::memory_order_release);
+  });
   entry->provenance_ = std::move(provenance);
   entry->PriceBytes();
   return std::shared_ptr<const CachedScore>(std::move(entry));

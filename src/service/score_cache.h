@@ -4,12 +4,14 @@
 // expensive half of every backbone request (NC/DF integrals, the HSS
 // Dijkstra fan-out); thresholding a cached score is O(E) and answering a
 // coverage point from a cached sweep profile is O(1). The cache therefore
-// holds, per (graph fingerprint, method, scoring options) key, the full
-// amortizable artifact chain: the ScoredEdges table, its one-sort
-// ScoreOrder permutation, and the SweepProfile from the single linear
-// pass — everything a warm request needs with zero rescoring and zero
-// sorts (pinned by ScoreOrder::SortsPerformed in the tests and the
-// serving benchmark).
+// holds, per (graph fingerprint, method, scoring options) key, the
+// amortizable artifact chain: the ScoredEdges table and its one-sort
+// ScoreOrder permutation, built with the entry, and the SweepProfile of
+// the single linear pass, built lazily — once, by the first caller that
+// needs it (CachedScore::profile). A request that asks one point of a
+// fresh entry is answered without it (EvaluatePrefix, core/sweep.h); a
+// warm entry answers with zero rescoring and zero sorts (pinned by
+// ScoreOrder::SortsPerformed in the tests and the serving benchmark).
 //
 // Residency is LRU under a byte budget: entries are priced with the
 // common/bytes.h accounting and the least-recently-used entries are
@@ -90,10 +92,11 @@ struct ScoreKeyHash {
   }
 };
 
-/// Immutable cached value: one method's scores on one graph plus the
-/// derived one-sort artifacts. Holds a shared_ptr to the graph so the
-/// ScoredEdges' interior pointer stays valid for the entry's lifetime
-/// (entries can outlive a GraphStore eviction).
+/// Cached value: one method's scores on one graph plus the derived
+/// one-sort artifacts. Immutable once built, except that the sweep
+/// profile is filled in lazily, once (profile()). Holds a shared_ptr to
+/// the graph so the ScoredEdges' interior pointer stays valid for the
+/// entry's lifetime (entries can outlive a GraphStore eviction).
 class CachedScore {
  public:
   /// How an entry was produced when it came from the incremental path:
@@ -106,9 +109,9 @@ class CachedScore {
     int64_t total_edges = 0;        ///< edges in this entry's table
   };
 
-  /// Builds the artifact chain: moves `scored` in, computes the
+  /// Builds the artifact chain: moves `scored` in and computes the
   /// ScoreOrder (the one sort, on `num_threads` workers; 0 = hardware
-  /// concurrency) and the SweepProfile (the one linear pass).
+  /// concurrency). The sweep profile is left for profile() to build.
   /// Precondition: scored.graph() is *graph.
   static std::shared_ptr<const CachedScore> Build(
       std::shared_ptr<const Graph> graph, ScoredEdges scored,
@@ -116,9 +119,8 @@ class CachedScore {
 
   /// Builds the artifact chain incrementally from an ancestor entry: the
   /// ScoreOrder is patched (remove + merge over `base.order()`, zero
-  /// global sorts — see ScoreOrder's patch constructor) and the
-  /// SweepProfile is rebuilt from the patched order (one linear pass;
-  /// its union-find stops once connectivity is settled). `num_threads`
+  /// global sorts — see ScoreOrder's patch constructor). The sweep profile
+  /// is left for profile() to build, from the patched order. `num_threads`
   /// only sizes the full sort the patch falls back to on inconsistent
   /// inputs. Preconditions: scored.graph() is *graph, `scored` was
   /// produced by DeltaRescore against base.scored(), and base_to_next /
@@ -134,9 +136,10 @@ class CachedScore {
   /// the stored permutation is adopted through ScoreOrder::FromPermutation
   /// (validated in O(E), zero sorts) and the stored profile is used as-is
   /// (its lengths were validated by the decoder; its content is covered by
-  /// the section checksum). Corruption when the permutation fails
-  /// validation. Preconditions: scored.graph() is *graph, profile was
-  /// decoded for this graph's edge/node counts.
+  /// the section checksum), so a restored entry never builds one.
+  /// Corruption when the permutation fails validation. Preconditions:
+  /// scored.graph() is *graph, profile was decoded for this graph's
+  /// edge/node counts.
   static Result<std::shared_ptr<const CachedScore>> Restore(
       std::shared_ptr<const Graph> graph, ScoredEdges scored,
       std::vector<EdgeId> order_ids, SweepProfile profile,
@@ -146,7 +149,22 @@ class CachedScore {
   const std::shared_ptr<const Graph>& graph_handle() const { return graph_; }
   const ScoredEdges& scored() const { return scored_; }
   const ScoreOrder& order() const { return *order_; }
-  const SweepProfile& profile() const { return profile_; }
+
+  /// The sweep profile of order(). The first call builds it
+  /// (BuildSweepProfile, one O(E a(E)) pass, which records the graph's
+  /// connectivity) and sets *built when `built` is given; later calls
+  /// read it in O(1). Thread-safe: concurrent first callers build it
+  /// exactly once, the others wait for that build. The build runs on
+  /// the calling thread and spawns no pool tasks, so a pool task that
+  /// waits for it cannot deadlock the pool.
+  const SweepProfile& profile(bool* built = nullptr) const;
+
+  /// The sweep profile when one is held — built by profile() or restored
+  /// from a snapshot — else nullptr. Never builds.
+  const SweepProfile* built_profile() const {
+    return profile_ready_.load(std::memory_order_acquire) ? &profile_
+                                                          : nullptr;
+  }
 
   /// Set when this entry was produced by the incremental path; nullptr
   /// for cold-scored entries.
@@ -156,20 +174,25 @@ class CachedScore {
 
   /// Heap bytes of the score table + order + profile + delta metadata
   /// (the graph is accounted by the GraphStore, not double-counted here).
+  /// The profile is priced at its 16 bytes per edge whether or not it was
+  /// built yet, so an entry's price never moves while it is cached.
   int64_t bytes() const { return bytes_; }
 
  private:
   CachedScore() = default;
 
-  /// Shared tail of the computing factories: profile + byte pricing.
-  void FinishBuild();
-  /// Byte pricing alone (the restore factory already has a profile).
+  /// Byte pricing, once the order is in place.
   void PriceBytes();
 
   std::shared_ptr<const Graph> graph_;
   ScoredEdges scored_;
   std::optional<ScoreOrder> order_;  // built in place after scored_ settles
-  SweepProfile profile_;
+  // The lazily built profile, beside the order a warm hit also reads:
+  // written once under profile_once_, then only read; profile_ready_
+  // publishes it to built_profile().
+  mutable std::atomic<bool> profile_ready_{false};
+  mutable SweepProfile profile_;
+  mutable std::once_flag profile_once_;
   std::optional<DeltaProvenance> provenance_;
   int64_t bytes_ = 0;
 };

@@ -140,26 +140,26 @@ uint64_t ShardedBackboneEngine::AddGraph(Graph graph) {
 
 uint64_t ShardedBackboneEngine::AddGraphRevision(Graph graph,
                                                  uint64_t base_fingerprint) {
-  const uint64_t child = GraphFingerprint(graph);
-  int target;
-  {
-    // Writer path: the child is pinned to its base's shard so the
-    // lineage record, the submission-time delta, and the warm ancestor
-    // entries all live where the child's requests will land. The pin is
-    // installed *before* the intern — a concurrent request on the child
-    // either routes to the target (and coalesces there) or NotFounds,
-    // never scores on a shard the family does not live on.
-    std::lock_guard<std::mutex> lock(routing_mu_);
-    const std::shared_ptr<const RoutingTable> table = Table();
-    target = RouteWith(*table, base_fingerprint);
-    if (RouteWith(*table, child) != target) {
-      auto next = std::make_shared<RoutingTable>(*table);
-      next->overrides[child] = target;
-      PublishTable(std::move(next));
-    }
+  // The child is interned on its base's shard, so the lineage record, the
+  // submission-time delta and the warm ancestor entries all live where
+  // the child's requests will land; that shard derives the child's
+  // fingerprint from the base's in O(churn), so the router hashes nothing.
+  const int target = ShardOf(base_fingerprint);
+  const uint64_t child =
+      shards_[static_cast<size_t>(target)]->AddGraphRevision(
+          std::move(graph), base_fingerprint);
+  // Then the child is pinned there, when its hash points elsewhere. Until
+  // the pin lands, a request on the child routes by hash; any shard that
+  // holds the content answers bit-identically, and one that does not
+  // answers NotFound, as for any graph not yet uploaded.
+  std::lock_guard<std::mutex> lock(routing_mu_);
+  const std::shared_ptr<const RoutingTable> table = Table();
+  if (RouteWith(*table, child) != target) {
+    auto next = std::make_shared<RoutingTable>(*table);
+    next->overrides[child] = target;
+    PublishTable(std::move(next));
   }
-  return shards_[static_cast<size_t>(target)]->AddGraphRevision(
-      std::move(graph), base_fingerprint);
+  return child;
 }
 
 std::shared_ptr<const Graph> ShardedBackboneEngine::FindGraph(

@@ -98,10 +98,11 @@ class ShardedBackboneEngine {
   /// Interns on the fingerprint's shard; returns the fingerprint.
   uint64_t AddGraph(Graph graph);
 
-  /// Interns on the *base's* shard and pins the child there with a
-  /// routing override (epoch bump) when its hash shard differs — the
-  /// co-location that keeps lineage families, and therefore the delta
-  /// warm path, on one shard.
+  /// Interns on the *base's* shard, which derives the child's
+  /// fingerprint from the base's in O(churn), then pins the child there
+  /// with a routing override (epoch bump) when its hash shard differs —
+  /// the co-location that keeps lineage families, and therefore the delta
+  /// warm path, on one shard. The router hashes nothing itself.
   uint64_t AddGraphRevision(Graph graph, uint64_t base_fingerprint);
 
   /// The resident graph on the fingerprint's shard, or nullptr.

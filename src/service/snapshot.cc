@@ -70,6 +70,8 @@ void EncodeScoreEntrySection(const ScoreKey& key, const CachedScore& entry,
   writer->U64(key.options.hss_sample_seed);
   EncodeScoredEdges(entry.scored(), writer);
   EncodeScoreOrder(entry.order(), writer);
+  // An entry no request has hit yet builds its profile here: the format
+  // always carries one, so a restored entry never builds it again.
   EncodeSweepProfile(entry.profile(), writer);
   const CachedScore::DeltaProvenance* provenance = entry.delta_provenance();
   writer->U32(provenance != nullptr ? 1u : 0u);

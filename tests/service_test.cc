@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -790,10 +791,11 @@ TEST(EngineMetricsTest, FreshEngineCarriesExactlyTheDocumentedNames) {
       "engine.degraded_served",      "engine.delta_fallbacks",
       "engine.delta_rescores",       "engine.inflight_rejected",
       "engine.negative_exempt",      "engine.negative_hits",
-      "engine.rejected_batches",     "engine.requests",
-      "engine.retries",              "engine.scores_computed",
-      "engine.shed_batches",         "engine.snapshot_failures",
-      "engine.snapshot_writes",      "engine.submitted_batches",
+      "engine.profiles_built",       "engine.rejected_batches",
+      "engine.requests",             "engine.retries",
+      "engine.scores_computed",      "engine.shed_batches",
+      "engine.snapshot_failures",    "engine.snapshot_writes",
+      "engine.submitted_batches",
   };
   const std::vector<std::string> want_gauges = {
       "cache.byte_budget",
@@ -1197,6 +1199,171 @@ TEST(BackboneEngineTest, DeltaRescoreCanBeDisabled) {
           .ok());
   EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 0);
   EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
+}
+
+// ---------------------------------------------------------------------------
+// The lazily built sweep profile (CachedScore::profile).
+// ---------------------------------------------------------------------------
+
+/// Each point kind on `graph` with the NC method: TopShare, TopK,
+/// ScoreThreshold and CoveragePoint.
+std::vector<BackboneRequest> PointRequests(uint64_t graph) {
+  BackboneRequest share = DeltaShareRequest(graph, Method::kNoiseCorrected);
+  BackboneRequest top_k = share;
+  top_k.kind = RequestKind::kTopK;
+  top_k.k = 41;
+  BackboneRequest threshold = share;
+  threshold.kind = RequestKind::kScoreThreshold;
+  threshold.threshold = 0.5;
+  BackboneRequest coverage = share;
+  coverage.kind = RequestKind::kCoveragePoint;
+  coverage.share = 0.45;
+  return {share, top_k, threshold, coverage};
+}
+
+void ExpectSameAnswer(const BackboneResponse& got,
+                      const BackboneResponse& want) {
+  EXPECT_EQ(got.kept_edges, want.kept_edges);
+  EXPECT_EQ(got.kept, want.kept);
+  EXPECT_EQ(got.coverage, want.coverage);
+  EXPECT_EQ(got.weight_share, want.weight_share);
+  EXPECT_EQ(got.sweep, want.sweep);
+  EXPECT_EQ(got.connect_k, want.connect_k);
+}
+
+TEST(LazyProfileTest, ColdAndDeltaPointRequestsBuildNoProfile) {
+  const Graph base = IntWeightGraph(23);
+  BackboneEngine engine;
+  const uint64_t base_fp = engine.AddGraph(base);
+  const Result<BackboneResponse> cold =
+      engine.Execute(DeltaShareRequest(base_fp, Method::kNoiseCorrected));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_FALSE(cold->cache_hit);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+
+  const uint64_t next_fp =
+      engine.AddGraphRevision(TransferWeight(base, 8, 5), base_fp);
+  const Result<BackboneResponse> patched =
+      engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected));
+  ASSERT_TRUE(patched.ok());
+  EXPECT_FALSE(patched->cache_hit);
+  EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+}
+
+TEST(LazyProfileTest, FirstHitBuildsOneProfileAndAnswersAlike) {
+  // Per point kind, on a fresh engine: the cold request evaluates its
+  // prefix alone, the first hit builds the profile, and both answer the
+  // same bit for bit. Later hits of every kind build nothing.
+  for (const BackboneRequest& shape : PointRequests(0)) {
+    BackboneEngine engine;
+    BackboneRequest request = shape;
+    request.graph = engine.AddGraph(IntWeightGraph(24));
+    const Result<BackboneResponse> cold = engine.Execute(request);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+    const Result<BackboneResponse> hit = engine.Execute(request);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit->cache_hit);
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+    ExpectSameAnswer(*hit, *cold);
+
+    for (BackboneRequest later : PointRequests(request.graph)) {
+      ASSERT_TRUE(engine.Execute(later).ok());
+    }
+    BackboneRequest sweep = request;
+    sweep.kind = RequestKind::kSweep;
+    sweep.shares = {0.1, 0.5};
+    BackboneRequest grow = request;
+    grow.kind = RequestKind::kGrowUntilConnected;
+    ASSERT_TRUE(engine.Execute(sweep).ok());
+    ASSERT_TRUE(engine.Execute(grow).ok());
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  }
+}
+
+TEST(LazyProfileTest, ConcurrentFirstHitsBuildOneProfile) {
+  BackboneEngine engine;
+  const uint64_t graph = engine.AddGraph(IntWeightGraph(25, 2000));
+  const BackboneRequest request =
+      DeltaShareRequest(graph, Method::kNoiseCorrected);
+  const Result<BackboneResponse> cold = engine.Execute(request);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(Metric(engine, "engine.profiles_built"), 0);
+
+  // Eight hits on the profile-less entry, released at once.
+  constexpr int kThreads = 8;
+  std::vector<std::optional<Result<BackboneResponse>>> responses(kThreads);
+  std::latch start(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        responses[static_cast<size_t>(t)] = engine.Execute(request);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response->ok());
+    EXPECT_TRUE((*response)->cache_hit);
+    ExpectSameAnswer(**response, *cold);
+  }
+}
+
+TEST(LazyProfileTest, ColdSweepAndGrowBuildTheirProfile) {
+  BackboneEngine engine;
+  const uint64_t graph = engine.AddGraph(IntWeightGraph(26));
+  BackboneRequest sweep = DeltaShareRequest(graph, Method::kNoiseCorrected);
+  sweep.kind = RequestKind::kSweep;
+  sweep.shares = {0.1, 0.3, 0.9};
+  const Result<BackboneResponse> cold_sweep = engine.Execute(sweep);
+  ASSERT_TRUE(cold_sweep.ok());
+  EXPECT_FALSE(cold_sweep->cache_hit);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+
+  BackboneRequest grow = DeltaShareRequest(graph, Method::kDisparityFilter);
+  grow.kind = RequestKind::kGrowUntilConnected;
+  const Result<BackboneResponse> cold_grow = engine.Execute(grow);
+  ASSERT_TRUE(cold_grow.ok());
+  EXPECT_FALSE(cold_grow->cache_hit);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
+
+  // Both entries hold their profile now: hits build nothing.
+  const Result<BackboneResponse> warm_sweep = engine.Execute(sweep);
+  ASSERT_TRUE(warm_sweep.ok());
+  ExpectSameAnswer(*warm_sweep, *cold_sweep);
+  ASSERT_TRUE(engine.Execute(grow).ok());
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
+}
+
+TEST(LazyProfileTest, BatchRepeatsOfAColdKeyShareOneProfile) {
+  BackboneEngine engine;
+  const uint64_t once = engine.AddGraph(IntWeightGraph(27));
+  const uint64_t twice = engine.AddGraph(IntWeightGraph(28));
+  // `once` is asked one point; `twice` is asked two, so its requests
+  // build the profile once and read it.
+  std::vector<BackboneRequest> batch = {
+      DeltaShareRequest(once, Method::kNoiseCorrected),
+      PointRequests(twice)[0], PointRequests(twice)[3]};
+  const std::vector<Result<BackboneResponse>> cold =
+      engine.ExecuteBatch(batch);
+  for (const Result<BackboneResponse>& response : cold) {
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->cache_hit);
+  }
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+
+  const std::vector<Result<BackboneResponse>> warm =
+      engine.ExecuteBatch(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(warm[i].ok());
+    ExpectSameAnswer(*warm[i], *cold[i]);
+  }
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
 }
 
 TEST(ScoreCacheTest, LineageIsAccountedAndPeekDoesNotCountHits) {
@@ -1692,6 +1859,68 @@ TEST(BackboneEngineFaultTest, DegradedRequestServedFromWarmAncestor) {
   const obs::MetricsSnapshot stats = engine.Metrics();
   EXPECT_GE(Metric(stats, "engine.degraded_served"), 1);
   EXPECT_GE(Metric(stats, "engine.background_refreshes"), 1);
+}
+
+TEST(BackboneEngineFaultTest, DegradedServeNeverBuildsAProfile) {
+  BackboneEngineOptions options;
+  options.enable_delta_rescore = false;  // force the (stalled) full path
+  BackboneEngine engine(options);
+  const Graph base_graph = IntWeightGraph(92);
+  const uint64_t base = engine.AddGraph(base_graph);
+  const uint64_t swept_revision =
+      engine.AddGraphRevision(TransferWeight(base_graph, 6, 4), base);
+  const uint64_t point_revision =
+      engine.AddGraphRevision(TransferWeight(base_graph, 6, 5), base);
+  // The ancestor entry comes from a cold TopShare: it holds no profile.
+  const Result<BackboneResponse> warm =
+      engine.Execute(ShareRequest(base, Method::kNoiseCorrected));
+  ASSERT_TRUE(warm.ok());
+
+  FaultInjector injector(21);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::milliseconds(400)});
+  ScopedFaultInjection scope(&injector);
+  BackboneRequest sweep =
+      ShareRequest(swept_revision, Method::kNoiseCorrected);
+  sweep.kind = RequestKind::kSweep;
+  sweep.shares = {0.2, 0.6};
+  sweep.timeout = std::chrono::milliseconds(10);
+  sweep.allow_degraded = true;
+
+  // A sweep needs the profile and the degraded path builds none: the
+  // lapse is answered as it is, and no refresh is queued.
+  const Result<BackboneResponse> declined = engine.Execute(sweep);
+  ASSERT_FALSE(declined.ok());
+  EXPECT_TRUE(declined.status().IsDeadlineExceeded());
+  EXPECT_EQ(Metric(engine, "engine.degraded_served"), 0);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+
+  // A point kind is served from the profile-less ancestor alone.
+  BackboneRequest point =
+      ShareRequest(point_revision, Method::kNoiseCorrected);
+  point.kind = RequestKind::kCoveragePoint;
+  point.timeout = std::chrono::milliseconds(10);
+  point.allow_degraded = true;
+  const Result<BackboneResponse> served = engine.Execute(point);
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served->degraded);
+  EXPECT_EQ(served->coverage, warm->coverage);
+  EXPECT_EQ(served->weight_share, warm->weight_share);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+  engine.WaitIdle();  // its refresh is a cold point request: no profile
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+
+  // Once a hit built the ancestor's profile, the degraded sweep reads it.
+  ASSERT_TRUE(engine.Execute(ShareRequest(base, Method::kNoiseCorrected)).ok());
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  const Result<BackboneResponse> swept = engine.Execute(sweep);
+  ASSERT_TRUE(swept.ok());
+  EXPECT_TRUE(swept->degraded);
+  EXPECT_EQ(swept->degraded_from, base);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  engine.WaitIdle();  // the exact refresh is a cold sweep: it builds one
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
 }
 
 TEST(BackboneEngineFaultTest, WaitIdleDrainsTheDegradedServesRefresh) {

@@ -170,8 +170,8 @@ TEST(ShardedEngineTest, RevisionIsPinnedToBaseShard) {
     current = TransferWeight(current, 4, 31u + static_cast<uint64_t>(i));
     const uint64_t child = engine.AddGraphRevision(current, parent);
     ASSERT_NE(child, parent);
-    // The router hashed the child in full to route it; the shard derived
-    // its fingerprint from the parent's. The two agree.
+    // The base's shard derived the child's fingerprint from the parent's
+    // (the router hashes nothing); a full hash agrees.
     EXPECT_EQ(child, GraphFingerprint(current));
     EXPECT_EQ(engine.ShardOf(child), home);
     // The graph must actually live on that shard, not just route there.

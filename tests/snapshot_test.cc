@@ -5,8 +5,9 @@
 // version skew, foreign endianness), a seeded corruption fuzz sweep —
 // truncations and bit flips at random offsets must never crash, only
 // quarantine — the engine-level warm-restart contract (bit-identical
-// responses, zero rescores, zero sorts), and the three snapshot fault-
-// injection sites (write failure, short read, kill-before-rename).
+// responses, zero rescores, zero sorts — also for entries that held no
+// sweep profile when written), and the three snapshot fault-injection
+// sites (write failure, short read, kill-before-rename).
 
 #include "service/snapshot.h"
 
@@ -647,6 +648,82 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
     EXPECT_EQ(response->connect_k, reference[i].connect_k);
   }
   EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
+  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
+  fs::remove_all(dir);
+}
+
+TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
+  // Every entry is answered once, by a point request, so none holds a
+  // sweep profile when the snapshot is written; the writer builds them,
+  // and the file is the same format 2 as ever.
+  const std::string dir = TempPath("point_only_restart");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  auto graph = GenerateErdosRenyi(
+      {.num_nodes = 250, .average_degree = 3.0, .seed = 33});
+  ASSERT_TRUE(graph.ok());
+
+  std::vector<BackboneRequest> trace(3);
+  trace[0].method = Method::kNoiseCorrected;
+  trace[0].kind = RequestKind::kTopShare;
+  trace[0].share = 0.2;
+  trace[1].method = Method::kDisparityFilter;
+  trace[1].kind = RequestKind::kCoveragePoint;
+  trace[1].share = 0.6;
+  trace[2].method = Method::kNaiveThreshold;
+  trace[2].kind = RequestKind::kTopK;
+  trace[2].k = 77;
+
+  std::vector<BackboneResponse> reference;
+  {
+    BackboneEngineOptions options;
+    options.snapshot_dir = dir;
+    options.snapshot_on_shutdown = false;
+    BackboneEngine engine(options);
+    const uint64_t fingerprint = engine.AddGraph(*graph);
+    for (BackboneRequest request : trace) {
+      request.graph = fingerprint;
+      auto response = engine.Execute(request);
+      ASSERT_TRUE(response.ok());
+      EXPECT_FALSE(response->cache_hit);
+      reference.push_back(*std::move(response));
+    }
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
+    ASSERT_TRUE(engine.WriteSnapshotNow().ok());
+  }
+  const std::vector<unsigned char> bytes =
+      ReadBytes(SnapshotFilePath(dir));
+  ASSERT_GE(bytes.size(), 12u);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 2u);
+
+  BackboneEngineOptions options;
+  options.snapshot_dir = dir;
+  options.snapshot_on_shutdown = false;
+  BackboneEngine restarted(options);
+  EXPECT_EQ(Metric(restarted, "engine.restored_entries"), 3);
+  EXPECT_EQ(Metric(restarted, "engine.quarantined_sections"), 0);
+  const uint64_t fingerprint = GraphFingerprint(*graph);
+  const int64_t sorts_before = ScoreOrder::SortsPerformed();
+  for (size_t i = 0; i < trace.size(); ++i) {
+    BackboneRequest request = trace[i];
+    request.graph = fingerprint;
+    auto response = restarted.Execute(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_TRUE(response->cache_hit);
+    EXPECT_EQ(response->kept_edges, reference[i].kept_edges);
+    EXPECT_EQ(response->kept, reference[i].kept);
+    EXPECT_EQ(response->coverage, reference[i].coverage);
+    EXPECT_EQ(response->weight_share, reference[i].weight_share);
+    // The restored profile serves a sweep too, with nothing built.
+    request.kind = RequestKind::kSweep;
+    request.shares = {0.1, 0.5};
+    ASSERT_TRUE(restarted.Execute(request).ok());
+  }
+  EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
+  EXPECT_EQ(Metric(restarted, "engine.delta_rescores"), 0);
+  EXPECT_EQ(Metric(restarted, "engine.profiles_built"), 0);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   fs::remove_all(dir);
 }

@@ -6,7 +6,9 @@
 // exactly one score sort per method (ScoreOrder::SortsPerformed); and the
 // connect-index walk must equal a naive walk that unions every edge,
 // whether connectivity is unknown, learned, or inherited from an ancestor
-// across a weight-only delta (Graph::InheritEdgeFacts).
+// across a weight-only delta (Graph::InheritEdgeFacts); and a prefix
+// evaluated alone (EvaluatePrefix) must equal the profile at that prefix
+// bit for bit without learning anything about connectivity.
 
 #include "core/sweep.h"
 
@@ -897,6 +899,186 @@ TEST(SweepProfileEarlyStopTest, SelfLoopAmongEdgesCountsItsNodeOnce) {
     EXPECT_EQ(BuildSweepProfile(order).covered_nodes[1], 1);
     ExpectProfileMatchesReference(g, spans);
   }
+}
+
+// ---------------------------------------------------------------------------
+// EvaluatePrefix: one prefix evaluated alone, bit for bit the profile's.
+// ---------------------------------------------------------------------------
+
+/// The prefix lengths worth checking on an order: all of them on a small
+/// one; otherwise the ends (0, 1, |E| - 1, |E|), every tenth of the order,
+/// and both sides of the first 64 rank boundaries between unequal scores,
+/// where a prefix stops cutting a tie run.
+std::vector<int64_t> CheckedPrefixes(const ScoreOrder& order) {
+  const int64_t n = order.size();
+  std::vector<int64_t> ks;
+  if (n <= 600) {
+    for (int64_t k = 0; k <= n; ++k) ks.push_back(k);
+    return ks;
+  }
+  for (const int64_t k : {int64_t{0}, int64_t{1}, n - 1, n}) ks.push_back(k);
+  for (int tenth = 1; tenth < 10; ++tenth) ks.push_back(n * tenth / 10);
+  int boundaries = 0;
+  for (int64_t k = 1; k < n && boundaries < 64; ++k) {
+    const double before = order.scored().at(order.id_at(k - 1)).score;
+    const double after = order.scored().at(order.id_at(k)).score;
+    if (before == after) continue;
+    ks.push_back(k - 1);
+    ks.push_back(k);
+    ks.push_back(k + 1);
+    ++boundaries;
+  }
+  return ks;
+}
+
+/// Scores a rebuild of `source` (nothing learned about it yet) with
+/// `score`, evaluates every checked prefix alone, and checks that this
+/// left the graph's connectivity unknown and that each point equals the
+/// profile's, bit for bit — NaN coverage of an empty target included.
+template <typename Score>
+void ExpectPointsMatchProfile(const Graph& source, const Score& score) {
+  const Graph g = Rebuilt(source);
+  ASSERT_EQ(g.known_connectivity(), Graph::Connectivity::kUnknown);
+  const ScoredEdges scored = score(g);
+  const ScoreOrder order(scored);
+  const std::vector<int64_t> ks = CheckedPrefixes(order);
+  std::vector<PrefixPoint> points;
+  for (const int64_t k : ks) points.push_back(EvaluatePrefix(order, k));
+  EXPECT_EQ(g.known_connectivity(), Graph::Connectivity::kUnknown);
+
+  const SweepProfile profile = BuildSweepProfile(order);
+  for (size_t i = 0; i < ks.size(); ++i) {
+    const int64_t k = ks[i];
+    EXPECT_EQ(points[i].target_nodes, profile.target_nodes) << "k=" << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(points[i].coverage),
+              std::bit_cast<uint64_t>(profile.CoverageAt(k)))
+        << "k=" << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(points[i].weight_share),
+              std::bit_cast<uint64_t>(profile.WeightShareAt(k)))
+        << "k=" << k;
+  }
+}
+
+/// ExpectPointsMatchProfile for each of NT, NC and DF.
+void ExpectMethodPointsMatchProfile(const Graph& source) {
+  for (const Method method : {Method::kNaiveThreshold,
+                              Method::kNoiseCorrected,
+                              Method::kDisparityFilter}) {
+    ExpectPointsMatchProfile(source, [method](const Graph& g) {
+      Result<ScoredEdges> scored = RunMethod(method, g);
+      EXPECT_TRUE(scored.ok()) << MethodTag(method);
+      return *std::move(scored);
+    });
+  }
+}
+
+TEST(EvaluatePrefixTest, SmallFixturesMatchProfileAtEveryPrefix) {
+  ExpectMethodPointsMatchProfile(MakeWeightedPath());
+  ExpectMethodPointsMatchProfile(MakeTiedScores());
+  ExpectMethodPointsMatchProfile(MakeDisconnected());
+}
+
+TEST(EvaluatePrefixTest, DirectedAndUndirectedMatchProfile) {
+  ExpectMethodPointsMatchProfile(MakeDirected());
+  ExpectMethodPointsMatchProfile(MakeUndirected());
+}
+
+TEST(EvaluatePrefixTest, ConnectedAndNeverConnectedMatchProfile) {
+  const Result<Graph> ba = GenerateBarabasiAlbert(
+      {.num_nodes = 5000, .average_degree = 4.0, .seed = 5});
+  ASSERT_TRUE(ba.ok());
+  ExpectMethodPointsMatchProfile(*ba);
+  // Integer weights: NT ties heavily, so the checked boundaries cut long
+  // tie runs; the graph never connects.
+  ExpectMethodPointsMatchProfile(MakeIntegerWeightedEr(4));
+}
+
+TEST(EvaluatePrefixTest, ZeroAndSignedZeroWeightsMatchProfile) {
+  // Every weight zero, half of them -0.0: the total is zero, so every
+  // weight share is 0, and coverage still grows.
+  GraphBuilder zero(Directedness::kUndirected);
+  for (NodeId v = 0; v < 40; ++v) {
+    zero.AddEdge(v, (v + 1) % 40, v % 2 == 0 ? 0.0 : -0.0);
+    zero.AddEdge(v, (v + 7) % 40, 0.0);
+  }
+  const Graph all_zero = *zero.Build();
+  ASSERT_EQ(all_zero.num_edges(), 80);
+  ExpectPointsMatchProfile(all_zero, [](const Graph& g) {
+    return *NaiveThreshold(g);
+  });
+  // Some zero weights among positive ones, and scores that mix +0.0,
+  // -0.0 and numbers, so the signed zeros tie in the order.
+  GraphBuilder mixed(Directedness::kUndirected);
+  for (NodeId v = 0; v < 60; ++v) {
+    mixed.AddEdge(v, (v + 1) % 60, v % 3 == 0 ? 0.0 : 1.0 + v % 5);
+    mixed.AddEdge(v, (v + 11) % 60, v % 4 == 0 ? -0.0 : 2.0);
+  }
+  const Graph some_zero = *mixed.Build();
+  ExpectPointsMatchProfile(some_zero, [](const Graph& g) {
+    return *NaiveThreshold(g);
+  });
+  ExpectPointsMatchProfile(some_zero, [](const Graph& g) {
+    return HandScored(g, [](size_t i) {
+      return i % 3 == 0 ? 0.0 : i % 3 == 1 ? -0.0 : static_cast<double>(i);
+    });
+  });
+}
+
+TEST(EvaluatePrefixTest, NanScoresMatchProfile) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto score = [nan](const Graph& g) {
+    return HandScored(g, [nan](size_t i) {
+      return i % 4 == 0 ? nan : i % 4 == 1 ? -nan : static_cast<double>(i % 9);
+    });
+  };
+  ExpectPointsMatchProfile(MakeUndirected(), score);
+  ExpectPointsMatchProfile(MakeIntegerWeightedEr(100), score);
+}
+
+TEST(EvaluatePrefixTest, IsolatesOnlyMatchProfile) {
+  // No edge: the target is empty, so coverage is NaN (0 / 0) in both, the
+  // weight share 0, and the only prefix is k = 0 — larger k clamp to it.
+  GraphBuilder builder(Directedness::kUndirected);
+  builder.ReserveNodes(5);
+  const Graph isolates = *builder.Build();
+  ASSERT_EQ(isolates.num_edges(), 0);
+  const auto score = [](const Graph& g) {
+    return HandScored(g, [](size_t) { return 0.0; });
+  };
+  ExpectPointsMatchProfile(isolates, score);
+  const ScoredEdges scored = score(isolates);
+  const ScoreOrder order(scored);
+  const PrefixPoint clamped = EvaluatePrefix(order, 3);
+  EXPECT_EQ(clamped.target_nodes, 0);
+  EXPECT_TRUE(std::isnan(clamped.coverage));
+  EXPECT_EQ(clamped.weight_share, 0.0);
+}
+
+TEST(EvaluatePrefixTest, SelfLoopsMatchProfile) {
+  GraphBuilder loops(Directedness::kUndirected, DuplicateEdgePolicy::kSum,
+                     SelfLoopPolicy::kKeep);
+  for (NodeId v = 0; v < 300; ++v) {
+    loops.AddEdge(v, v, 1.0 + static_cast<double>(v % 13));
+  }
+  ExpectPointsMatchProfile(*loops.Build(), [](const Graph& g) {
+    return *NaiveThreshold(g);
+  });
+
+  // A heavy self-loop leads the order of a graph with ordinary edges, so
+  // the first prefix covers one node, not two.
+  GraphBuilder builder(Directedness::kUndirected, DuplicateEdgePolicy::kSum,
+                       SelfLoopPolicy::kKeep);
+  const Graph base = MakeUndirected();
+  builder.ReserveNodes(base.num_nodes());
+  for (const Edge& e : base.edges()) builder.AddEdge(e.src, e.dst, e.weight);
+  builder.AddEdge(42, 42, 1e9);
+  const Graph g = *builder.Build();
+  ExpectPointsMatchProfile(g, [](const Graph& graph) {
+    return *NaiveThreshold(graph);
+  });
+  ExpectPointsMatchProfile(g, [](const Graph& graph) {
+    return *RunMethod(Method::kNoiseCorrected, graph);
+  });
 }
 
 // ---------------------------------------------------------------------------
