@@ -567,21 +567,20 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
   BackboneResponse response;
   response.cache_hit = cache_hit;
 
-  // The sweep profile as `use` allows: built at most once per entry (the
-  // build is counted), or only read when already held — nullptr then.
-  const auto profile = [&]() -> const SweepProfile* {
-    if (const SweepProfile* held = score.built_profile()) return held;
-    if (use == ProfileUse::kNeverBuild) return nullptr;
+  // The sweep profile, built at most once per entry (the build is
+  // counted).
+  const auto profile = [&]() -> const SweepProfile& {
+    if (const SweepProfile* held = score.built_profile()) return *held;
     bool built = false;
     const SweepProfile& fresh = score.profile(&built);
     if (built) profiles_built_.Increment();
-    return &fresh;
+    return fresh;
   };
   // One prefix: read off the profile when this request may build it or
   // the entry holds it, else evaluated alone — bit-identical either way.
   const auto point = [&](int64_t k) -> PrefixPoint {
     const SweepProfile* held =
-        use == ProfileUse::kBuild ? profile() : score.built_profile();
+        use == ProfileUse::kBuild ? &profile() : score.built_profile();
     if (held == nullptr) return EvaluatePrefix(order, k);
     return PrefixPoint{held->CoverageAt(k), held->WeightShareAt(k),
                        held->target_nodes};
@@ -598,10 +597,6 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
       response.kept_edges = order.PrefixIds(k);
     }
   };
-  const auto no_profile = [] {
-    return Status::FailedPrecondition(
-        "the entry holds no sweep profile and this path builds none");
-  };
 
   switch (request.kind) {
     case RequestKind::kTopK:
@@ -616,16 +611,12 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
       // FilterByScore keeps.
       fill_extraction(order.CountAbove(request.threshold));
       break;
-    case RequestKind::kGrowUntilConnected: {
-      const SweepProfile* held = profile();
-      if (held == nullptr) return no_profile();
-      fill_extraction(held->connect_k);
+    case RequestKind::kGrowUntilConnected:
+      fill_extraction(profile().connect_k);
       break;
-    }
     case RequestKind::kSweep: {
-      const SweepProfile* held = profile();
-      if (held == nullptr) return no_profile();
-      if (held->target_nodes <= 0) {
+      const SweepProfile& held = profile();
+      if (held.target_nodes <= 0) {
         return Status::FailedPrecondition(
             "graph has no connected node to cover");
       }
@@ -633,9 +624,9 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
       for (const double share : request.shares) {
         const int64_t k = order.KForShare(share);
         response.sweep.push_back(
-            SweepPoint{k, held->CoverageAt(k), held->WeightShareAt(k)});
+            SweepPoint{k, held.CoverageAt(k), held.WeightShareAt(k)});
       }
-      response.connect_k = held->connect_k;
+      response.connect_k = held.connect_k;
       break;
     }
     case RequestKind::kCoveragePoint: {
@@ -762,7 +753,7 @@ std::optional<Result<BackboneResponse>> BackboneEngine::TryDegradedResponse(
   // path is also safe from ExecuteBatch's phase-2 tasks.
   Result<BackboneResponse> response =
       BuildResponse(request, *ancestor.entry, /*cache_hit=*/true,
-                    ProfileUse::kNeverBuild);
+                    ProfileUse::kPoint);
   if (!response.ok()) return std::nullopt;
   response->degraded = true;
   response->degraded_from = ancestor.fingerprint;
@@ -879,7 +870,6 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   // computing as long as any request still wants it.
   std::vector<SteadyClock::time_point> key_deadlines;
   std::unordered_map<ScoreKey, size_t, ScoreKeyHash> key_slots;
-  std::vector<int64_t> key_requests;  // requests per key
   for (int64_t i = 0; i < n; ++i) {
     const BackboneRequest& request = requests[static_cast<size_t>(i)];
     if (deadlines[static_cast<size_t>(i)] <= entry_now) {
@@ -899,14 +889,12 @@ BackboneEngine::ExecuteBatchWithDeadlines(
       keys.push_back(key);
       key_graphs.push_back(graph);
       key_deadlines.push_back(deadlines[static_cast<size_t>(i)]);
-      key_requests.push_back(0);
     } else {
       key_deadlines[it->second] = std::max(
           key_deadlines[it->second], deadlines[static_cast<size_t>(i)]);
     }
     resolved[static_cast<size_t>(i)].graph = std::move(graph);
     resolved[static_cast<size_t>(i)].key_slot = it->second;
-    ++key_requests[it->second];
   }
 
   // One cancel source per key (latest member deadline, chained under
@@ -1071,13 +1059,9 @@ BackboneEngine::ExecuteBatchWithDeadlines(
               }
             } else {
               if (info.timed) info.extract_start_ns = tracer_.NowNs();
-              // A key the batch asks more than once is a repeat within
-              // the batch: its requests share one profile build.
-              const bool repeated = key_requests[r.key_slot] > 1;
               out[slot] = BuildResponse(
                   request, **score, info.cache_hit,
-                  info.cache_hit || repeated ? ProfileUse::kBuild
-                                             : ProfileUse::kPoint);
+                  info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
             }
           }
           RecordOutcome(request, out[slot]->ok(), degraded, info, begin_ns,

@@ -419,8 +419,9 @@ class BackboneEngine {
   ///    inflight_rejected, deadline_hits, cancellations, retries,
   ///    negative_exempt, degraded_served, background_refreshes,
   ///    snapshot_writes, snapshot_failures, profiles_built}`
-  ///    (profiles_built counts sweep profiles built while answering
-  ///    requests; a snapshot write builds the rest uncounted);
+  ///    (profiles_built counts sweep profiles built and kept while
+  ///    answering requests; a snapshot write encodes a transient profile
+  ///    for each entry that holds none, uncounted and not kept);
   ///  * gauges `engine.{queue_depth, inflight_scores, negative_entries}`
   ///    (live negative entries only), the constructor's restore outcome
   ///    `engine.{restored_graphs, restored_entries, restored_lineage,
@@ -534,14 +535,10 @@ class BackboneEngine {
     /// entry), then read every kind off it.
     kBuild,
     /// The request whose resolve produced the entry (cold, delta or
-    /// coalesced): TopK, TopShare, ScoreThreshold and CoveragePoint
-    /// evaluate their one prefix alone unless the profile is held;
-    /// Sweep and GrowUntilConnected build it.
+    /// coalesced) or a degraded serve: TopK, TopShare, ScoreThreshold and
+    /// CoveragePoint evaluate their one prefix alone unless the profile
+    /// is held; Sweep and GrowUntilConnected build it.
     kPoint,
-    /// A degraded serve: read the profile if held, else evaluate the
-    /// point kinds alone; never build — Sweep and GrowUntilConnected then
-    /// fail FailedPrecondition.
-    kNeverBuild,
   };
 
   /// Response assembly from a resolved score. Never blocks on other

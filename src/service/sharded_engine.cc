@@ -151,7 +151,10 @@ uint64_t ShardedBackboneEngine::AddGraphRevision(Graph graph,
   // Then the child is pinned there, when its hash points elsewhere. Until
   // the pin lands, a request on the child routes by hash; any shard that
   // holds the content answers bit-identically, and one that does not
-  // answers NotFound, as for any graph not yet uploaded.
+  // answers NotFound, as for any graph not yet uploaded. So a request in
+  // that window may score the child cold on a shard its family does not
+  // live on, leaving a second, off-family entry there (never a different
+  // answer).
   std::lock_guard<std::mutex> lock(routing_mu_);
   const std::shared_ptr<const RoutingTable> table = Table();
   if (RouteWith(*table, child) != target) {

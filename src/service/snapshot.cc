@@ -19,6 +19,7 @@
 #include "common/checksum.h"
 #include "common/serialize.h"
 #include "core/serialize.h"
+#include "core/sweep.h"
 #include "graph/codec.h"
 #include "graph/delta.h"
 #include "service/fault_injection.h"
@@ -70,9 +71,14 @@ void EncodeScoreEntrySection(const ScoreKey& key, const CachedScore& entry,
   writer->U64(key.options.hss_sample_seed);
   EncodeScoredEdges(entry.scored(), writer);
   EncodeScoreOrder(entry.order(), writer);
-  // An entry no request has hit yet builds its profile here: the format
-  // always carries one, so a restored entry never builds it again.
-  EncodeSweepProfile(entry.profile(), writer);
+  // The format always carries a profile, so a restored entry never builds
+  // one. An entry no request has hit yet holds none: one is built for the
+  // section only and dropped, so the live entry stays point-only.
+  if (const SweepProfile* held = entry.built_profile()) {
+    EncodeSweepProfile(*held, writer);
+  } else {
+    EncodeSweepProfile(BuildSweepProfile(entry.order()), writer);
+  }
   const CachedScore::DeltaProvenance* provenance = entry.delta_provenance();
   writer->U32(provenance != nullptr ? 1u : 0u);
   if (provenance != nullptr) {

@@ -1340,12 +1340,12 @@ TEST(LazyProfileTest, ColdSweepAndGrowBuildTheirProfile) {
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
 }
 
-TEST(LazyProfileTest, BatchRepeatsOfAColdKeyShareOneProfile) {
+TEST(LazyProfileTest, ColdBatchBuildsNoProfileEvenForARepeatedKey) {
   BackboneEngine engine;
   const uint64_t once = engine.AddGraph(IntWeightGraph(27));
   const uint64_t twice = engine.AddGraph(IntWeightGraph(28));
-  // `once` is asked one point; `twice` is asked two, so its requests
-  // build the profile once and read it.
+  // `twice` is asked two points in the batch that resolves it; each is
+  // evaluated alone, as coalesced waiters on one cold key are in Execute.
   std::vector<BackboneRequest> batch = {
       DeltaShareRequest(once, Method::kNoiseCorrected),
       PointRequests(twice)[0], PointRequests(twice)[3]};
@@ -1355,12 +1355,14 @@ TEST(LazyProfileTest, BatchRepeatsOfAColdKeyShareOneProfile) {
     ASSERT_TRUE(response.ok());
     EXPECT_FALSE(response->cache_hit);
   }
-  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
 
+  // The warm batch builds each key's profile once.
   const std::vector<Result<BackboneResponse>> warm =
       engine.ExecuteBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(warm[i].ok());
+    EXPECT_TRUE(warm[i]->cache_hit);
     ExpectSameAnswer(*warm[i], *cold[i]);
   }
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
@@ -1861,7 +1863,7 @@ TEST(BackboneEngineFaultTest, DegradedRequestServedFromWarmAncestor) {
   EXPECT_GE(Metric(stats, "engine.background_refreshes"), 1);
 }
 
-TEST(BackboneEngineFaultTest, DegradedServeNeverBuildsAProfile) {
+TEST(BackboneEngineFaultTest, DegradedServeBuildsAProfileOnlyForSweep) {
   BackboneEngineOptions options;
   options.enable_delta_rescore = false;  // force the (stalled) full path
   BackboneEngine engine(options);
@@ -1881,20 +1883,6 @@ TEST(BackboneEngineFaultTest, DegradedServeNeverBuildsAProfile) {
                      {.probability = 1.0,
                       .latency = std::chrono::milliseconds(400)});
   ScopedFaultInjection scope(&injector);
-  BackboneRequest sweep =
-      ShareRequest(swept_revision, Method::kNoiseCorrected);
-  sweep.kind = RequestKind::kSweep;
-  sweep.shares = {0.2, 0.6};
-  sweep.timeout = std::chrono::milliseconds(10);
-  sweep.allow_degraded = true;
-
-  // A sweep needs the profile and the degraded path builds none: the
-  // lapse is answered as it is, and no refresh is queued.
-  const Result<BackboneResponse> declined = engine.Execute(sweep);
-  ASSERT_FALSE(declined.ok());
-  EXPECT_TRUE(declined.status().IsDeadlineExceeded());
-  EXPECT_EQ(Metric(engine, "engine.degraded_served"), 0);
-  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
 
   // A point kind is served from the profile-less ancestor alone.
   BackboneRequest point =
@@ -1911,13 +1899,27 @@ TEST(BackboneEngineFaultTest, DegradedServeNeverBuildsAProfile) {
   engine.WaitIdle();  // its refresh is a cold point request: no profile
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
 
-  // Once a hit built the ancestor's profile, the degraded sweep reads it.
-  ASSERT_TRUE(engine.Execute(ShareRequest(base, Method::kNoiseCorrected)).ok());
-  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  // A sweep needs the profile: the degraded serve builds the ancestor's,
+  // once, and answers as the ancestor's own sweep does.
+  BackboneRequest sweep =
+      ShareRequest(swept_revision, Method::kNoiseCorrected);
+  sweep.kind = RequestKind::kSweep;
+  sweep.shares = {0.2, 0.6};
+  sweep.timeout = std::chrono::milliseconds(10);
+  sweep.allow_degraded = true;
   const Result<BackboneResponse> swept = engine.Execute(sweep);
   ASSERT_TRUE(swept.ok());
   EXPECT_TRUE(swept->degraded);
   EXPECT_EQ(swept->degraded_from, base);
+  EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
+  BackboneRequest base_sweep = sweep;
+  base_sweep.graph = base;
+  base_sweep.allow_degraded = false;
+  const Result<BackboneResponse> direct = engine.Execute(base_sweep);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(direct->cache_hit);
+  EXPECT_EQ(swept->sweep, direct->sweep);
+  EXPECT_EQ(swept->connect_k, direct->connect_k);
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
   engine.WaitIdle();  // the exact refresh is a cold sweep: it builds one
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);

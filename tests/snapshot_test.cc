@@ -654,8 +654,9 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
 
 TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   // Every entry is answered once, by a point request, so none holds a
-  // sweep profile when the snapshot is written; the writer builds them,
-  // and the file is the same format 2 as ever.
+  // sweep profile when the snapshot is written; the writer builds one
+  // per section without keeping it, and the file is the same format 2 as
+  // ever.
   const std::string dir = TempPath("point_only_restart");
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -690,6 +691,18 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
     }
     EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
     ASSERT_TRUE(engine.WriteSnapshotNow().ok());
+    // The live entries stay point-only: each one's first hit after the
+    // write still builds its profile.
+    for (size_t i = 0; i < trace.size(); ++i) {
+      BackboneRequest request = trace[i];
+      request.graph = fingerprint;
+      auto response = engine.Execute(request);
+      ASSERT_TRUE(response.ok());
+      EXPECT_TRUE(response->cache_hit);
+      EXPECT_EQ(response->coverage, reference[i].coverage);
+      EXPECT_EQ(response->weight_share, reference[i].weight_share);
+    }
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 3);
   }
   const std::vector<unsigned char> bytes =
       ReadBytes(SnapshotFilePath(dir));
