@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +75,26 @@ inline std::string Num(double value, int precision = 4) {
 
 /// NaN sentinel used to mark "n/a" cells.
 inline double NaN() { return std::nan(""); }
+
+/// Which gates an acceptance harness run arms. Harnesses with a
+/// wall-clock ratio take `[identity|timing]` as their one argument (none
+/// runs both); the two halves are separate ctest entries, so a slow host
+/// fails only the timing one.
+struct Gates {
+  bool identity = true;
+  bool timing = true;
+};
+
+/// Parses the optional `identity` / `timing` argument; nullopt, after a
+/// usage line on stderr, for anything else.
+inline std::optional<Gates> ParseGates(int argc, char** argv) {
+  const std::string arg = argc > 1 ? argv[1] : "";
+  if (argc > 2 || (argc == 2 && arg != "identity" && arg != "timing")) {
+    std::fprintf(stderr, "usage: %s [identity|timing]\n", argv[0]);
+    return std::nullopt;
+  }
+  return Gates{arg != "timing", arg != "identity"};
+}
 
 /// Machine-readable timing log. Each harness constructs one with its
 /// artifact name ("fig9", "sweep_engine", ...) and Record()s one entry per

@@ -19,8 +19,10 @@
 // no profile for either request timed there: each asks one TopShare
 // point of a fresh entry, answered by one O(E) pass (EvaluatePrefix).
 //
-// Contract being demonstrated (and enforced — the process exits non-zero
-// on any violation):
+// Usage: bench_delta_rescore [identity|timing]. No argument runs both;
+// identity and timing are separate ctest entries, so a slow host fails
+// only the timing one. The process exits non-zero on any violation of
+// the gates the run arms. Identity (one untimed repetition):
 //   * the incremental response is bit-identical to the cold full-rescore
 //     response for every incremental method (NC, DF, NT) at engine thread
 //     counts 1 / 2 / 4, and patched scores/order/profile equal the full
@@ -29,7 +31,8 @@
 //     (ScoreOrder::SortsPerformed stays flat) and zero full rescorings
 //     (engine scores_computed stays flat; delta_rescores advances);
 //   * non-incremental methods (HSS) fall back to the full path with
-//     identical output;
+//     identical output.
+// Timing (the timed repetitions, BENCH_delta_rescore.json):
 //   * the rescore step is >= 5x faster incrementally, as the median
 //     across the incremental methods of per-method median ratios. (The
 //     bound was 10x against the scalar per-edge full sweep; the
@@ -111,7 +114,12 @@ bool SameResponse(const nb::BackboneResponse& a,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::optional<netbone::bench::Gates> gates =
+      netbone::bench::ParseGates(argc, argv);
+  if (!gates.has_value()) return 2;
+  const bool run_identity = gates->identity;
+  const bool run_timing = gates->timing;
   Banner("delta rescore",
          "full rescore vs incremental patch for a 1%-edge delta on the "
          "2000-node graph");
@@ -139,7 +147,7 @@ int main() {
   const std::vector<nb::Method> methods = {nb::Method::kNoiseCorrected,
                                            nb::Method::kDisparityFilter,
                                            nb::Method::kNaiveThreshold};
-  const int reps = quick ? 7 : 25;
+  const int reps = !run_timing ? 1 : quick ? 7 : 25;
   nb::RunMethodOptions one_thread;
   one_thread.num_threads = 1;
   nb::DeltaRescoreOptions patch_options;
@@ -147,7 +155,10 @@ int main() {
 
   bool ok = true;
   std::vector<double> ratios;
-  PrintRow({"method", "full us", "patch us", "ratio", "dirty", "profile us"});
+  if (run_timing) {
+    PrintRow({"method", "full us", "patch us", "ratio", "dirty",
+              "profile us"});
+  }
 
   for (const nb::Method method : methods) {
     const nb::Result<nb::ScoredEdges> base_scored =
@@ -213,30 +224,36 @@ int main() {
                                          full_scored->has_sdev());
     const nb::ScoreOrder patched_order(patched_scored, base_order,
                                        patch->base_to_next, patch->dirty);
-    for (int64_t id = 0; id < full_scored->size(); ++id) {
-      if (patch->scores[static_cast<size_t>(id)].score !=
-              full_scored->at(id).score ||
-          patch->scores[static_cast<size_t>(id)].sdev !=
-              full_scored->at(id).sdev) {
-        ok = false;
-      }
-    }
-    for (int64_t rank = 0; rank < full_order.size(); ++rank) {
-      if (patched_order.id_at(rank) != full_order.id_at(rank)) ok = false;
-    }
     double profile_us = 0.0;
     {
       nb::Timer timer;
       const nb::SweepProfile patched_profile =
           nb::BuildSweepProfile(patched_order);
       profile_us = timer.ElapsedSeconds() * 1e6;
-      const nb::SweepProfile full_profile = nb::BuildSweepProfile(full_order);
-      if (patched_profile.covered_nodes != full_profile.covered_nodes ||
-          patched_profile.kept_weight != full_profile.kept_weight ||
-          patched_profile.connect_k != full_profile.connect_k) {
-        ok = false;
+      if (run_identity) {
+        for (int64_t id = 0; id < full_scored->size(); ++id) {
+          if (patch->scores[static_cast<size_t>(id)].score !=
+                  full_scored->at(id).score ||
+              patch->scores[static_cast<size_t>(id)].sdev !=
+                  full_scored->at(id).sdev) {
+            ok = false;
+          }
+        }
+        for (int64_t rank = 0; rank < full_order.size(); ++rank) {
+          if (patched_order.id_at(rank) != full_order.id_at(rank)) {
+            ok = false;
+          }
+        }
+        const nb::SweepProfile full_profile =
+            nb::BuildSweepProfile(full_order);
+        if (patched_profile.covered_nodes != full_profile.covered_nodes ||
+            patched_profile.kept_weight != full_profile.kept_weight ||
+            patched_profile.connect_k != full_profile.connect_k) {
+          ok = false;
+        }
       }
     }
+    if (!run_timing) continue;
 
     const double full_med = nb::Median(full_times);
     const double patch_med = nb::Median(patch_times);
@@ -255,70 +272,88 @@ int main() {
                                          patch_times.end()));
   }
 
-  // --- Engine-level gates: lineage resolution, zero sorts / rescores,
-  // response identity across thread counts, warm follow-up. Untimed
-  // correctness; end-to-end latency reported for context. ---
-  std::vector<double> engine_full_times;
-  std::vector<double> engine_patch_times;
-  for (const nb::Method method : methods) {
-    std::optional<nb::BackboneResponse> cold_response;
-    {
-      nb::BackboneEngine engine;
-      const uint64_t fp = engine.AddGraph(next);
-      nb::Timer timer;
-      const auto response = engine.Execute(ShareRequest(fp, method));
-      engine_full_times.push_back(timer.ElapsedSeconds());
-      if (!response.ok()) {
-        ok = false;
-        continue;
+  // --- Engine end-to-end latency, reported for context: a cold request
+  // on a fresh engine vs the revision request patched from a warm base,
+  // one thread. ---
+  if (run_timing) {
+    std::vector<double> engine_full_times;
+    std::vector<double> engine_patch_times;
+    nb::BackboneEngineOptions one_engine_thread;
+    one_engine_thread.num_threads = 1;
+    for (const nb::Method method : methods) {
+      {
+        nb::BackboneEngine engine;
+        const uint64_t fp = engine.AddGraph(next);
+        nb::Timer timer;
+        if (!engine.Execute(ShareRequest(fp, method)).ok()) ok = false;
+        engine_full_times.push_back(timer.ElapsedSeconds());
       }
-      cold_response = *response;
-    }
-    for (const int threads : {1, 2, 4}) {
-      nb::BackboneEngineOptions options;
-      options.num_threads = threads;
-      nb::BackboneEngine engine(options);
+      nb::BackboneEngine engine(one_engine_thread);
       const uint64_t base_fp = engine.AddGraph(base);
       if (!engine.Execute(ShareRequest(base_fp, method)).ok()) ok = false;
       const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
-      const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
-      const int64_t scores_before =
-          engine.Metrics().ValueOf("engine.scores_computed");
       nb::Timer timer;
-      const auto response = engine.Execute(ShareRequest(next_fp, method));
-      if (threads == 1) {
-        engine_patch_times.push_back(timer.ElapsedSeconds());
+      if (!engine.Execute(ShareRequest(next_fp, method)).ok()) ok = false;
+      engine_patch_times.push_back(timer.ElapsedSeconds());
+    }
+    std::printf(
+        "\nengine end-to-end (1 thread): cold %s us median vs revision %s "
+        "us median (shared response assembly included; neither builds a "
+        "sweep profile)\n",
+        Num(nb::Median(engine_full_times) * 1e6, 1).c_str(),
+        Num(nb::Median(engine_patch_times) * 1e6, 1).c_str());
+    json.RecordSeconds("engine_cold", num_edges, 1,
+                       nb::Median(engine_full_times),
+                       nb::Median(engine_full_times));
+    json.RecordSeconds("engine_revision", num_edges, 1,
+                       nb::Median(engine_patch_times),
+                       nb::Median(engine_patch_times));
+  }
+
+  // --- Engine-level gates: lineage resolution, zero sorts / rescores,
+  // response identity across thread counts, warm follow-up. ---
+  if (run_identity) {
+    for (const nb::Method method : methods) {
+      std::optional<nb::BackboneResponse> cold_response;
+      {
+        nb::BackboneEngine engine;
+        const uint64_t fp = engine.AddGraph(next);
+        const auto response = engine.Execute(ShareRequest(fp, method));
+        if (!response.ok()) {
+          ok = false;
+          continue;
+        }
+        cold_response = *response;
       }
-      const nb::obs::MetricsSnapshot stats = engine.Metrics();
-      if (!response.ok() || stats.ValueOf("engine.delta_rescores") != 1 ||
-          stats.ValueOf("engine.scores_computed") != scores_before ||
-          nb::ScoreOrder::SortsPerformed() != sorts_before ||
-          !cold_response.has_value() ||
-          !SameResponse(*response, *cold_response)) {
-        ok = false;
-        continue;
+      for (const int threads : {1, 2, 4}) {
+        nb::BackboneEngineOptions options;
+        options.num_threads = threads;
+        nb::BackboneEngine engine(options);
+        const uint64_t base_fp = engine.AddGraph(base);
+        if (!engine.Execute(ShareRequest(base_fp, method)).ok()) ok = false;
+        const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
+        const int64_t sorts_before = nb::ScoreOrder::SortsPerformed();
+        const int64_t scores_before =
+            engine.Metrics().ValueOf("engine.scores_computed");
+        const auto response = engine.Execute(ShareRequest(next_fp, method));
+        const nb::obs::MetricsSnapshot stats = engine.Metrics();
+        if (!response.ok() || stats.ValueOf("engine.delta_rescores") != 1 ||
+            stats.ValueOf("engine.scores_computed") != scores_before ||
+            nb::ScoreOrder::SortsPerformed() != sorts_before ||
+            !SameResponse(*response, *cold_response)) {
+          ok = false;
+          continue;
+        }
+        // The patched entry is a first-class cache entry: warm next.
+        const auto warm = engine.Execute(ShareRequest(next_fp, method));
+        if (!warm.ok() || !warm->cache_hit) ok = false;
       }
-      // The patched entry is a first-class cache entry: warm next.
-      const auto warm = engine.Execute(ShareRequest(next_fp, method));
-      if (!warm.ok() || !warm->cache_hit) ok = false;
     }
   }
-  std::printf(
-      "\nengine end-to-end (1 thread): cold %s us median vs revision %s us "
-      "median (shared response assembly included; neither builds a sweep "
-      "profile)\n",
-      Num(nb::Median(engine_full_times) * 1e6, 1).c_str(),
-      Num(nb::Median(engine_patch_times) * 1e6, 1).c_str());
-  json.RecordSeconds("engine_cold", num_edges, 1,
-                     nb::Median(engine_full_times),
-                     nb::Median(engine_full_times));
-  json.RecordSeconds("engine_revision", num_edges, 1,
-                     nb::Median(engine_patch_times),
-                     nb::Median(engine_patch_times));
 
   // Fallback identity: HSS is not incremental — a revision request must
   // full-rescore and still match the cold path bit for bit.
-  {
+  if (run_identity) {
     nb::BackboneEngine engine;
     const uint64_t base_fp = engine.AddGraph(base);
     if (!engine.Execute(ShareRequest(base_fp,
@@ -347,15 +382,17 @@ int main() {
   // scalar-code artifact; 5x on the 3000-edge quick fixture leaves room
   // for the merge path's fixed costs while still catching an O(E)
   // regression of the patch.
-  const bool fast_enough =
-      median_ratio >= 5.0 || netbone::bench::SanitizerBuild();
+  const bool fast_enough = !run_timing || median_ratio >= 5.0 ||
+                           netbone::bench::SanitizerBuild();
+  const char* timing_verdict =
+      !run_timing                        ? "NOT RUN"
+      : netbone::bench::SanitizerBuild() ? "skipped, sanitizer build"
+      : fast_enough                      ? "PASS"
+                                         : "FAIL";
   std::printf(
       "rescore-step patch-vs-full median ratio %sx across NC/DF/NT "
       "(>= 5x required: %s); identity/zero-sort/fallback checks: %s\n",
-      Num(median_ratio, 1).c_str(),
-      netbone::bench::SanitizerBuild()
-          ? "skipped, sanitizer build"
-          : (fast_enough ? "PASS" : "FAIL"),
-      ok ? "PASS" : "FAIL");
+      run_timing ? Num(median_ratio, 1).c_str() : "-", timing_verdict,
+      !run_identity ? "NOT RUN" : ok ? "PASS" : "FAIL");
   return ok && fast_enough ? 0 : 1;
 }

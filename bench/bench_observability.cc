@@ -2,7 +2,9 @@
 // instrumentation): the process exits non-zero on any violation, so
 // `ctest -L smoke` keeps the flight recorder honest.
 //
-// Gates:
+// Usage: bench_observability [identity|timing]. No argument runs both;
+// identity and timing are separate ctest entries, so a slow host fails
+// only the timing one. The timing gate:
 //   * Overhead — the default production config (enable_metrics, tracing
 //     off) replays a mixed warm trace no more than 5% slower than the
 //     same engine with every hook off; the maximal debug config (rate-1
@@ -10,6 +12,7 @@
 //     clock reads per span boundary by design and is an explicit opt-in,
 //     but it must never balloon (min-of-replays, measured in-process so
 //     machine noise cancels).
+// The identity gates:
 //   * Request accounting — after a replayed workload the per-kind
 //     latency histograms hold exactly one record per request counted by
 //     engine.requests. (The counter names themselves are pinned by
@@ -21,10 +24,10 @@
 //     with the correct answer-path tag and span set for each of the
 //     warm / delta / cold / degraded / negative / failed roads.
 //
-// Artifacts: BENCH_observability.json (overhead timings + exported warm
-// p95) and METRICS_observability.json (the full merged metrics snapshot,
-// schema-compatible with the bench logs so compare_bench_json.py can
-// diff exported percentiles across runs).
+// Artifacts: BENCH_observability.json (the timing run's overhead timings
+// + exported warm p95) and METRICS_observability.json (the identity run's
+// full merged metrics snapshot, schema-compatible with the bench logs so
+// compare_bench_json.py can diff exported percentiles across runs).
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,7 +184,12 @@ bool CheckTrace(const char* label, const nb::obs::RequestTrace* trace,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::optional<netbone::bench::Gates> gates =
+      netbone::bench::ParseGates(argc, argv);
+  if (!gates.has_value()) return 2;
+  const bool run_identity = gates->identity;
+  const bool run_timing = gates->timing;
   Banner("observability",
          "metrics overhead, request accounting, histogram determinism, "
          "trace span chains");
@@ -203,7 +212,7 @@ int main() {
   // every request) pays clock reads per span by design and gets a
   // looser never-balloon bound.
   // ---------------------------------------------------------------------
-  {
+  if (run_timing) {
     nb::BackboneEngineOptions off;
     off.enable_metrics = false;
     off.trace_sample_rate = 0;
@@ -299,7 +308,7 @@ int main() {
   // histograms must hold exactly one record per request the
   // engine.requests counter saw.
   // ---------------------------------------------------------------------
-  {
+  if (run_identity) {
     nb::BackboneEngine engine;
     const uint64_t fp = engine.AddGraph(BenchGraph());
     if (!Prime(engine, fp)) ok = false;
@@ -350,7 +359,7 @@ int main() {
   // Gate 3: histogram determinism — one multiset, every shard/thread
   // combination, identical buckets and percentiles.
   // ---------------------------------------------------------------------
-  {
+  if (run_identity) {
     std::vector<int64_t> values;
     nb::Rng rng(0x0B5E55ED);
     const int samples = quick ? 20000 : 100000;
@@ -400,7 +409,7 @@ int main() {
   // Gate 4: span chains — rate-1 sampling, one scenario per answer path,
   // each trace tagged correctly with the right span set.
   // ---------------------------------------------------------------------
-  {
+  if (run_identity) {
     std::printf("span chains (rate-1 sampling):\n");
     using nb::obs::AnswerPath;
     using nb::obs::SpanKind;
@@ -539,7 +548,7 @@ int main() {
   // Artifact: the merged engine + process metrics snapshot, written with
   // the BENCH_*.json schema next to the bench log.
   // ---------------------------------------------------------------------
-  {
+  if (run_identity) {
     nb::BackboneEngineOptions options;
     options.trace_sample_rate = 4;
     nb::BackboneEngine engine(options);

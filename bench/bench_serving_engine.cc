@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,13 +54,11 @@ nb::BackboneRequest ShareRequest(uint64_t graph, nb::Method method,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string gates = argc > 1 ? argv[1] : "";
-  if (argc > 2 || (argc == 2 && gates != "identity" && gates != "timing")) {
-    std::fprintf(stderr, "usage: %s [identity|timing]\n", argv[0]);
-    return 2;
-  }
-  const bool run_identity = gates != "timing";
-  const bool run_timing = gates != "identity";
+  const std::optional<netbone::bench::Gates> gates =
+      netbone::bench::ParseGates(argc, argv);
+  if (!gates.has_value()) return 2;
+  const bool run_identity = gates->identity;
+  const bool run_timing = gates->timing;
   Banner("serving engine",
          "cold vs warm-cache backbone requests on the 2000-node graph");
   const bool quick = netbone::bench::QuickMode();

@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,13 +232,11 @@ double TimedWarmWindow(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string gates = argc > 1 ? argv[1] : "";
-  if (argc > 2 || (argc == 2 && gates != "identity" && gates != "timing")) {
-    std::fprintf(stderr, "usage: %s [identity|timing]\n", argv[0]);
-    return 2;
-  }
-  const bool run_identity = gates != "timing";  // phases A, B and E
-  const bool run_timing = gates != "identity";  // phase C
+  const std::optional<netbone::bench::Gates> gates =
+      netbone::bench::ParseGates(argc, argv);
+  if (!gates.has_value()) return 2;
+  const bool run_identity = gates->identity;  // phases A, B and E
+  const bool run_timing = gates->timing;  // phase C
   Banner("sharded serving",
          "N-shard fingerprint routing: bit-identical responses, warm "
          "scaling, per-shard warm restart");

@@ -1,13 +1,17 @@
 // Measures the vectorized scoring kernels (core/simd_kernels.h) against
 // their scalar oracles on the Fig. 9 graph family (ER, average degree 3),
-// and enforces the two contracts the SIMD layer ships under:
+// and enforces the two contracts the SIMD layer ships under.
 //
-//   1. IDENTITY (always checked): the full NC / DF / NT sweeps produce
-//      bit-identical score tables at every supported level and with
-//      the level forced to scalar, at 1, 2 and 4 threads. Any mismatch
-//      fails the run.
-//   2. SPEEDUP (checked on wide-lane hosts only): with >= 4 doubles per
-//      lane group (AVX2), the NC and DF batch kernels at the widest
+// Usage: bench_simd_kernels [identity|timing]. No argument runs both;
+// identity and timing are separate ctest entries, so a slow host fails
+// only the timing one.
+//
+//   1. IDENTITY (the identity gates; checked on every host): the full
+//      NC / DF / NT sweeps produce bit-identical score tables at every
+//      supported level and with the level forced to scalar, at 1, 2 and
+//      4 threads. Any mismatch fails the run.
+//   2. SPEEDUP (the timing gate; wide-lane hosts only): with >= 4
+//      doubles per lane group (AVX2), the NC and DF batch kernels at the widest
 //      supported level must run at least 2x faster per edge than the
 //      scalar oracle loop. Hosts without wide lanes (SSE2/NEON 2-wide,
 //      or -DNETBONE_SIMD=off builds) skip the gate — 2-wide speedups
@@ -19,14 +23,15 @@
 // level the host supports is timed against scalar, so a 2-wide level
 // (SSE2/NEON) is recorded next to AVX2 on hosts that have both. NT has
 // no kernel (its score is the weight, copied from the edge table), so it
-// is timed nowhere and checked only in the identity gate. Writes
-// BENCH_simd_kernels.json: per-method total ("NC_scalar") and per-edge
+// is timed nowhere and checked only in the identity gate. The timing run
+// writes BENCH_simd_kernels.json: per-method total ("NC_scalar") and per-edge
 // ("NC_scalar/edge") records, one pair per supported level.
 // NETBONE_BENCH_QUICK=1 shrinks sizes and reps to smoke-test level.
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,9 +80,59 @@ bool BitEqualScores(const std::vector<nb::EdgeScore>& a,
                                    a.size() * sizeof(nb::EdgeScore)) == 0);
 }
 
+/// The identity gate: full public sweeps at every supported level against
+/// forced scalar, at 1, 2 and 4 threads, on a fresh graph from the same
+/// family. Returns whether every sweep was bit-identical.
+bool IdentityGate(bool quick, const std::vector<nb::SimdLevel>& levels) {
+  const auto graph = nb::GenerateErdosRenyi(
+      {.num_nodes = quick ? 20000 : 100000, .average_degree = 3.0,
+       .seed = 91});
+  if (!graph.ok()) {
+    std::printf("FAILED: could not generate the identity-gate graph\n");
+    return false;
+  }
+  bool identical = true;
+  for (const int threads : {1, 2, 4}) {
+    nb::NoiseCorrectedOptions nc;
+    nc.num_threads = threads;
+    nb::DisparityFilterOptions df;
+    df.num_threads = threads;
+    nb::NaiveThresholdOptions nt;
+    nt.num_threads = threads;
+    const auto sweep = [&](nb::SimdLevel level) {
+      nb::ScopedSimdLevelOverride forced(level);
+      return std::array<nb::Result<nb::ScoredEdges>, 3>{
+          nb::NoiseCorrected(*graph, nc), nb::DisparityFilter(*graph, df),
+          nb::NaiveThreshold(*graph, nt)};
+    };
+    const auto ref = sweep(nb::SimdLevel::kScalar);
+    for (const nb::SimdLevel level : levels) {
+      const auto got = sweep(level);
+      bool ok = true;
+      for (size_t k = 0; k < got.size(); ++k) {
+        ok = ok && got[k].ok() && ref[k].ok() &&
+             BitEqualScores(got[k]->scores(), ref[k]->scores());
+      }
+      std::printf("identity @ %s, %d thread(s): %s\n",
+                  nb::SimdLevelName(level), threads,
+                  ok ? "bit-identical" : "MISMATCH");
+      identical = identical && ok;
+    }
+  }
+  if (!identical) {
+    std::printf("FAILED: vector kernels are not bit-identical to scalar\n");
+  }
+  return identical;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::optional<netbone::bench::Gates> gates =
+      netbone::bench::ParseGates(argc, argv);
+  if (!gates.has_value()) return 2;
+  const bool run_identity = gates->identity;
+  const bool run_timing = gates->timing;
   Banner("simd_kernels",
          "batched kernel throughput vs scalar oracle + identity gate");
   const bool quick = netbone::bench::QuickMode();
@@ -88,15 +143,21 @@ int main() {
               nb::SimdLevelName(nb::ActiveSimdLevel()),
               nb::SimdHasWideLanes() ? "yes" : "no");
 
-  std::vector<nb::NodeId> sizes = {200000, 800000};
-  if (quick) sizes = {60000};
+  // Timed graph sizes: none when only the identity gate runs.
+  std::vector<nb::NodeId> sizes;
+  if (run_timing) {
+    sizes = quick ? std::vector<nb::NodeId>{60000}
+                  : std::vector<nb::NodeId>{200000, 800000};
+  }
   const int reps = quick ? 5 : 7;
 
   double sink = 0.0;
   double nc_speedup = netbone::bench::NaN();
   double df_speedup = netbone::bench::NaN();
 
-  PrintRow({"edges", "kernel", "level", "ns/edge", "min", "speedup"});
+  if (run_timing) {
+    PrintRow({"edges", "kernel", "level", "ns/edge", "min", "speedup"});
+  }
   for (const nb::NodeId n : sizes) {
     const auto graph = nb::GenerateErdosRenyi(
         {.num_nodes = n, .average_degree = 3.0, .seed = 77});
@@ -145,62 +206,22 @@ int main() {
     }
   }
 
-  // Identity gate: full public sweeps at every supported level against
-  // forced scalar, at 1, 2 and 4 threads, on a fresh graph from the same
-  // family.
-  const auto graph = nb::GenerateErdosRenyi(
-      {.num_nodes = quick ? 20000 : 100000, .average_degree = 3.0,
-       .seed = 91});
-  if (!graph.ok()) {
-    std::printf("FAILED: could not generate the identity-gate graph\n");
-    return 1;
+  if (run_identity && !IdentityGate(quick, levels)) return 1;
+  if (!run_timing) {
+    std::printf("PASSED (identity gate; timing not run)\n");
+    return 0;
   }
-  bool identical = true;
-  for (const int threads : {1, 2, 4}) {
-    nb::NoiseCorrectedOptions nc;
-    nc.num_threads = threads;
-    nb::DisparityFilterOptions df;
-    df.num_threads = threads;
-    nb::NaiveThresholdOptions nt;
-    nt.num_threads = threads;
-    const auto sweep = [&](nb::SimdLevel level) {
-      nb::ScopedSimdLevelOverride forced(level);
-      return std::array<nb::Result<nb::ScoredEdges>, 3>{
-          nb::NoiseCorrected(*graph, nc), nb::DisparityFilter(*graph, df),
-          nb::NaiveThreshold(*graph, nt)};
-    };
-    const auto ref = sweep(nb::SimdLevel::kScalar);
-    for (const nb::SimdLevel level : levels) {
-      const auto got = sweep(level);
-      bool ok = true;
-      for (size_t k = 0; k < got.size(); ++k) {
-        ok = ok && got[k].ok() && ref[k].ok() &&
-             BitEqualScores(got[k]->scores(), ref[k]->scores());
-      }
-      std::printf("identity @ %s, %d thread(s): %s\n",
-                  nb::SimdLevelName(level), threads,
-                  ok ? "bit-identical" : "MISMATCH");
-      identical = identical && ok;
-    }
-  }
-  if (!identical) {
-    std::printf("FAILED: vector kernels are not bit-identical to scalar\n");
-    return 1;
-  }
-
   std::printf("(sink %.3f)\n", sink);
 
   // Speedup gate, wide-lane hosts and uninstrumented builds only.
   if (netbone::bench::SanitizerBuild()) {
-    std::printf(
-        "speedup gate skipped: sanitizer build (identity gate still "
-        "enforced)\n");
+    std::printf("speedup gate skipped: sanitizer build\n");
     return 0;
   }
   if (!nb::SimdHasWideLanes()) {
     std::printf(
         "speedup gate skipped: no >=4-wide SIMD level active on this "
-        "host/build (identity gate still enforced)\n");
+        "host/build\n");
     return 0;
   }
   std::printf("speedup gate (>= 2x required): NC %.2fx, DF %.2fx\n",

@@ -50,33 +50,4 @@ Result<ScoreOrder> DecodeScoreOrder(ByteReader* reader,
   return ScoreOrder::FromPermutation(scored, std::move(ids));
 }
 
-void EncodeSweepProfile(const SweepProfile& profile, ByteWriter* writer) {
-  writer->PodVec(profile.covered_nodes);
-  writer->PodVec(profile.kept_weight);
-  writer->I64(profile.target_nodes);
-  writer->I64(profile.connect_k);
-}
-
-Result<SweepProfile> DecodeSweepProfile(ByteReader* reader, int64_t num_edges,
-                                        int64_t num_nodes) {
-  SweepProfile profile;
-  NETBONE_ASSIGN_OR_RETURN(profile.covered_nodes,
-                           reader->PodVec<int64_t>());
-  NETBONE_ASSIGN_OR_RETURN(profile.kept_weight, reader->PodVec<double>());
-  NETBONE_ASSIGN_OR_RETURN(profile.target_nodes, reader->I64());
-  NETBONE_ASSIGN_OR_RETURN(profile.connect_k, reader->I64());
-  const size_t want = static_cast<size_t>(num_edges) + 1;
-  if (profile.covered_nodes.size() != want ||
-      profile.kept_weight.size() != want) {
-    return Status::Corruption("sweep profile length does not match graph");
-  }
-  if (profile.target_nodes < 0 || profile.target_nodes > num_nodes) {
-    return Status::Corruption("sweep profile target count out of range");
-  }
-  if (profile.connect_k < 0 || profile.connect_k > num_edges) {
-    return Status::Corruption("sweep profile connect index out of range");
-  }
-  return profile;
-}
-
 }  // namespace netbone

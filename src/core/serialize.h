@@ -1,12 +1,12 @@
 // Copyright 2026 The netbone Authors.
 //
-// Binary codecs for the cached scoring artifacts — ScoredEdges,
-// ScoreOrder, SweepProfile — used by the snapshot subsystem
-// (service/snapshot.h). Scores and weights are stored bitwise (F64 /
-// PodVec), and a restored ScoreOrder adopts the stored permutation through
-// ScoreOrder::FromPermutation, which validates it in O(E) without sorting:
-// a warm-restarted engine answers the same requests bit-identically with
-// zero rescores and zero sorts.
+// Binary codecs for the cached scoring artifacts — ScoredEdges and
+// ScoreOrder — used by the snapshot subsystem (service/snapshot.h).
+// Scores are stored bitwise (PodVec), and a restored ScoreOrder adopts the
+// stored permutation through ScoreOrder::FromPermutation, which validates
+// it in O(E) without sorting: a warm-restarted engine answers the same
+// requests bit-identically with zero rescores and zero sorts. The sweep
+// profile is not an artifact here; it is rebuilt from the order on use.
 //
 // Decoders assume hostile bytes: every size and index is validated against
 // the graph the artifact claims to describe, and violations come back as
@@ -38,16 +38,6 @@ void EncodeScoreOrder(const ScoreOrder& order, ByteWriter* writer);
 /// ScoreOrder::FromPermutation — O(E) validation, no sort performed.
 Result<ScoreOrder> DecodeScoreOrder(ByteReader* reader,
                                     const ScoredEdges& scored);
-
-/// Appends `profile`.
-void EncodeSweepProfile(const SweepProfile& profile, ByteWriter* writer);
-
-/// Decodes a SweepProfile for a graph with `num_edges` edges and
-/// `num_nodes` nodes; validates the prefix-array lengths (num_edges + 1)
-/// and counter ranges so CoverageAt/WeightShareAt cannot index out of
-/// bounds on restored data.
-Result<SweepProfile> DecodeSweepProfile(ByteReader* reader, int64_t num_edges,
-                                        int64_t num_nodes);
 
 }  // namespace netbone
 

@@ -21,6 +21,13 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Retry backoff: attempt k sleeps ~kRetryBackoff * 2^k, capped at
+/// kRetryBackoffMax, before its jitter.
+constexpr std::chrono::milliseconds kRetryBackoff{1};
+constexpr std::chrono::milliseconds kRetryBackoffMax{50};
+/// Byte budget for the trace ring (rounded down to whole slots).
+constexpr int64_t kTraceBufferBytes = int64_t{1} << 20;
+
 /// time_point::max() encodes "no deadline" throughout the engine.
 SteadyClock::time_point DeadlineFor(const BackboneRequest& request,
                                     SteadyClock::time_point now) {
@@ -124,7 +131,7 @@ const char* RequestKindName(RequestKind kind) {
 
 BackboneEngine::BackboneEngine(const Options& options)
     : options_(options),
-      tracer_(options.trace_sample_rate, options.trace_buffer_bytes),
+      tracer_(options.trace_sample_rate, kTraceBufferBytes),
       graphs_(options.graph_byte_budget),
       cache_(options.cache_byte_budget) {
   cache_.set_metrics_timing(options_.enable_metrics);
@@ -412,10 +419,9 @@ BackboneEngine::ScoreResult BackboneEngine::ComputeScoreWithRetry(
     // outlives the budget (a lapsed deadline surfaces as the sleep's
     // status, typed, not as a burned core).
     const int shift = std::min(attempt, 10);
-    auto delay = std::chrono::nanoseconds(options_.retry_backoff) *
+    auto delay = std::chrono::nanoseconds(kRetryBackoff) *
                  (int64_t{1} << shift);
-    delay = std::min(delay,
-                     std::chrono::nanoseconds(options_.retry_backoff_max));
+    delay = std::min(delay, std::chrono::nanoseconds(kRetryBackoffMax));
     delay = std::chrono::nanoseconds(static_cast<int64_t>(
         static_cast<double>(delay.count()) * BackoffJitter(key, attempt)));
     if (delay.count() > 0) {
@@ -517,7 +523,8 @@ std::shared_ptr<const CachedScore> BackboneEngine::TryDeltaRescore(
 
 BackboneEngine::ScoreResult BackboneEngine::GetOrComputeScore(
     const ScoreKey& key, const std::shared_ptr<const Graph>& graph,
-    ResolveInfo* info, const CancelToken& cancel) {
+    ResolveInfo* info, const CancelToken& cancel,
+    std::shared_future<ScoreResult> joined) {
   // Bounded resolve loop: round k re-enters when round k-1's shared
   // computation died of a *foreign* budget (the starter's deadline, not
   // ours) — on re-entry this caller may become the starter. Bounded so a
@@ -525,9 +532,13 @@ BackboneEngine::ScoreResult BackboneEngine::GetOrComputeScore(
   constexpr int kMaxResolveRounds = 4;
   ScoreResult last = ScoreResult(Status::Cancelled("operation cancelled"));
   for (int round = 0; round < kMaxResolveRounds; ++round) {
-    std::shared_future<ScoreResult> pending;
-    std::optional<ScoreResult> result =
-        StartOrJoinScore(key, graph, info, &pending, cancel);
+    // Round 0 awaits the caller's `joined` computation when it has one;
+    // the move leaves `joined` empty for every later round.
+    std::shared_future<ScoreResult> pending = std::move(joined);
+    std::optional<ScoreResult> result;
+    if (!pending.valid()) {
+      result = StartOrJoinScore(key, graph, info, &pending, cancel);
+    }
     if (!result.has_value()) {
       coalesced_waits_.Increment();
       info->coalesced = true;
@@ -553,6 +564,18 @@ BackboneEngine::ScoreResult BackboneEngine::GetOrComputeScore(
     return *std::move(result);
   }
   return last;
+}
+
+bool BackboneEngine::CountFailureMayDegrade(const BackboneRequest& request,
+                                            const Status& status) {
+  if (status.IsDeadlineExceeded()) {
+    deadline_hits_.Increment();
+  } else if (status.IsCancelled()) {
+    cancellations_.Increment();
+  }
+  return request.allow_degraded &&
+         (status.IsCancellationShaped() || status.IsTransient() ||
+          status.IsResourceExhausted());
 }
 
 void BackboneEngine::ClearNegativeCache() {
@@ -702,14 +725,7 @@ Result<BackboneResponse> BackboneEngine::Execute(
   graphs_.Unpin(request.graph);
   if (!score.ok()) {
     const Status& status = score.status();
-    if (status.IsDeadlineExceeded()) {
-      deadline_hits_.Increment();
-    } else if (status.IsCancelled()) {
-      cancellations_.Increment();
-    }
-    if (request.allow_degraded &&
-        (status.IsCancellationShaped() || status.IsTransient() ||
-         status.IsResourceExhausted()) &&
+    if (CountFailureMayDegrade(request, status) &&
         !lifetime_.CancellationRequested()) {
       if (std::optional<Result<BackboneResponse>> stale =
               TryDegradedResponse(request, key)) {
@@ -966,33 +982,10 @@ BackboneEngine::ExecuteBatchWithDeadlines(
     }
     for (size_t s = 0; s < keys.size(); ++s) {
       if (!scores[s].has_value()) {
-        // Coalesced with a foreign computation: wait under this key's
-        // own budget (slice-wait — the key token always can expire, it
-        // is chained under shutdown), falling back through the full
-        // resolve loop when the foreign computation died of *its*
-        // budget while ours is still live.
-        coalesced_waits_.Increment();
-        infos[s].coalesced = true;
-        constexpr auto kJoinSlice = std::chrono::milliseconds(1);
-        std::optional<Status> lapsed;
-        while (pending[s].wait_for(kJoinSlice) !=
-               std::future_status::ready) {
-          if (Status budget = key_tokens[s].Check(); !budget.ok()) {
-            lapsed = budget;
-            break;
-          }
-        }
-        if (lapsed.has_value()) {
-          scores[s] = ScoreResult(*lapsed);
-          continue;
-        }
-        ScoreResult joined = pending[s].get();
-        if (!joined.ok() && joined.status().IsCancellationShaped() &&
-            key_tokens[s].Check().ok()) {
-          joined = GetOrComputeScore(keys[s], key_graphs[s], &infos[s],
-                                     key_tokens[s]);
-        }
-        scores[s] = std::move(joined);
+        // Coalesced with a foreign computation: the resolve loop awaits
+        // it as its first round, under this key's own budget.
+        scores[s] = GetOrComputeScore(keys[s], key_graphs[s], &infos[s],
+                                      key_tokens[s], std::move(pending[s]));
       }
     }
   }
@@ -1042,15 +1035,8 @@ BackboneEngine::ExecuteBatchWithDeadlines(
             const ScoreResult& score = *scores[r.key_slot];
             if (!score.ok()) {
               const Status& status = score.status();
-              if (status.IsDeadlineExceeded()) {
-                deadline_hits_.Increment();
-              } else if (status.IsCancelled()) {
-                cancellations_.Increment();
-              }
               out[slot] = Result<BackboneResponse>(status);
-              if (request.allow_degraded &&
-                  (status.IsCancellationShaped() || status.IsTransient() ||
-                   status.IsResourceExhausted())) {
+              if (CountFailureMayDegrade(request, status)) {
                 if (std::optional<Result<BackboneResponse>> stale =
                         TryDegradedResponse(request, keys[r.key_slot])) {
                   out[slot] = *std::move(stale);

@@ -277,15 +277,12 @@ struct BackboneEngineOptions {
 
   /// Retries for transiently-failed cold scorings (kUnavailable /
   /// kIOError): up to this many re-attempts after the first failure.
-  /// 0 disables retry. Cancellation-shaped failures never retry.
+  /// 0 disables retry. Cancellation-shaped failures never retry. Attempt
+  /// k sleeps ~1 ms * 2^k, capped at 50 ms, scaled by a deterministic
+  /// jitter in [0.5, 1.0) derived from (key, attempt) — identical
+  /// workloads back off identically, distinct keys decorrelate. The sleep
+  /// is deadline-aware (it never outlives the request budget).
   int max_retries = 3;
-  /// Base of the exponential backoff between retries: attempt k sleeps
-  /// ~retry_backoff * 2^k, capped at retry_backoff_max, scaled by a
-  /// deterministic jitter in [0.5, 1.0) derived from (key, attempt) —
-  /// identical workloads back off identically, distinct keys decorrelate.
-  /// The sleep is deadline-aware (it never outlives the request budget).
-  std::chrono::milliseconds retry_backoff{1};
-  std::chrono::milliseconds retry_backoff_max{50};
 
   /// Bound on queued Submit batches (admission control). 0 = unbounded
   /// (the pre-PR-6 behavior). When full, `overload_policy` decides.
@@ -326,10 +323,9 @@ struct BackboneEngineOptions {
   /// Trace sampling: 0 (default) disables per-request traces entirely
   /// (no ring allocated, one predictable branch per request); 1 traces
   /// every request; N traces every Nth. Sampled requests additionally
-  /// pay one clock read per span boundary.
+  /// pay one clock read per span boundary. The trace ring holds 1 MiB of
+  /// traces (rounded down to whole slots).
   int64_t trace_sample_rate = 0;
-  /// Byte budget for the trace ring (rounded down to whole slots).
-  int64_t trace_buffer_bytes = int64_t{1} << 20;
 };
 
 /// Long-lived serving engine: graph residency + score cache + request
@@ -419,9 +415,9 @@ class BackboneEngine {
   ///    inflight_rejected, deadline_hits, cancellations, retries,
   ///    negative_exempt, degraded_served, background_refreshes,
   ///    snapshot_writes, snapshot_failures, profiles_built}`
-  ///    (profiles_built counts sweep profiles built and kept while
-  ///    answering requests; a snapshot write encodes a transient profile
-  ///    for each entry that holds none, uncounted and not kept);
+  ///    (profiles_built counts the sweep profiles built while answering
+  ///    requests, each entry's at most once; snapshots neither write nor
+  ///    restore profiles, so a restored entry counts its own first build);
   ///  * gauges `engine.{queue_depth, inflight_scores, negative_entries}`
   ///    (live negative entries only), the constructor's restore outcome
   ///    `engine.{restored_graphs, restored_entries, restored_lineage,
@@ -496,11 +492,22 @@ class BackboneEngine {
   /// stops waiting (the shared computation keeps running for the
   /// others), and a waiter that inherits a *foreign* cancellation — the
   /// starter's budget died, not this caller's — re-enters the resolve
-  /// loop and may become the starter itself.
+  /// loop and may become the starter itself. A valid `joined` is a
+  /// computation StartOrJoinScore already handed this caller (the
+  /// ExecuteBatch fan-out): it is awaited as the loop's first round
+  /// instead of a fresh lookup.
   ScoreResult GetOrComputeScore(const ScoreKey& key,
                                 const std::shared_ptr<const Graph>& graph,
                                 ResolveInfo* info,
-                                const CancelToken& cancel = {});
+                                const CancelToken& cancel = {},
+                                std::shared_future<ScoreResult> joined = {});
+
+  /// Counts a failed resolve's deadline hit or cancellation, and returns
+  /// whether `request` may be answered degraded instead: it opted in and
+  /// the failure is cancellation-shaped, transient or an admission
+  /// rejection.
+  bool CountFailureMayDegrade(const BackboneRequest& request,
+                              const Status& status);
 
   /// The cold scoring itself, with the transient-failure retry loop and
   /// the scoring fault-injection sites. Runs in the in-flight window
@@ -631,8 +638,11 @@ class BackboneEngine {
 
   /// Guards the cache-lookup + in-flight-registration window so exactly
   /// one computation per key can be live, plus the negative cache
-  /// (mutable: the negative_entries gauge reads the entry count).
-  mutable std::mutex score_mu_;
+  /// (mutable: the negative_entries gauge reads the entry count). On its
+  /// own cache line, like the store's and the cache's mutexes: every
+  /// request locks all three, and their offsets otherwise move with any
+  /// member declared before them.
+  alignas(64) mutable std::mutex score_mu_;
   std::unordered_map<ScoreKey, std::shared_future<ScoreResult>, ScoreKeyHash>
       inflight_;
 

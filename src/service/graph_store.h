@@ -172,7 +172,9 @@ class GraphStore {
   /// held.
   void TrimLocked(uint64_t keep);
 
-  mutable std::mutex mu_;
+  // Its own cache line: every request locks it (Find, Pin, Unpin), so a
+  // neighbour sharing the line would bounce between the request threads.
+  alignas(64) mutable std::mutex mu_;
   const int64_t byte_budget_;
   // Logically-const bookkeeping: Find() refreshes recency.
   mutable std::list<uint64_t> lru_;  // front = most recently used

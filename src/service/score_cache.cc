@@ -62,7 +62,7 @@ std::shared_ptr<const CachedScore> CachedScore::BuildPatched(
 
 Result<std::shared_ptr<const CachedScore>> CachedScore::Restore(
     std::shared_ptr<const Graph> graph, ScoredEdges scored,
-    std::vector<EdgeId> order_ids, SweepProfile profile,
+    std::vector<EdgeId> order_ids,
     std::optional<DeltaProvenance> provenance) {
   std::shared_ptr<CachedScore> entry(new CachedScore());
   entry->graph_ = std::move(graph);
@@ -73,10 +73,6 @@ Result<std::shared_ptr<const CachedScore>> CachedScore::Restore(
       ScoreOrder::FromPermutation(entry->scored_, std::move(order_ids));
   if (!order.ok()) return order.status();
   entry->order_.emplace(std::move(*order));
-  std::call_once(entry->profile_once_, [&entry, &profile] {
-    entry->profile_ = std::move(profile);
-    entry->profile_ready_.store(true, std::memory_order_release);
-  });
   entry->provenance_ = std::move(provenance);
   entry->PriceBytes();
   return std::shared_ptr<const CachedScore>(std::move(entry));

@@ -134,15 +134,13 @@ class CachedScore {
 
   /// Rebuilds an entry from snapshotted artifacts (service/snapshot.h):
   /// the stored permutation is adopted through ScoreOrder::FromPermutation
-  /// (validated in O(E), zero sorts) and the stored profile is used as-is
-  /// (its lengths were validated by the decoder; its content is covered by
-  /// the section checksum), so a restored entry never builds one.
-  /// Corruption when the permutation fails validation. Preconditions:
-  /// scored.graph() is *graph, profile was decoded for this graph's
-  /// edge/node counts.
+  /// (validated in O(E), zero sorts). Snapshots carry no profile, so a
+  /// restored entry is like a fresh one: profile() builds it from the
+  /// validated order on first use. Corruption when the permutation fails
+  /// validation. Precondition: scored.graph() is *graph.
   static Result<std::shared_ptr<const CachedScore>> Restore(
       std::shared_ptr<const Graph> graph, ScoredEdges scored,
-      std::vector<EdgeId> order_ids, SweepProfile profile,
+      std::vector<EdgeId> order_ids,
       std::optional<DeltaProvenance> provenance);
 
   const Graph& graph() const { return *graph_; }
@@ -150,17 +148,18 @@ class CachedScore {
   const ScoredEdges& scored() const { return scored_; }
   const ScoreOrder& order() const { return *order_; }
 
-  /// The sweep profile of order(). The first call builds it
-  /// (BuildSweepProfile, one O(E a(E)) pass, which records the graph's
-  /// connectivity) and sets *built when `built` is given; later calls
-  /// read it in O(1). Thread-safe: concurrent first callers build it
-  /// exactly once, the others wait for that build. The build runs on
-  /// the calling thread and spawns no pool tasks, so a pool task that
-  /// waits for it cannot deadlock the pool.
+  /// The sweep profile of order(), and the only place an entry's profile
+  /// is produced, whether the entry was built, patched or restored. The
+  /// first call builds it (BuildSweepProfile, one O(E a(E)) pass, which
+  /// records the graph's connectivity) and sets *built when `built` is
+  /// given; later calls read it in O(1). Thread-safe: concurrent first
+  /// callers build it exactly once, the others wait for that build. The
+  /// build runs on the calling thread and spawns no pool tasks, so a pool
+  /// task that waits for it cannot deadlock the pool.
   const SweepProfile& profile(bool* built = nullptr) const;
 
-  /// The sweep profile when one is held — built by profile() or restored
-  /// from a snapshot — else nullptr. Never builds.
+  /// The sweep profile when profile() has built it, else nullptr. Never
+  /// builds.
   const SweepProfile* built_profile() const {
     return profile_ready_.load(std::memory_order_acquire) ? &profile_
                                                           : nullptr;
@@ -296,7 +295,9 @@ class ScoreCache {
   using LruList =
       std::list<std::pair<ScoreKey, std::shared_ptr<const CachedScore>>>;
 
-  mutable std::mutex mu_;
+  // Its own cache line: every request locks it (Get), so a neighbour
+  // sharing the line would bounce between the request threads.
+  alignas(64) mutable std::mutex mu_;
   const int64_t byte_budget_;
   int64_t bytes_ = 0;
   int64_t hits_ = 0;

@@ -19,7 +19,6 @@
 #include "common/checksum.h"
 #include "common/serialize.h"
 #include "core/serialize.h"
-#include "core/sweep.h"
 #include "graph/codec.h"
 #include "graph/delta.h"
 #include "service/fault_injection.h"
@@ -30,9 +29,11 @@ namespace {
 // "netbsnap" as little-endian bytes; rejects every non-snapshot file up
 // front without guessing at sections.
 constexpr uint64_t kSnapshotMagic = 0x70616E736274656EULL;
-// Version 2: graphs are keyed by the summed fingerprint
-// (service/graph_store.h); a version-1 file's keys are no longer valid.
-constexpr uint32_t kSnapshotVersion = 2;
+// Version 3: score-entry sections no longer carry the sweep profile; a
+// restored entry builds it from its validated order on first use, like a
+// fresh one. (Version 2 keyed graphs by the summed fingerprint,
+// service/graph_store.h.)
+constexpr uint32_t kSnapshotVersion = 3;
 // Written as a u64; a foreign-endian reader sees the bytes reversed and
 // rejects the file as NotSupported instead of decoding garbage.
 constexpr uint64_t kEndianTag = 0x0102030405060708ULL;
@@ -71,14 +72,6 @@ void EncodeScoreEntrySection(const ScoreKey& key, const CachedScore& entry,
   writer->U64(key.options.hss_sample_seed);
   EncodeScoredEdges(entry.scored(), writer);
   EncodeScoreOrder(entry.order(), writer);
-  // The format always carries a profile, so a restored entry never builds
-  // one. An entry no request has hit yet holds none: one is built for the
-  // section only and dropped, so the live entry stays point-only.
-  if (const SweepProfile* held = entry.built_profile()) {
-    EncodeSweepProfile(*held, writer);
-  } else {
-    EncodeSweepProfile(BuildSweepProfile(entry.order()), writer);
-  }
   const CachedScore::DeltaProvenance* provenance = entry.delta_provenance();
   writer->U32(provenance != nullptr ? 1u : 0u);
   if (provenance != nullptr) {
@@ -509,10 +502,6 @@ Result<SnapshotRestoreReport> RestoreFromImage(
               ScoredEdges scored, DecodeScoredEdges(&reader, graph.get()));
           NETBONE_ASSIGN_OR_RETURN(std::vector<EdgeId> order_ids,
                                    reader.PodVec<EdgeId>());
-          NETBONE_ASSIGN_OR_RETURN(
-              SweepProfile profile,
-              DecodeSweepProfile(&reader, graph->num_edges(),
-                                 graph->num_nodes()));
           NETBONE_ASSIGN_OR_RETURN(const uint32_t has_provenance,
                                    reader.U32());
           if (has_provenance > 1) {
@@ -529,7 +518,7 @@ Result<SnapshotRestoreReport> RestoreFromImage(
           NETBONE_ASSIGN_OR_RETURN(
               std::shared_ptr<const CachedScore> entry,
               CachedScore::Restore(graph, std::move(scored),
-                                   std::move(order_ids), std::move(profile),
+                                   std::move(order_ids),
                                    std::move(provenance)));
           cache->Put(key, std::move(entry));
           ++report.entries_restored;

@@ -2,11 +2,13 @@
 //
 // Crash-safe snapshot/restore of the serving state: the GraphStore's
 // resident graphs plus every ScoreCache entry (ScoredEdges + ScoreOrder +
-// SweepProfile, keyed by the run-stable (GraphFingerprint, method,
+// delta provenance, keyed by the run-stable (GraphFingerprint, method,
 // ScoreOptions)) and the lineage map. A restarted engine that restores a
 // snapshot serves the same requests bit-identically with zero rescores
-// and zero sorts — the difference between a cache and a database
-// (ROADMAP item 1).
+// and zero sorts — the difference between a cache and a database. The
+// sweep profile is not persisted: it is one linear pass over the order,
+// so a restored entry builds it on first use, exactly as a fresh entry
+// does (CachedScore::profile), and a snapshot write builds none.
 //
 // File format (all scalars little-endian; the header tags byte order):
 //

@@ -1687,6 +1687,80 @@ TEST(BackboneEngineFaultTest, InflightLimitRefusesNewColdScorings) {
   EXPECT_EQ(Metric(engine, "engine.negative_hits"), 0);
 }
 
+TEST(BackboneEngineFaultTest, JoinerInheritingAForeignDeadlineScoresItself) {
+  // A starter stalls in an injected sleep and dies of its own short
+  // deadline; a joiner without a deadline that coalesced onto it must not
+  // inherit that failure. It re-enters the resolve loop, scores the key
+  // itself and answers exactly: once through Execute, once through the
+  // ExecuteBatch fan-out (two keys on two threads, so the joiner's future
+  // is recorded in phase 1 and awaited afterwards).
+  const Graph graph = BenchGraph(92);
+  const Result<ScoredEdges> scored =
+      RunMethod(Method::kNoiseCorrected, graph);
+  ASSERT_TRUE(scored.ok());
+  const BackboneMask expected = TopShare(*scored, 0.3);
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "ExecuteBatch" : "Execute");
+    BackboneEngineOptions options;
+    options.num_threads = 2;
+    BackboneEngine engine(options);
+    const uint64_t fingerprint = engine.AddGraph(BenchGraph(92));
+    // The batch's second key, warmed before any fault is armed.
+    const BackboneRequest warm =
+        ShareRequest(fingerprint, Method::kNaiveThreshold);
+    if (batch) {
+      ASSERT_TRUE(engine.Execute(warm).ok());
+    }
+    const int64_t computed_before = Metric(engine, "engine.scores_computed");
+
+    FaultInjector injector(21);
+    injector.Configure(FaultSite::kScoringLatency,
+                       {.probability = 1.0,
+                        .latency = std::chrono::seconds(10),
+                        .max_injections = 1});
+    ScopedFaultInjection scope(&injector);
+    BackboneRequest starter =
+        ShareRequest(fingerprint, Method::kNoiseCorrected);
+    starter.timeout = std::chrono::milliseconds(300);
+    std::optional<Result<BackboneResponse>> started;
+    std::thread worker([&] { started = engine.Execute(starter); });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Metric(engine, "engine.inflight_scores") < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const int64_t inflight = Metric(engine, "engine.inflight_scores");
+
+    const BackboneRequest joiner =
+        ShareRequest(fingerprint, Method::kNoiseCorrected);
+    std::vector<Result<BackboneResponse>> results;
+    if (batch) {
+      results = engine.ExecuteBatch(std::vector<BackboneRequest>{joiner, warm});
+    } else {
+      results.push_back(engine.Execute(joiner));
+    }
+    worker.join();  // before any assertion can leave the scope
+    EXPECT_EQ(inflight, 1);
+    ASSERT_EQ(results.size(), batch ? 2u : 1u);
+    if (batch) {
+      EXPECT_TRUE(results[1].ok());
+    }
+    const Result<BackboneResponse>& joined = results[0];
+    ASSERT_TRUE(started.has_value());
+    ASSERT_FALSE(started->ok());
+    EXPECT_TRUE(started->status().IsDeadlineExceeded());
+    ASSERT_TRUE(joined.ok()) << joined.status().message();
+    EXPECT_FALSE(joined->cache_hit);
+    EXPECT_EQ(joined->kept_edges, MaskToEdgeIds(expected));
+    EXPECT_EQ(joined->kept, expected.kept);
+    // The starter died in the injected sleep, before it scored: the one
+    // scoring is the joiner's.
+    EXPECT_EQ(Metric(engine, "engine.scores_computed"), computed_before + 1);
+    EXPECT_GE(Metric(engine, "engine.coalesced_waits"), 1);
+  }
+}
+
 TEST(BackboneEngineFaultTest, QueueDelayCountsAgainstSubmitDeadlines) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(BenchGraph(87));

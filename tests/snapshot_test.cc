@@ -5,8 +5,9 @@
 // version skew, foreign endianness), a seeded corruption fuzz sweep —
 // truncations and bit flips at random offsets must never crash, only
 // quarantine — the engine-level warm-restart contract (bit-identical
-// responses, zero rescores, zero sorts — also for entries that held no
-// sweep profile when written), and the three snapshot fault-injection
+// responses, zero rescores, zero sorts; snapshots carry no sweep profile,
+// so a restored entry builds its own on first hit; an old-format file is
+// refused and the engine boots cold), and the three snapshot fault-injection
 // sites (write failure, short read, kill-before-rename).
 
 #include "service/snapshot.h"
@@ -273,22 +274,6 @@ TEST(ArtifactCodecTest, ScoreOrderRoundTripPerformsNoSort) {
   }
 }
 
-TEST(ArtifactCodecTest, SweepProfileRoundTrip) {
-  const ScoredFixture fixture = MakeScored();
-  const ScoreOrder order(fixture.scored);
-  const SweepProfile profile = BuildSweepProfile(order);
-  ByteWriter writer;
-  EncodeSweepProfile(profile, &writer);
-  ByteReader reader(writer.buffer().data(), writer.size());
-  auto decoded = DecodeSweepProfile(&reader, fixture.graph->num_edges(),
-                                    fixture.graph->num_nodes());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(decoded->covered_nodes, profile.covered_nodes);
-  EXPECT_EQ(decoded->kept_weight, profile.kept_weight);
-  EXPECT_EQ(decoded->target_nodes, profile.target_nodes);
-  EXPECT_EQ(decoded->connect_k, profile.connect_k);
-}
-
 TEST(ArtifactCodecTest, FromPermutationRejectsHostileCandidates) {
   const ScoredFixture fixture = MakeScored();
   const ScoreOrder order(fixture.scored);
@@ -436,6 +421,57 @@ TEST(SnapshotTest, HardFailureTaxonomy) {
   ASSERT_FALSE(endian.ok());
   EXPECT_EQ(endian.status().code(), Status::Code::kNotSupported);
 
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotTest, PreviousFormatVersionIsRefusedAndBootsCold) {
+  // A version-2 file carries a sweep profile in every score entry; this
+  // reader does not parse it. A fresh file relabelled as version 2 is
+  // refused whole, and an engine booted on it starts cold.
+  const std::string dir = TempPath("snapshot_version_2");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const uint64_t fingerprint = PopulateSnapshot(dir);
+  const std::string path = SnapshotFilePath(dir);
+  std::vector<unsigned char> bytes = ReadBytes(path);
+  ASSERT_GE(bytes.size(), 12u);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  ASSERT_EQ(version, 3u);
+  version = 2;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  WriteBytes(path, bytes);
+
+  GraphStore store;
+  ScoreCache cache(0);
+  auto report = RestoreSnapshot(path, &store, &cache);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), Status::Code::kNotSupported);
+  EXPECT_TRUE(store.ResidentGraphs().empty());
+  EXPECT_TRUE(cache.Entries().empty());
+
+  BackboneEngineOptions options;
+  options.snapshot_dir = dir;
+  options.snapshot_on_shutdown = false;
+  BackboneEngine engine(options);
+  EXPECT_EQ(Metric(engine, "engine.snapshot_restore_errors"), 1);
+  EXPECT_EQ(Metric(engine, "engine.restored_graphs"), 0);
+  EXPECT_EQ(Metric(engine, "engine.restored_entries"), 0);
+  BackboneRequest request;
+  request.graph = fingerprint;
+  request.kind = RequestKind::kTopShare;
+  request.share = 0.3;
+  EXPECT_EQ(engine.Execute(request).status().code(),
+            Status::Code::kNotFound);
+  // Re-added, the same graph scores from scratch.
+  auto graph = GenerateErdosRenyi(
+      {.num_nodes = 150, .average_degree = 3.0, .seed = 5});
+  ASSERT_TRUE(graph.ok());
+  ASSERT_EQ(engine.AddGraph(*std::move(graph)), fingerprint);
+  auto response = engine.Execute(request);
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->cache_hit);
+  EXPECT_EQ(Metric(engine, "engine.scores_computed"), 1);
   fs::remove_all(dir);
 }
 
@@ -654,9 +690,9 @@ TEST(WarmRestartTest, BitIdenticalZeroRescoreZeroSort) {
 
 TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   // Every entry is answered once, by a point request, so none holds a
-  // sweep profile when the snapshot is written; the writer builds one
-  // per section without keeping it, and the file is the same format 2 as
-  // ever.
+  // sweep profile when the snapshot is written. The file (format 3)
+  // carries no profile at all: the restored entries are like fresh ones
+  // and each builds its profile once, on its first hit.
   const std::string dir = TempPath("point_only_restart");
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -674,8 +710,14 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   trace[2].method = Method::kNaiveThreshold;
   trace[2].kind = RequestKind::kTopK;
   trace[2].k = 77;
+  const auto sweep_of = [](BackboneRequest request) {
+    request.kind = RequestKind::kSweep;
+    request.shares = {0.1, 0.5, 0.9};
+    return request;
+  };
 
   std::vector<BackboneResponse> reference;
+  std::vector<BackboneResponse> reference_sweeps;
   {
     BackboneEngineOptions options;
     options.snapshot_dir = dir;
@@ -691,8 +733,8 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
     }
     EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
     ASSERT_TRUE(engine.WriteSnapshotNow().ok());
-    // The live entries stay point-only: each one's first hit after the
-    // write still builds its profile.
+    // The write builds no profile: each entry's first hit after it does.
+    EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
     for (size_t i = 0; i < trace.size(); ++i) {
       BackboneRequest request = trace[i];
       request.graph = fingerprint;
@@ -701,6 +743,9 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
       EXPECT_TRUE(response->cache_hit);
       EXPECT_EQ(response->coverage, reference[i].coverage);
       EXPECT_EQ(response->weight_share, reference[i].weight_share);
+      auto sweep = engine.Execute(sweep_of(request));
+      ASSERT_TRUE(sweep.ok());
+      reference_sweeps.push_back(*std::move(sweep));
     }
     EXPECT_EQ(Metric(engine, "engine.profiles_built"), 3);
   }
@@ -709,7 +754,7 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   ASSERT_GE(bytes.size(), 12u);
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(version, 3u);
 
   BackboneEngineOptions options;
   options.snapshot_dir = dir;
@@ -717,6 +762,7 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   BackboneEngine restarted(options);
   EXPECT_EQ(Metric(restarted, "engine.restored_entries"), 3);
   EXPECT_EQ(Metric(restarted, "engine.quarantined_sections"), 0);
+  EXPECT_EQ(Metric(restarted, "engine.profiles_built"), 0);
   const uint64_t fingerprint = GraphFingerprint(*graph);
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
   for (size_t i = 0; i < trace.size(); ++i) {
@@ -729,14 +775,20 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
     EXPECT_EQ(response->kept, reference[i].kept);
     EXPECT_EQ(response->coverage, reference[i].coverage);
     EXPECT_EQ(response->weight_share, reference[i].weight_share);
-    // The restored profile serves a sweep too, with nothing built.
-    request.kind = RequestKind::kSweep;
-    request.shares = {0.1, 0.5};
-    ASSERT_TRUE(restarted.Execute(request).ok());
+    // The first hit built this entry's profile from its restored order;
+    // the sweep reads it and builds nothing more.
+    EXPECT_EQ(Metric(restarted, "engine.profiles_built"),
+              static_cast<int64_t>(i) + 1);
+    auto sweep = restarted.Execute(sweep_of(request));
+    ASSERT_TRUE(sweep.ok());
+    EXPECT_EQ(sweep->sweep, reference_sweeps[i].sweep);
+    EXPECT_EQ(sweep->connect_k, reference_sweeps[i].connect_k);
+    EXPECT_EQ(Metric(restarted, "engine.profiles_built"),
+              static_cast<int64_t>(i) + 1);
   }
   EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
   EXPECT_EQ(Metric(restarted, "engine.delta_rescores"), 0);
-  EXPECT_EQ(Metric(restarted, "engine.profiles_built"), 0);
+  EXPECT_EQ(Metric(restarted, "engine.profiles_built"), 3);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
   fs::remove_all(dir);
 }
