@@ -17,7 +17,8 @@
 // union-find pass is not incremental by design) and is reported
 // separately, as are the end-to-end engine latencies. The engine builds
 // no profile for either request timed there: each asks one TopShare
-// point of a fresh entry, answered by one O(E) pass (EvaluatePrefix).
+// point of a fresh entry, answered by one O(k + V) walk of the kept
+// ranks (EvaluatePrefix).
 //
 // Usage: bench_delta_rescore [identity|timing]. No argument runs both;
 // identity and timing are separate ctest entries, so a slow host fails

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     }
 
     // Cold: a fresh engine per repetition — the first request pays
-    // scoring, the one sort, and one O(E) pass for its point; it builds
-    // no sweep profile.
+    // scoring, the one sort, and one O(k + V) walk of the kept ranks for
+    // its point; it builds no sweep profile.
     std::vector<double> cold_times;
     for (int rep = 0; rep < (run_timing ? cold_reps : 1); ++rep) {
       nb::BackboneEngine engine;

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ranges>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -45,13 +46,14 @@ class ByteWriter {
     Raw(s.data(), s.size());
   }
 
-  /// Length-prefixed (u64 element count) vector of a trivially-copyable
-  /// element type, written as one contiguous memcpy.
-  template <typename T>
-  void PodVec(const std::vector<T>& v) {
+  /// Length-prefixed (u64 element count) run of a trivially-copyable
+  /// element type — a vector or a span — written as one contiguous memcpy.
+  template <std::ranges::contiguous_range Range>
+  void PodVec(const Range& v) {
+    using T = std::ranges::range_value_t<Range>;
     static_assert(std::is_trivially_copyable_v<T>);
-    U64(static_cast<uint64_t>(v.size()));
-    Raw(v.data(), v.size() * sizeof(T));
+    U64(static_cast<uint64_t>(std::ranges::size(v)));
+    Raw(std::ranges::data(v), std::ranges::size(v) * sizeof(T));
   }
 
   /// Raw bytes, no length prefix.
@@ -80,7 +82,6 @@ class ByteReader {
       : data_(static_cast<const unsigned char*>(data), len) {}
 
   size_t remaining() const { return data_.size() - pos_; }
-  size_t position() const { return pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
 
   Result<uint32_t> U32() { return Scalar<uint32_t>("u32"); }
@@ -113,15 +114,6 @@ class ByteReader {
       pos_ += static_cast<size_t>(count) * sizeof(T);
     }
     return v;
-  }
-
-  /// Skips `len` bytes; Corruption when fewer remain.
-  Status Skip(size_t len) {
-    if (len > remaining()) {
-      return Status::Corruption("skip overruns buffer");
-    }
-    pos_ += len;
-    return Status::OK();
   }
 
  private:

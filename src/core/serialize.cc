@@ -38,16 +38,4 @@ Result<ScoredEdges> DecodeScoredEdges(ByteReader* reader,
                      has_sdev == 1);
 }
 
-void EncodeScoreOrder(const ScoreOrder& order, ByteWriter* writer) {
-  writer->U64(static_cast<uint64_t>(order.size()));
-  writer->Raw(order.ids().data(),
-              static_cast<size_t>(order.size()) * sizeof(EdgeId));
-}
-
-Result<ScoreOrder> DecodeScoreOrder(ByteReader* reader,
-                                    const ScoredEdges& scored) {
-  NETBONE_ASSIGN_OR_RETURN(std::vector<EdgeId> ids, reader->PodVec<EdgeId>());
-  return ScoreOrder::FromPermutation(scored, std::move(ids));
-}
-
 }  // namespace netbone

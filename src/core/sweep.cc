@@ -288,10 +288,6 @@ class PrefixTally {
     weight_ += e.weight;
   }
 
-  /// Adds an edge's weight alone (a rank past the prefix that still
-  /// counts towards the rank-order total).
-  void AddWeight(const Edge& e) { weight_ += e.weight; }
-
   int64_t covered() const { return covered_; }
   double weight() const { return weight_; }
 
@@ -650,6 +646,7 @@ SweepProfile BuildSweepProfile(const ScoreOrder& order) {
       });
   profile.connect_k = walk.connect_k;
   profile.target_nodes = walk.target_nodes;
+  profile.total_weight = order.graph().total_weight();
   return profile;
 }
 
@@ -660,19 +657,14 @@ PrefixPoint EvaluatePrefix(const ScoreOrder& order, int64_t k) {
   const std::vector<Edge>& edges = g.edges();
   const std::span<const EdgeId> ids = order.ids();
   PrefixTally tally(g);
-  int64_t rank = 0;
-  for (; rank < k; ++rank) {
+  for (int64_t rank = 0; rank < k; ++rank) {
     tally.Keep(edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])]);
-  }
-  const double kept_weight = tally.weight();
-  for (; rank < num_edges; ++rank) {
-    tally.AddWeight(
-        edges[static_cast<size_t>(ids[static_cast<size_t>(rank)])]);
   }
   PrefixPoint point;
   point.target_nodes = g.num_nodes() - g.CountIsolates();
   point.coverage = CoverageRatio(tally.covered(), point.target_nodes);
-  point.weight_share = WeightShareRatio(kept_weight, tally.weight());
+  point.weight_share =
+      WeightShareRatio(tally.weight(), g.total_weight(), k == num_edges);
   return point;
 }
 

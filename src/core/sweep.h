@@ -15,7 +15,7 @@
 // index for all P thresholds in O(E + E a(E) + P) total (SweepProfile).
 // A caller that wants one point, once, evaluates that prefix alone
 // (EvaluatePrefix): the same coverage and kept-weight share, bit for bit,
-// in one O(E) pass with no union-find and no per-rank arrays.
+// in O(k + V) with no union-find and no per-rank arrays.
 //
 // The single-point entry points in core/filter.h (TopK, TopShare,
 // GrowUntilConnected) are thin wrappers over the overloads below, so every
@@ -24,6 +24,7 @@
 #ifndef NETBONE_CORE_SWEEP_H_
 #define NETBONE_CORE_SWEEP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -166,11 +167,15 @@ inline double CoverageRatio(int64_t covered, int64_t target_nodes) {
   return static_cast<double>(covered) / static_cast<double>(target_nodes);
 }
 
-/// Share of `total` weight that a prefix of weight `kept` retains (0 when
-/// the graph has no weight). SweepProfile and EvaluatePrefix both divide
-/// here.
-inline double WeightShareRatio(double kept, double total) {
-  return total > 0.0 ? kept / total : 0.0;
+/// Share of the graph's `total` weight that a prefix of weight `kept`
+/// retains (0 when the graph has no weight). The prefix is summed in rank
+/// order and the total in id order, so they can round apart: the `whole`
+/// edge set's share is exactly 1, and other shares are clamped to at most
+/// 1, so shares never decrease in k. SweepProfile and EvaluatePrefix both
+/// divide here.
+inline double WeightShareRatio(double kept, double total, bool whole) {
+  if (!(total > 0.0)) return 0.0;
+  return whole ? 1.0 : std::min(kept / total, 1.0);
 }
 
 /// Prefix profile of the full descending sweep, computed by one linear
@@ -191,6 +196,10 @@ struct SweepProfile {
   /// denominator (|V| - |I_G|).
   int64_t target_nodes = 0;
 
+  /// The graph's total weight (Graph::total_weight()) — the kept-weight
+  /// share's denominator.
+  double total_weight = 0.0;
+
   /// The GrowUntilConnected stopping index: the smallest k whose prefix
   /// backbone covers every originally non-isolated node in one connected
   /// component. |E| when no prefix ever does (the grow rule then keeps
@@ -202,11 +211,11 @@ struct SweepProfile {
     return CoverageRatio(covered_nodes[static_cast<size_t>(k)], target_nodes);
   }
 
-  /// Share of total weight retained at prefix k (0 when the graph has no
-  /// weight).
+  /// Share of total weight retained at prefix k (WeightShareRatio).
   double WeightShareAt(int64_t k) const {
-    return WeightShareRatio(kept_weight[static_cast<size_t>(k)],
-                            kept_weight.back());
+    const size_t at = static_cast<size_t>(k);
+    return WeightShareRatio(kept_weight[at], total_weight,
+                            at + 1 == kept_weight.size());
   }
 };
 
@@ -232,15 +241,14 @@ struct PrefixPoint {
 };
 
 /// The sweep profile's answer at prefix k (clamped to [0, |E|]), bit for
-/// bit, without building the profile: one walk of the order that covers
-/// the endpoints of the first k ranks with byte flags and sums the weight
-/// of all |E| ranks in rank order, the kept weight read off at k — the
-/// profile walk's own per-edge step, so the sums round identically. No
-/// union-find runs and no per-rank array is kept, so it costs O(|V| + E)
-/// time, one byte per node, and learns nothing about connectivity: the
-/// graph's known_connectivity() is left as it was. For a caller that asks
-/// one point of an order once; a caller that asks many builds the profile
-/// and reads it in O(1) per point.
+/// bit, without building the profile: one walk of the first k ranks that
+/// covers their endpoints with byte flags and sums their weight in rank
+/// order — the profile walk's own per-edge step, so the sums round
+/// identically. No union-find runs and no per-rank array is kept, so it
+/// costs O(k + |V|) time, one byte per node, and learns nothing about
+/// connectivity: the graph's known_connectivity() is left as it was. For a
+/// caller that asks one point of an order once; a caller that asks many
+/// builds the profile and reads it in O(1) per point.
 PrefixPoint EvaluatePrefix(const ScoreOrder& order, int64_t k);
 
 /// TopK riding a precomputed order: no sort, O(E) mask build.

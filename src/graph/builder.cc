@@ -156,6 +156,9 @@ Result<Graph> GraphBuilder::Build() {
       g.in_degree_[d] += 1;
     }
   }
+  for (size_t v = 0; v < n; ++v) {
+    g.isolates_ += g.out_degree_[v] == 0 && g.in_degree_[v] == 0 ? 1 : 0;
+  }
   return g;
 }
 

@@ -65,17 +65,6 @@ double Graph::matrix_total() const {
   return 2.0 * (total_weight_ - self_loop_weight_) + self_loop_weight_;
 }
 
-int64_t Graph::CountIsolates() const {
-  int64_t isolates = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    if (out_degree_[static_cast<size_t>(v)] == 0 &&
-        in_degree_[static_cast<size_t>(v)] == 0) {
-      ++isolates;
-    }
-  }
-  return isolates;
-}
-
 EdgeId Graph::FindEdge(NodeId src, NodeId dst) const {
   if (!directed() && src > dst) std::swap(src, dst);
   Edge probe{src, dst, 0.0};

@@ -161,8 +161,8 @@ class Graph {
   }
 
   /// Number of nodes with no incident edge at all (the isolates I_G of the
-  /// paper's Coverage criterion).
-  int64_t CountIsolates() const;
+  /// paper's Coverage criterion), counted once by the builder.
+  int64_t CountIsolates() const { return isolates_; }
 
   /// Looks up the stored weight of (src, dst); 0.0 when the edge is absent.
   /// For undirected graphs the pair is canonicalized first.
@@ -200,6 +200,7 @@ class Graph {
   std::vector<int64_t> in_degree_;
   double total_weight_ = 0.0;
   double self_loop_weight_ = 0.0;
+  int64_t isolates_ = 0;
   std::vector<std::string> labels_;
   // label -> id, populated by GraphBuilder alongside labels_.
   std::unordered_map<std::string, NodeId> label_index_;

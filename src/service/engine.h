@@ -23,9 +23,9 @@
 //      kinds are an O(k + E/64) prefix walk, coverage points are O(1)
 //      reads of the sweep profile, zero rescoring and zero sorts when
 //      warm. The profile is built lazily: the request whose resolve
-//      produced the entry answers its one point without it (one O(E)
-//      pass, core/sweep.h EvaluatePrefix), and the entry's first hit
-//      builds it, once.
+//      produced the entry answers its one point without it (a walk of
+//      the k kept ranks, O(k + V), core/sweep.h EvaluatePrefix), and the
+//      entry's first hit builds it, once.
 //
 // Warm-path contract (pinned by tests/service_test.cc and
 // bench/bench_serving_engine.cc): requests on a cached key advance
@@ -134,8 +134,8 @@ enum class RequestKind {
   kSweep,
   /// Coverage + kept-weight share at one retention share; no edge list is
   /// materialized. Warm, it is the cheapest request (two profile reads);
-  /// on the request that resolved the entry, one O(E) pass instead of the
-  /// profile build.
+  /// on the request that resolved the entry, one O(k + V) walk of the
+  /// kept ranks instead of the profile build.
   kCoveragePoint,
   /// Stability (Spearman of consecutive-snapshot weights, Sec. V-F) of
   /// the share-backbone of `graph` against `next_graph`.

@@ -9,9 +9,10 @@
 // ScoreOrder permutation, built with the entry, and the SweepProfile of
 // the single linear pass, built lazily — once, by the first caller that
 // needs it (CachedScore::profile). A request that asks one point of a
-// fresh entry is answered without it (EvaluatePrefix, core/sweep.h); a
-// warm entry answers with zero rescoring and zero sorts (pinned by
-// ScoreOrder::SortsPerformed in the tests and the serving benchmark).
+// fresh entry is answered without it, in O(k + V) (EvaluatePrefix,
+// core/sweep.h); a warm entry answers with zero rescoring and zero sorts
+// (pinned by ScoreOrder::SortsPerformed in the tests and the serving
+// benchmark).
 //
 // Residency is LRU under a byte budget: entries are priced with the
 // common/bytes.h accounting and the least-recently-used entries are
@@ -144,7 +145,6 @@ class CachedScore {
       std::optional<DeltaProvenance> provenance);
 
   const Graph& graph() const { return *graph_; }
-  const std::shared_ptr<const Graph>& graph_handle() const { return graph_; }
   const ScoredEdges& scored() const { return scored_; }
   const ScoreOrder& order() const { return *order_; }
 

@@ -71,7 +71,7 @@ void EncodeScoreEntrySection(const ScoreKey& key, const CachedScore& entry,
   writer->I64(key.options.hss_source_sample_size);
   writer->U64(key.options.hss_sample_seed);
   EncodeScoredEdges(entry.scored(), writer);
-  EncodeScoreOrder(entry.order(), writer);
+  writer->PodVec(entry.order().ids());
   const CachedScore::DeltaProvenance* provenance = entry.delta_provenance();
   writer->U32(provenance != nullptr ? 1u : 0u);
   if (provenance != nullptr) {

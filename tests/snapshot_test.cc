@@ -257,23 +257,6 @@ TEST(ArtifactCodecTest, ScoredEdgesRoundTripIsBitwise) {
   }
 }
 
-TEST(ArtifactCodecTest, ScoreOrderRoundTripPerformsNoSort) {
-  const ScoredFixture fixture = MakeScored();
-  const ScoreOrder order(fixture.scored);  // the one counted sort
-  ByteWriter writer;
-  EncodeScoreOrder(order, &writer);
-
-  const int64_t sorts_before = ScoreOrder::SortsPerformed();
-  ByteReader reader(writer.buffer().data(), writer.size());
-  auto decoded = DecodeScoreOrder(&reader, fixture.scored);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
-  ASSERT_EQ(decoded->size(), order.size());
-  for (int64_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(decoded->id_at(i), order.id_at(i));
-  }
-}
-
 TEST(ArtifactCodecTest, FromPermutationRejectsHostileCandidates) {
   const ScoredFixture fixture = MakeScored();
   const ScoreOrder order(fixture.scored);

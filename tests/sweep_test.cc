@@ -695,6 +695,7 @@ SweepProfile ReferenceProfile(const ScoreOrder& order) {
   profile.covered_nodes.assign(n + 1, 0);
   profile.kept_weight.assign(n + 1, 0.0);
   profile.target_nodes = g.num_nodes() - g.CountIsolates();
+  profile.total_weight = g.total_weight();
   if (profile.target_nodes == 0) return profile;
   profile.connect_k = order.size();
   UnionFind uf(g.num_nodes());
@@ -794,6 +795,7 @@ void ExpectProfileMatchesReference(const Graph& g, bool spans) {
       const auto check_profile = [&] {
         const SweepProfile profile = BuildSweepProfile(order);
         EXPECT_EQ(profile.target_nodes, expected.target_nodes);
+        EXPECT_EQ(profile.total_weight, expected.total_weight);
         EXPECT_EQ(profile.connect_k, expected.connect_k);
         EXPECT_EQ(profile.covered_nodes, expected.covered_nodes);
         // Bit for bit: the cumulative sums run in the same rank order.
@@ -934,7 +936,9 @@ std::vector<int64_t> CheckedPrefixes(const ScoreOrder& order) {
 /// Scores a rebuild of `source` (nothing learned about it yet) with
 /// `score`, evaluates every checked prefix alone, and checks that this
 /// left the graph's connectivity unknown and that each point equals the
-/// profile's, bit for bit — NaN coverage of an empty target included.
+/// profile's, bit for bit — NaN coverage of an empty target included —
+/// and that the weight share is the prefix weight over the graph's total,
+/// in [0, 1], non-decreasing in k, and exactly 1 at k = |E|.
 template <typename Score>
 void ExpectPointsMatchProfile(const Graph& source, const Score& score) {
   const Graph g = Rebuilt(source);
@@ -956,6 +960,22 @@ void ExpectPointsMatchProfile(const Graph& source, const Score& score) {
     EXPECT_EQ(std::bit_cast<uint64_t>(points[i].weight_share),
               std::bit_cast<uint64_t>(profile.WeightShareAt(k)))
         << "k=" << k;
+    const double kept = profile.kept_weight[static_cast<size_t>(k)];
+    const double total = g.total_weight();
+    const double share = !(total > 0.0)      ? 0.0
+                         : k == order.size() ? 1.0
+                                             : std::min(kept / total, 1.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(points[i].weight_share),
+              std::bit_cast<uint64_t>(share))
+        << "k=" << k;
+  }
+  for (int64_t k = 1; k <= order.size(); ++k) {
+    EXPECT_LE(profile.WeightShareAt(k - 1), profile.WeightShareAt(k));
+    EXPECT_LE(profile.WeightShareAt(k), 1.0);
+  }
+  if (g.total_weight() > 0.0) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(profile.WeightShareAt(order.size())),
+              std::bit_cast<uint64_t>(1.0));
   }
 }
 
@@ -991,6 +1011,35 @@ TEST(EvaluatePrefixTest, ConnectedAndNeverConnectedMatchProfile) {
   // Integer weights: NT ties heavily, so the checked boundaries cut long
   // tie runs; the graph never connects.
   ExpectMethodPointsMatchProfile(MakeIntegerWeightedEr(4));
+}
+
+TEST(EvaluatePrefixTest, RealValuedWeightsMatchProfile) {
+  // Real weights: each method's rank-order sum of every weight rounds
+  // apart from the builder's id-order total. One zero-weight edge ranks
+  // last under NT, so the prefix before it holds NT's whole sum, which
+  // rounds above the total: its share is clamped to 1.
+  const Result<Graph> er = GenerateErdosRenyi(
+      {.num_nodes = 3000, .average_degree = 4.0, .seed = 17});
+  ASSERT_TRUE(er.ok());
+  GraphBuilder builder(Directedness::kUndirected);
+  for (const Edge& e : er->edges()) builder.AddEdge(e.src, e.dst, e.weight);
+  NodeId stranger = 1;
+  while (er->FindEdge(0, stranger) >= 0) ++stranger;
+  builder.AddEdge(0, stranger, 0.0);
+  const Graph g = *builder.Build();
+  for (const Method method : {Method::kNaiveThreshold,
+                              Method::kNoiseCorrected,
+                              Method::kDisparityFilter}) {
+    const Result<ScoredEdges> scored = RunMethod(method, g);
+    ASSERT_TRUE(scored.ok());
+    const std::vector<double> kept =
+        BuildSweepProfile(ScoreOrder(*scored)).kept_weight;
+    EXPECT_NE(kept.back(), g.total_weight()) << MethodTag(method);
+    if (method == Method::kNaiveThreshold) {
+      EXPECT_GT(kept[kept.size() - 2], g.total_weight());
+    }
+  }
+  ExpectMethodPointsMatchProfile(g);
 }
 
 TEST(EvaluatePrefixTest, ZeroAndSignedZeroWeightsMatchProfile) {
