@@ -22,9 +22,15 @@ predates the field), that declaration holds for both.
 Usage:
     compare_bench_json.py [--history DIR] [--threshold PCT] [OLD NEW]
 
-Exits non-zero when at least one regression was flagged, so CI can gate on
-it. Records present in only one snapshot are listed but never flagged (new
-benches appear, old ones retire).
+OLD and NEW are snapshot directories; a bare name that is not an existing
+path names a snapshot under --history.
+
+Exits 1 when at least one regression was flagged, so CI can gate on it.
+Records present in only one snapshot are listed but never flagged (new
+benches appear, old ones retire). Exits 2, naming the path, when a
+snapshot is not a directory holding a BENCH_*.json file, and when the two
+snapshots share no record: a mistyped name must not pass as "no
+regressions".
 """
 
 import argparse
@@ -80,6 +86,21 @@ def load_snapshot(directory: Path):
     return records
 
 
+def resolve_snapshot(arg: Path, history: Path) -> Path:
+    """`arg` itself when it exists, else a bare name under `history`."""
+    if arg.exists() or len(arg.parts) != 1:
+        return arg
+    return history / arg
+
+
+def check_snapshot(directory: Path):
+    """Exits 2 unless `directory` holds at least one BENCH_*.json."""
+    if not directory.is_dir() or not any(directory.glob("BENCH_*.json")):
+        print(f"error: {directory} is not a snapshot directory "
+              f"(no BENCH_*.json)", file=sys.stderr)
+        sys.exit(2)
+
+
 def pick_latest_two(history: Path):
     """The two most recent snapshot directories.
 
@@ -131,12 +152,15 @@ def main() -> int:
     args = parser.parse_args()
 
     if len(args.snapshots) == 2:
-        old_dir, new_dir = args.snapshots
+        old_dir, new_dir = (resolve_snapshot(arg, args.history)
+                            for arg in args.snapshots)
     elif not args.snapshots:
         old_dir, new_dir = pick_latest_two(args.history)
     else:
         parser.error("pass either zero or two snapshot directories")
 
+    for directory in (old_dir, new_dir):
+        check_snapshot(directory)
     old = load_snapshot(old_dir)
     new = load_snapshot(new_dir)
     print(f"comparing {old_dir.name} -> {new_dir.name} "
@@ -186,6 +210,10 @@ def main() -> int:
         f"{shared} shared records: {len(regressions)} regression(s), "
         f"{improvements} improvement(s) beyond {args.threshold:.0f}%"
     )
+    if shared == 0:
+        print(f"error: {old_dir} and {new_dir} share no record",
+              file=sys.stderr)
+        return 2
     return 1 if regressions else 0
 
 

@@ -6,13 +6,17 @@ kind: times that grow and fall, a higher-is-better ratio that drops (its
 direction declared only in the newer snapshot, as when a current run is
 compared with a history snapshot that predates the field), a
 higher-is-better share that rises, and a lower-is-better share that grows.
+The last cases check that a missing, empty or disjoint snapshot exits 2
+and that bare names resolve under --history.
 
 Usage:
     compare_bench_json_test.py FIXTURE_DIR
 """
 
+import json
 import subprocess
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -20,14 +24,20 @@ SCRIPT = Path(__file__).resolve().parent / "compare_bench_json.py"
 FIXTURES = None  # set from argv in main()
 
 
-def compare(old: str, new: str):
-    """Runs the comparison; returns (exit code, REGRESSION lines, stdout)."""
-    result = subprocess.run(
-        [sys.executable, str(SCRIPT), str(FIXTURES / old), str(FIXTURES / new)],
+def run(*args, cwd=None):
+    """Runs the script on `args`; returns the CompletedProcess."""
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *map(str, args)],
         capture_output=True,
         text=True,
         check=False,
+        cwd=cwd,
     )
+
+
+def compare(old: str, new: str):
+    """Runs the comparison; returns (exit code, REGRESSION lines, stdout)."""
+    result = run(FIXTURES / old, FIXTURES / new)
     flagged = [line for line in result.stdout.splitlines() if "REGRESSION" in line]
     return result.returncode, flagged, result.stdout
 
@@ -61,13 +71,43 @@ class CompareBenchJsonTest(unittest.TestCase):
         self.assertTrue(flags(flagged, "partitioned_router_share_x100"), out)
         self.assertTrue(flags(flagged, "warm_1shard"), out)
 
+    def test_bare_names_resolve_under_history(self):
+        # Run from a directory holding neither name.
+        with tempfile.TemporaryDirectory() as cwd:
+            result = run("--history", FIXTURES, "old", "new", cwd=cwd)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("3 regression(s), 2 improvement(s)", result.stdout)
+
+    def test_missing_snapshot_exits_2_naming_it(self):
+        with tempfile.TemporaryDirectory() as scratch:
+            missing = Path(scratch) / "nope_a"
+            result = run(missing, Path(scratch) / "nope_b")
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn(str(missing), result.stderr)
+
+    def test_directory_without_bench_files_exits_2(self):
+        with tempfile.TemporaryDirectory() as empty:
+            result = run(FIXTURES / "old", empty)
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn(empty, result.stderr)
+
+    def test_pair_sharing_no_record_exits_2(self):
+        with tempfile.TemporaryDirectory() as other:
+            record = {"method": "unrelated", "n": 1, "threads": 1,
+                      "median_ns": 1000.0}
+            (Path(other) / "BENCH_fixture.json").write_text(
+                json.dumps({"bench": "fixture", "records": [record]}))
+            result = run(FIXTURES / "old", other)
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn("share no record", result.stderr)
+
 
 def main() -> int:
     global FIXTURES
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    FIXTURES = Path(sys.argv[1])
+    FIXTURES = Path(sys.argv[1]).resolve()
     suite = unittest.defaultTestLoader.loadTestsFromTestCase(
         CompareBenchJsonTest)
     return 0 if unittest.TextTestRunner(verbosity=2).run(suite).wasSuccessful() else 1

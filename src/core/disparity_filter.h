@@ -36,7 +36,7 @@ enum class DisparityEndpointRule {
 struct DisparityFilterOptions {
   DisparityEndpointRule endpoint_rule = DisparityEndpointRule::kEither;
 
-  /// Worker threads for the per-edge scoring sweep (ParallelScoreEdges).
+  /// Worker threads for the scoring sweep (ParallelScoreEdgeRanges).
   /// 0 = hardware concurrency. Scores are bit-identical for every value.
   int num_threads = 0;
 

@@ -16,7 +16,7 @@ namespace netbone {
 
 /// Options for NaiveThreshold.
 struct NaiveThresholdOptions {
-  /// Worker threads for the per-edge scoring sweep (ParallelScoreEdges).
+  /// Worker threads for the scoring sweep (ParallelScoreEdgeRanges).
   /// 0 = hardware concurrency. Scores are bit-identical for every value.
   int num_threads = 0;
 

@@ -103,23 +103,27 @@ Result<ScoredEdges> NoiseCorrectedWithDetails(
     return Status::FailedPrecondition("graph total weight is zero");
   }
 
-  // The details table is pre-sized so parallel chunks can fill disjoint
+  // The details table is pre-sized so parallel ranges can fill disjoint
   // index-aligned slots alongside the score vector.
   details->assign(static_cast<size_t>(graph.num_edges()),
                   NoiseCorrectedDetail{});
-  Result<std::vector<EdgeScore>> scores = ParallelScoreEdges(
+  const auto score_edge = [&](EdgeId id) {
+    const Edge& e = graph.edge(id);
+    return NoiseCorrectedEdge(e.weight, graph.out_strength(e.src),
+                              graph.in_strength(e.dst), n_total, options);
+  };
+  Result<std::vector<EdgeScore>> scores = ParallelScoreEdgeRanges(
       graph, options.num_threads,
-      [&](EdgeId id, const Edge& e, EdgeScore* out) -> Status {
-        const double ni_out = graph.out_strength(e.src);
-        const double nj_in = graph.in_strength(e.dst);
-        Result<NoiseCorrectedDetail> d =
-            NoiseCorrectedEdge(e.weight, ni_out, nj_in, n_total, options);
-        if (!d.ok()) return d.status();
-        *out = EdgeScore{d->transformed_lift, d->sdev};
-        (*details)[static_cast<size_t>(id)] = std::move(*d);
-        return Status::OK();
+      [&](int64_t begin, int64_t end, EdgeScore* out) -> int64_t {
+        for (EdgeId id = begin; id < end; ++id) {
+          Result<NoiseCorrectedDetail> d = score_edge(id);
+          if (!d.ok()) return id;
+          out[id] = EdgeScore{d->transformed_lift, d->sdev};
+          (*details)[static_cast<size_t>(id)] = std::move(*d);
+        }
+        return -1;
       },
-      options.cancel);
+      [&](EdgeId id) { return score_edge(id).status(); }, options.cancel);
   if (!scores.ok()) {
     details->clear();
     return scores.status();
@@ -135,7 +139,7 @@ Result<ScoredEdges> NoiseCorrected(const Graph& graph,
                                    const NoiseCorrectedOptions& options) {
   if (options.use_binomial_pvalue) {
     // Footnote-2 variant: the Binomial CDF path is transcendental-laden
-    // and rarely used, so it keeps the scalar per-edge sweep.
+    // and rarely used, so it keeps the scalar per-edge oracle.
     std::vector<NoiseCorrectedDetail> details;
     return NoiseCorrectedWithDetails(graph, options, &details);
   }

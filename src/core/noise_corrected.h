@@ -52,7 +52,7 @@ struct NoiseCorrectedOptions {
   /// edges. Used by core/change_detection.
   bool marginals_respond_to_weight = true;
 
-  /// Worker threads for the per-edge scoring sweep (ParallelScoreEdges).
+  /// Worker threads for the scoring sweep (ParallelScoreEdgeRanges).
   /// 0 = hardware concurrency. Scores are bit-identical for every value.
   int num_threads = 0;
 

@@ -81,31 +81,37 @@ class ScoredEdges {
   bool has_sdev_ = false;
 };
 
-/// Scores every edge of `graph` by running `score_edge` over deterministic
-/// contiguous chunks of the edge table on the shared thread pool
-/// (common/parallel.h). Output is bit-identical for every `num_threads`
-/// (<= 0 = hardware concurrency): each chunk writes disjoint slots of a
-/// pre-sized vector, and when several chunks fail, the error of the
-/// lowest-numbered edge wins — the same error a serial sweep would report.
-///
-/// `score_edge` has signature Status(EdgeId id, const Edge& edge,
-/// EdgeScore* out); returning non-OK aborts that chunk. The callback may
-/// capture extra per-edge outputs (e.g. the NC detail table) and write
-/// them at index `id` — chunks never overlap. A template (rather than a
-/// std::function) so trivial scorers inline into the per-edge loop.
-///
-/// `cancel` is polled at chunk entry and every kCancelCheckStride edges;
-/// once it fires, remaining chunks stop scoring and the token's status
-/// (Cancelled / DeadlineExceeded) is returned — unless some edge already
-/// failed for real, in which case the lowest-id edge error still wins (a
-/// serial sweep would have hit that edge before any cancellation check
-/// at or past it). A null token adds zero per-edge work.
+/// Edges scored between two polls of a cancel token in the scoring sweeps.
 inline constexpr int64_t kCancelCheckStride = 1024;
 
-template <typename Scorer>
-Result<std::vector<EdgeScore>> ParallelScoreEdges(
-    const Graph& graph, int num_threads, const Scorer& score_edge,
-    const CancelToken& cancel = {}) {
+/// Scores every edge of `graph` over deterministic contiguous chunks of
+/// the edge table on the shared thread pool (common/parallel.h), handing
+/// each chunk's sub-ranges whole to `score_range` — the entry point the
+/// vectorized kernels (core/simd_kernels.h) plug into, so lanes are
+/// filled from sequential loads with no per-edge dispatch. Output is
+/// bit-identical for every `num_threads` (<= 0 = hardware concurrency):
+/// each chunk writes disjoint slots of a pre-sized vector.
+///
+/// `score_range` has signature int64_t(int64_t begin, int64_t end,
+/// EdgeScore* out): score edges [begin, end) into out[begin..end) and
+/// return the lowest edge id in the range with invalid inputs (out[] is
+/// unspecified from that id on), or -1 on success. It may also write
+/// extra per-edge outputs (e.g. the NC detail table) at the edge's index
+/// — ranges never overlap. `replay_edge` has signature Status(EdgeId) and
+/// regenerates the exact per-edge Status by re-running the scalar oracle;
+/// it is invoked once, after the join, on the lowest failing id, so the
+/// error a serial sweep would report wins whatever the schedule.
+///
+/// `cancel` is polled every kCancelCheckStride edges; once it fires,
+/// remaining chunks stop scoring and the token's status (Cancelled /
+/// DeadlineExceeded) is returned — unless some edge already failed for
+/// real, in which case the lowest-id edge error still wins (a serial
+/// sweep would have hit that edge before any cancellation check at or
+/// past it). A null token adds zero per-edge work.
+template <typename RangeScorer, typename Replay>
+Result<std::vector<EdgeScore>> ParallelScoreEdgeRanges(
+    const Graph& graph, int num_threads, const RangeScorer& score_range,
+    const Replay& replay_edge, const CancelToken& cancel = {}) {
   const int64_t n = graph.num_edges();
   std::vector<EdgeScore> scores(static_cast<size_t>(n));
   if (n == 0) return scores;
@@ -120,87 +126,10 @@ Result<std::vector<EdgeScore>> ParallelScoreEdges(
   const int chunks = static_cast<int>(std::min<int64_t>(
       NumParallelChunks(n, num_threads), max_useful));
 
-  // One slot per chunk; first-error-wins is decided after the join by
-  // edge id, so the winning error never depends on scheduling.
-  std::vector<Status> chunk_status(static_cast<size_t>(chunks));
   std::vector<EdgeId> chunk_error_edge(static_cast<size_t>(chunks), -1);
   std::atomic<bool> saw_cancel{false};
 
   ParallelFor(n, chunks, [&](int64_t begin, int64_t end, int chunk) {
-    if (cancellable && saw_cancel.load(std::memory_order_relaxed)) return;
-    for (int64_t id = begin; id < end; ++id) {
-      if (cancellable && (id - begin) % kCancelCheckStride == 0 &&
-          !cancel.Check().ok()) {
-        saw_cancel.store(true, std::memory_order_relaxed);
-        return;
-      }
-      Status status = score_edge(id, graph.edge(id),
-                                 &scores[static_cast<size_t>(id)]);
-      if (!status.ok()) {
-        chunk_status[static_cast<size_t>(chunk)] = std::move(status);
-        chunk_error_edge[static_cast<size_t>(chunk)] = id;
-        return;
-      }
-    }
-  });
-
-  EdgeId first_error = -1;
-  size_t first_chunk = 0;
-  for (size_t c = 0; c < chunk_status.size(); ++c) {
-    if (chunk_error_edge[c] >= 0 &&
-        (first_error < 0 || chunk_error_edge[c] < first_error)) {
-      first_error = chunk_error_edge[c];
-      first_chunk = c;
-    }
-  }
-  if (first_error >= 0) return chunk_status[first_chunk];
-  // Cancellation is reported only when no edge failed outright: a real
-  // edge error is reproducible state the caller can act on (and negative-
-  // cache); a cancellation is not. Re-polling the token here is safe —
-  // cancel flags never un-fire and deadlines never un-expire.
-  if (saw_cancel.load(std::memory_order_relaxed)) return cancel.Check();
-  return scores;
-}
-
-/// Range-batch variant of ParallelScoreEdges: instead of a per-edge
-/// callback, each static chunk hands whole contiguous sub-ranges of the
-/// edge table to `score_range` — the entry point the vectorized kernels
-/// (core/simd_kernels.h) plug into, so lanes are filled from sequential
-/// loads with no per-edge dispatch.
-///
-/// `score_range` has signature int64_t(int64_t begin, int64_t end,
-/// EdgeScore* out): score edges [begin, end) into out[begin..end) and
-/// return the lowest edge id in the range with invalid inputs (out[] is
-/// unspecified from that id on), or -1 on success. `replay_edge` has
-/// signature Status(EdgeId) and regenerates the exact per-edge Status by
-/// re-running the scalar oracle; it is invoked once, after the join, on
-/// the winning (lowest) failing id — the same first-error-wins protocol
-/// as the per-edge sweeps, and bit-identical output when the batch kernel
-/// honours its identity contract. Chunk layout, cancellation cadence
-/// (every kCancelCheckStride edges) and thread-count invariance all match
-/// ParallelScoreEdges exactly.
-template <typename RangeScorer, typename Replay>
-Result<std::vector<EdgeScore>> ParallelScoreEdgeRanges(
-    const Graph& graph, int num_threads, const RangeScorer& score_range,
-    const Replay& replay_edge, const CancelToken& cancel = {}) {
-  const int64_t n = graph.num_edges();
-  std::vector<EdgeScore> scores(static_cast<size_t>(n));
-  if (n == 0) return scores;
-  const bool cancellable = cancel.CanExpire();
-
-  // Identical chunk geometry to the per-edge overload (see above): the
-  // schedule is part of the determinism contract.
-  constexpr int64_t kMinEdgesPerChunk = 2048;
-  const int64_t max_useful = std::max<int64_t>(n / kMinEdgesPerChunk, 1);
-  const int chunks = static_cast<int>(std::min<int64_t>(
-      NumParallelChunks(n, num_threads), max_useful));
-
-  std::vector<EdgeId> chunk_error_edge(static_cast<size_t>(chunks), -1);
-  std::atomic<bool> saw_cancel{false};
-
-  ParallelFor(n, chunks, [&](int64_t begin, int64_t end, int chunk) {
-    // The batch kernel runs kCancelCheckStride edges between polls — the
-    // same cadence the per-edge sweep gets from its modulo check.
     for (int64_t sub = begin; sub < end; sub += kCancelCheckStride) {
       if (cancellable) {
         if (saw_cancel.load(std::memory_order_relaxed)) return;
@@ -245,7 +174,7 @@ Result<std::vector<EdgeScore>> ParallelScoreEdgeRanges(
 /// real deltas (endpoint stars, inserted blocks of a sorted table) are
 /// scored by the vector kernels with sequential loads instead of a
 /// per-edge gather, while isolated ids degrade to width-1 ranges (the
-/// kernels' scalar tail). First-error-wins matches the full sweeps: the
+/// kernels' scalar tail). First-error-wins matches the full sweep: the
 /// lowest failing position (== lowest id, since ids ascend) wins, and its
 /// Status is regenerated by `replay_edge`; a replay that accepts yields
 /// Internal.

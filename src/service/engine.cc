@@ -541,7 +541,6 @@ BackboneEngine::ScoreResult BackboneEngine::GetOrComputeScore(
     }
     if (!result.has_value()) {
       coalesced_waits_.Increment();
-      info->coalesced = true;
       if (cancel.CanExpire()) {
         // Joiners wait with their *own* budget: the shared computation
         // keeps running for everyone else when this caller gives up.
@@ -687,6 +686,64 @@ Result<BackboneResponse> BackboneEngine::BuildResponse(
   return response;
 }
 
+Status BackboneEngine::Admit(const BackboneRequest& request,
+                             SteadyClock::time_point deadline,
+                             SteadyClock::time_point now,
+                             std::shared_ptr<const Graph>* graph) {
+  // Only a batched request can arrive expired: Execute arms at `now`.
+  if (deadline <= now) {
+    deadline_hits_.Increment();
+    return Status::DeadlineExceeded(
+        "deadline expired before batch execution");
+  }
+  if (Status invalid = ValidateShares(request); !invalid.ok()) return invalid;
+  *graph = graphs_.Find(request.graph);
+  return *graph != nullptr
+             ? Status::OK()
+             : Status::NotFound("unknown graph fingerprint (AddGraph first)");
+}
+
+BackboneEngine::ScoreResult BackboneEngine::ResolvePinned(
+    const ScoreKey& key, const std::shared_ptr<const Graph>& graph,
+    ResolveInfo* info, const CancelToken& cancel) {
+  // Pinned from resolve through scoring: the store's byte budget must not
+  // evict a graph a request is actively using (the shared_ptr keeps the
+  // memory alive regardless — the pin keeps the *fingerprint* resolvable
+  // for the requests that will want the cached score next).
+  graphs_.Pin(key.graph);
+  ScoreResult score = GetOrComputeScore(key, graph, info, cancel);
+  graphs_.Unpin(key.graph);
+  return score;
+}
+
+Result<BackboneResponse> BackboneEngine::Answer(
+    const BackboneRequest& request, const ScoreKey& key,
+    const std::shared_ptr<const Graph>& graph, const ScoreResult& score,
+    ResolveInfo* info, bool may_block) {
+  if (!score.ok()) {
+    const Status& status = score.status();
+    // Nothing is served degraded once shutdown has begun.
+    if (CountFailureMayDegrade(request, status) &&
+        !lifetime_.CancellationRequested()) {
+      if (std::optional<Result<BackboneResponse>> degraded =
+              TryDegraded(request, key, graph, may_block)) {
+        return *std::move(degraded);
+      }
+    }
+    return status;
+  }
+  // Execute's warm hit starts its extract span at the lookup's end
+  // reading; the outcome's end reading closes it.
+  if (info->timed) {
+    info->extract_start_ns = may_block && info->cache_hit
+                                 ? info->lookup_start_ns + info->lookup_ns
+                                 : tracer_.NowNs();
+  }
+  return BuildResponse(request, **score, info->cache_hit,
+                       info->cache_hit ? ProfileUse::kBuild
+                                       : ProfileUse::kPoint);
+}
+
 Result<BackboneResponse> BackboneEngine::Execute(
     const BackboneRequest& request) {
   requests_.Increment();
@@ -698,124 +755,75 @@ Result<BackboneResponse> BackboneEngine::Execute(
   ResolveInfo info;
   info.timed = tracer_.enabled();
   if (info.timed) info.entry_ns = begin_ns;
-  if (Status invalid = ValidateShares(request); !invalid.ok()) {
-    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
-                  deadline, /*queue_wait_ns=*/0);
-    return invalid;
-  }
-  const std::shared_ptr<const Graph> graph = graphs_.Find(request.graph);
-  if (graph == nullptr) {
-    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
-                  deadline, /*queue_wait_ns=*/0);
-    return Status::NotFound("unknown graph fingerprint (AddGraph first)");
-  }
-  // One token carries all three reasons this request may stop: its
-  // deadline (armed here), the caller's explicit cancel, and engine
-  // shutdown.
-  CancelSource source(deadline, request.cancel, lifetime_.token());
-  const CancelToken token = source.token();
-  const ScoreKey key =
-      MakeScoreKey(request.graph, request.method, request.score_options);
-  // Pinned from resolve through scoring: the store's byte budget must not
-  // evict a graph a request is actively using (the shared_ptr keeps the
-  // memory alive regardless — the pin keeps the *fingerprint* resolvable
-  // for the requests that will want the cached score next).
-  graphs_.Pin(request.graph);
-  const ScoreResult score = GetOrComputeScore(key, graph, &info, token);
-  graphs_.Unpin(request.graph);
-  if (!score.ok()) {
-    const Status& status = score.status();
-    if (CountFailureMayDegrade(request, status) &&
-        !lifetime_.CancellationRequested()) {
-      if (std::optional<Result<BackboneResponse>> stale =
-              TryDegradedResponse(request, key)) {
-        RecordOutcome(request, stale->ok(), /*degraded=*/true, info,
-                      begin_ns, deadline, /*queue_wait_ns=*/0);
-        return *std::move(stale);
-      }
-      if (std::optional<Result<BackboneResponse>> sampled =
-              TryDegradedSampledHss(request, graph)) {
-        RecordOutcome(request, sampled->ok(), /*degraded=*/true, info,
-                      begin_ns, deadline, /*queue_wait_ns=*/0);
-        return *std::move(sampled);
-      }
-    }
-    RecordOutcome(request, /*ok=*/false, /*degraded=*/false, info, begin_ns,
-                  deadline, /*queue_wait_ns=*/0);
-    return status;
-  }
-  // A warm hit's extract span starts at the lookup's end reading; the
-  // outcome's end reading closes it.
-  if (info.timed) {
-    info.extract_start_ns = info.cache_hit
-                                ? info.lookup_start_ns + info.lookup_ns
-                                : tracer_.NowNs();
-  }
-  Result<BackboneResponse> response =
-      BuildResponse(request, **score, info.cache_hit,
-                    info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
-  RecordOutcome(request, response.ok(), /*degraded=*/false, info, begin_ns,
-                deadline, /*queue_wait_ns=*/0);
+  Result<BackboneResponse> response = [&]() -> Result<BackboneResponse> {
+    std::shared_ptr<const Graph> graph;
+    Status admitted = Admit(request, deadline, entry, &graph);
+    if (!admitted.ok()) return admitted;
+    // One token carries all three reasons this request may stop: its
+    // deadline (armed here), the caller's explicit cancel, and engine
+    // shutdown.
+    CancelSource source(deadline, request.cancel, lifetime_.token());
+    const ScoreKey key =
+        MakeScoreKey(request.graph, request.method, request.score_options);
+    const ScoreResult score =
+        ResolvePinned(key, graph, &info, source.token());
+    return Answer(request, key, graph, score, &info, /*may_block=*/true);
+  }();
+  RecordOutcome(request, response, info, begin_ns, deadline,
+                /*queue_wait_ns=*/0);
   return response;
 }
 
-std::optional<Result<BackboneResponse>> BackboneEngine::TryDegradedResponse(
-    const BackboneRequest& request, const ScoreKey& key) {
-  WarmAncestor ancestor = FindWarmAncestor(key);
-  if (ancestor.entry == nullptr) return std::nullopt;
-  // The ancestor entry is a *stale but exact* answer: computed on the
+std::optional<Result<BackboneResponse>> BackboneEngine::TryDegraded(
+    const BackboneRequest& request, const ScoreKey& key,
+    const std::shared_ptr<const Graph>& graph, bool may_block) {
+  // nullopt when the assembly itself fails.
+  const auto serve = [&](const CachedScore& score, bool cache_hit,
+                         ProfileUse use, uint64_t from)
+      -> std::optional<Result<BackboneResponse>> {
+    Result<BackboneResponse> response =
+        BuildResponse(request, score, cache_hit, use);
+    if (!response.ok()) return std::nullopt;
+    response->degraded = true;
+    response->degraded_from = from;
+    degraded_served_.Increment();
+    ScheduleBackgroundRefresh(request);
+    return response;
+  };
+  // A warm ancestor entry is a *stale but exact* answer: computed on the
   // previous noisy observation of the same network, bit-identical to
-  // what that snapshot's own requests were served. No blocking, so this
-  // path is also safe from ExecuteBatch's phase-2 tasks.
-  Result<BackboneResponse> response =
-      BuildResponse(request, *ancestor.entry, /*cache_hit=*/true,
-                    ProfileUse::kPoint);
-  if (!response.ok()) return std::nullopt;
-  response->degraded = true;
-  response->degraded_from = ancestor.fingerprint;
-  degraded_served_.Increment();
-  ScheduleBackgroundRefresh(request);
-  return response;
-}
-
-std::optional<Result<BackboneResponse>>
-BackboneEngine::TryDegradedSampledHss(
-    const BackboneRequest& request,
-    const std::shared_ptr<const Graph>& graph) {
-  if (request.method != Method::kHighSalienceSkeleton ||
-      options_.degraded_hss_sample <= 0) {
-    return std::nullopt;
+  // what that snapshot's own requests were served.
+  if (WarmAncestor ancestor = FindWarmAncestor(key);
+      ancestor.entry != nullptr) {
+    if (std::optional<Result<BackboneResponse>> stale =
+            serve(*ancestor.entry, /*cache_hit=*/true, ProfileUse::kPoint,
+                  ancestor.fingerprint)) {
+      return stale;
+    }
   }
-  // Only degrade when it actually shrinks the work: an exact request, or
-  // a sampled one coarser than our fallback sample.
+  // HSS may block on a seeded source sample, when that shrinks the work:
+  // an exact request, or a sampled one coarser than the fallback sample.
   const int64_t requested = request.score_options.hss_source_sample_size;
-  if (requested > 0 && requested <= options_.degraded_hss_sample) {
+  if (!may_block || request.method != Method::kHighSalienceSkeleton ||
+      options_.degraded_hss_sample <= 0 ||
+      (requested > 0 && requested <= options_.degraded_hss_sample)) {
     return std::nullopt;
   }
   ScoreOptions sampled = request.score_options;
   sampled.hss_source_sample_size = options_.degraded_hss_sample;
-  const ScoreKey sampled_key =
-      MakeScoreKey(request.graph, request.method, sampled);
   // The sampled run is bounded by construction (k sources, not |V|), so
   // it runs without the lapsed deadline — only engine shutdown can stop
   // it. It caches under its canonical sampled key: repeat degradations
   // on the same graph are warm.
   ResolveInfo sampled_info;
-  graphs_.Pin(request.graph);
-  const ScoreResult score = GetOrComputeScore(sampled_key, graph,
-                                              &sampled_info,
-                                              lifetime_.token());
-  graphs_.Unpin(request.graph);
+  const ScoreResult score =
+      ResolvePinned(MakeScoreKey(request.graph, request.method, sampled),
+                    graph, &sampled_info, lifetime_.token());
   if (!score.ok()) return std::nullopt;
-  Result<BackboneResponse> response = BuildResponse(
-      request, **score, sampled_info.cache_hit,
-      sampled_info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
-  if (!response.ok()) return std::nullopt;
-  response->degraded = true;
-  response->degraded_from = request.graph;
-  degraded_served_.Increment();
-  ScheduleBackgroundRefresh(request);
-  return response;
+  return serve(**score, sampled_info.cache_hit,
+               sampled_info.cache_hit ? ProfileUse::kBuild
+                                      : ProfileUse::kPoint,
+               request.graph);
 }
 
 void BackboneEngine::ScheduleBackgroundRefresh(
@@ -868,190 +876,119 @@ BackboneEngine::ExecuteBatchWithDeadlines(
   const SteadyClock::time_point entry_now = SteadyClock::now();
   const int64_t begin_ns = MetricsNs(entry_now);
 
-  // Resolve graphs and collapse the batch onto its distinct score keys
-  // (first-appearance order, so the scoring order is deterministic).
-  // Requests already past their deadline at entry are pre-answered and
-  // never touch resolution or scoring — an expired batch costs O(n), not
-  // O(scoring).
-  struct Resolved {
-    std::shared_ptr<const Graph> graph;  // nullptr = unknown fingerprint
+  // Admit every request and collapse the admitted ones onto their
+  // distinct score keys (first-appearance order, so the scoring order is
+  // deterministic). A refused request is pre-answered and never touches
+  // scoring — an expired batch costs O(n), not O(scoring).
+  struct Admitted {
+    Status rejected;  // non-OK = pre-answered with this status
     size_t key_slot = 0;
-    bool expired = false;  // pre-answered kDeadlineExceeded
-    Status invalid;        // non-OK = pre-answered argument error
   };
-  std::vector<Resolved> resolved(static_cast<size_t>(n));
-  std::vector<ScoreKey> keys;
-  std::vector<std::shared_ptr<const Graph>> key_graphs;
-  // Scoring budget per key: the *latest* member deadline — the key keeps
-  // computing as long as any request still wants it.
-  std::vector<SteadyClock::time_point> key_deadlines;
+  struct KeySlot {
+    ScoreKey key;
+    std::shared_ptr<const Graph> graph;
+    // The scoring budget: the *latest* member deadline — the key keeps
+    // computing as long as any request still wants it.
+    SteadyClock::time_point deadline;
+    std::unique_ptr<CancelSource> source;
+    ResolveInfo info;
+    std::optional<ScoreResult> score;
+    std::shared_future<ScoreResult> pending;
+  };
+  std::vector<Admitted> admitted(static_cast<size_t>(n));
+  std::vector<KeySlot> keys;
   std::unordered_map<ScoreKey, size_t, ScoreKeyHash> key_slots;
-  for (int64_t i = 0; i < n; ++i) {
-    const BackboneRequest& request = requests[static_cast<size_t>(i)];
-    if (deadlines[static_cast<size_t>(i)] <= entry_now) {
-      resolved[static_cast<size_t>(i)].expired = true;
-      continue;
-    }
-    if (Status invalid = ValidateShares(request); !invalid.ok()) {
-      resolved[static_cast<size_t>(i)].invalid = std::move(invalid);
-      continue;
-    }
-    std::shared_ptr<const Graph> graph = graphs_.Find(request.graph);
-    if (graph == nullptr) continue;
+  for (size_t i = 0; i < admitted.size(); ++i) {
+    const BackboneRequest& request = requests[i];
+    std::shared_ptr<const Graph> graph;
+    admitted[i].rejected = Admit(request, deadlines[i], entry_now, &graph);
+    if (!admitted[i].rejected.ok()) continue;
     const ScoreKey key =
         MakeScoreKey(request.graph, request.method, request.score_options);
     const auto [it, inserted] = key_slots.try_emplace(key, keys.size());
     if (inserted) {
-      keys.push_back(key);
-      key_graphs.push_back(graph);
-      key_deadlines.push_back(deadlines[static_cast<size_t>(i)]);
+      KeySlot& slot = keys.emplace_back();
+      slot.key = key;
+      slot.graph = std::move(graph);
+      slot.deadline = deadlines[i];
     } else {
-      key_deadlines[it->second] = std::max(
-          key_deadlines[it->second], deadlines[static_cast<size_t>(i)]);
+      keys[it->second].deadline =
+          std::max(keys[it->second].deadline, deadlines[i]);
     }
-    resolved[static_cast<size_t>(i)].graph = std::move(graph);
-    resolved[static_cast<size_t>(i)].key_slot = it->second;
+    admitted[i].key_slot = it->second;
   }
 
-  // One cancel source per key (latest member deadline, chained under
-  // engine shutdown). Per-request cancel tokens are not folded into the
-  // scoring token — a shared computation must not die because one
-  // sibling lost interest; they gate that sibling's own response in
-  // phase 2 instead.
-  std::vector<std::unique_ptr<CancelSource>> key_sources;
-  std::vector<CancelToken> key_tokens;
-  key_sources.reserve(keys.size());
-  key_tokens.reserve(keys.size());
-  for (size_t s = 0; s < keys.size(); ++s) {
-    key_sources.push_back(std::make_unique<CancelSource>(
-        key_deadlines[s], CancelToken(), lifetime_.token()));
-    key_tokens.push_back(key_sources.back()->token());
+  // Per key: one cancel source (latest member deadline, chained under
+  // engine shutdown; per-request cancel tokens are not folded in — a
+  // shared computation must not die because one sibling lost interest,
+  // they gate that sibling's own answer in phase 2 instead); a lookup
+  // span that starts at the batch's entry reading, as Execute's starts at
+  // its own; and a store pin held through phase 1, so the byte budget
+  // cannot evict a fingerprint between this resolution and its scoring.
+  for (KeySlot& slot : keys) {
+    slot.source = std::make_unique<CancelSource>(
+        slot.deadline, CancelToken(), lifetime_.token());
+    slot.info.timed = tracer_.enabled();
+    if (slot.info.timed) slot.info.entry_ns = begin_ns;
+    graphs_.Pin(slot.key.graph);
   }
 
-  // Every distinct key's graph stays pinned from here through phase 1,
-  // so the store's byte budget cannot evict a fingerprint between this
-  // resolution and its scoring.
-  for (const ScoreKey& key : keys) graphs_.Pin(key.graph);
-
-  // Phase 1: resolve every distinct score once, concurrently — a batch
-  // mixing many cold keys overlaps their scorings instead of running
-  // them back to back, and each scoring still fans its inner loops out
-  // into the same pool. Concurrency is capped at options_.num_threads:
-  // that many self-scheduling runner tasks claim key slots off a shared
-  // cursor (the ParallelForDynamic pattern, hand-rolled here because a
-  // slot that finds its key in flight elsewhere must hand the future
-  // back instead of blocking). Requests sharing a key — within this
-  // batch or with concurrent executions — coalesce onto one
-  // computation; the caller awaits recorded futures after the fan-out
-  // joins (futures are never awaited inside a task — the header's
-  // deadlock-freedom invariant).
-  std::vector<std::optional<ScoreResult>> scores(keys.size());
-  std::vector<std::shared_future<ScoreResult>> pending(keys.size());
-  // Every key's lookup span starts at the batch's entry reading, as
-  // Execute's starts at its own: graph resolution and pinning included.
-  std::vector<ResolveInfo> infos(keys.size());
-  for (ResolveInfo& info : infos) {
-    info.timed = tracer_.enabled();
-    if (info.timed) info.entry_ns = begin_ns;
-  }
-  const int width = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(
-                           ResolveThreadCount(options_.num_threads)),
-                       keys.size()));
-  if (width <= 1) {
-    // One key (the common warm case) or a serial engine: no task handoff.
-    for (size_t s = 0; s < keys.size(); ++s) {
-      scores[s] = GetOrComputeScore(keys[s], key_graphs[s], &infos[s],
-                                    key_tokens[s]);
-    }
-  } else {
-    std::atomic<size_t> next_key{0};
-    const auto runner = [&] {
-      for (;;) {
-        const size_t s = next_key.fetch_add(1, std::memory_order_relaxed);
-        if (s >= keys.size()) return;
-        scores[s] = StartOrJoinScore(keys[s], key_graphs[s], &infos[s],
-                                     &pending[s], key_tokens[s]);
-      }
-    };
-    {
-      TaskGroup group;
-      for (int r = 1; r < width; ++r) group.Spawn(runner);
-      runner();  // the caller is runner 0
-      group.Wait();
-    }
-    for (size_t s = 0; s < keys.size(); ++s) {
-      if (!scores[s].has_value()) {
-        // Coalesced with a foreign computation: the resolve loop awaits
-        // it as its first round, under this key's own budget.
-        scores[s] = GetOrComputeScore(keys[s], key_graphs[s], &infos[s],
-                                      key_tokens[s], std::move(pending[s]));
-      }
+  // Phase 1: resolve every distinct score once, concurrently, so a batch
+  // of cold keys overlaps their scorings. The tasks only start or join
+  // (the header's deadlock-freedom invariant): a key in flight elsewhere
+  // hands its future back for the caller to await after the fan-out.
+  ParallelForDynamic(
+      static_cast<int64_t>(keys.size()), /*grain=*/1, options_.num_threads,
+      [&](int64_t begin, int64_t end) {
+        for (int64_t s = begin; s < end; ++s) {
+          KeySlot& slot = keys[static_cast<size_t>(s)];
+          slot.score = StartOrJoinScore(slot.key, slot.graph, &slot.info,
+                                        &slot.pending, slot.source->token());
+        }
+      });
+  for (KeySlot& slot : keys) {
+    if (!slot.score.has_value()) {
+      // Coalesced with a foreign computation: the resolve loop awaits it
+      // as its first round, under this key's own budget.
+      slot.score = GetOrComputeScore(slot.key, slot.graph, &slot.info,
+                                     slot.source->token(),
+                                     std::move(slot.pending));
     }
   }
-  for (const ScoreKey& key : keys) graphs_.Unpin(key.graph);
+  for (const KeySlot& slot : keys) graphs_.Unpin(slot.key.graph);
 
-  // Phase 2: per-request response assembly, distributed over the pool.
-  // Never blocks (the header's deadlock-freedom invariant — the only
-  // degraded fallback taken here is the non-blocking warm-ancestor one);
-  // each slot is written by exactly one chunk, so results are
-  // deterministic. Deadlines bound *work*, not delivery: a request whose
-  // own deadline lapsed mid-batch still receives its key's result when a
-  // sibling's longer budget finished the scoring.
+  // Phase 2: per-request answers on the pool, each slot written by one
+  // chunk. A request whose own deadline lapsed mid-batch still receives
+  // its key's result when a sibling's longer budget finished the scoring.
   std::vector<std::optional<Result<BackboneResponse>>> out(
       static_cast<size_t>(n));
   ParallelFor(
       n, options_.num_threads,
       [&](int64_t begin, int64_t end, int /*chunk*/) {
-        for (int64_t i = begin; i < end; ++i) {
-          const size_t slot = static_cast<size_t>(i);
-          const Resolved& r = resolved[slot];
+        for (size_t slot = static_cast<size_t>(begin);
+             slot < static_cast<size_t>(end); ++slot) {
+          const Admitted& a = admitted[slot];
           const BackboneRequest& request = requests[slot];
-          const SteadyClock::time_point deadline = deadlines[slot];
-          // Outcome accounting closes each slot exactly once: every
-          // branch below assigns out[slot] and falls through to the
-          // RecordOutcome at the bottom. Pre-resolution failures carry
-          // an empty ResolveInfo; resolved requests copy their key's
-          // shared info so the per-request extract span lands in a
-          // private copy.
+          // A pre-answered request carries an empty ResolveInfo; an
+          // answered one copies its key's shared info, so the
+          // per-request extract span lands in a private copy.
           ResolveInfo info;
           info.timed = tracer_.enabled();
-          bool degraded = false;
-          if (r.expired) {
-            deadline_hits_.Increment();
-            out[slot] = Result<BackboneResponse>(Status::DeadlineExceeded(
-                "deadline expired before batch execution"));
-          } else if (!r.invalid.ok()) {
-            out[slot] = Result<BackboneResponse>(r.invalid);
-          } else if (r.graph == nullptr) {
-            out[slot] = Result<BackboneResponse>(Status::NotFound(
-                "unknown graph fingerprint (AddGraph first)"));
-          } else if (!request.cancel.IsNull() &&
-                     !request.cancel.Check().ok()) {
-            cancellations_.Increment();
-            out[slot] = Result<BackboneResponse>(request.cancel.Check());
-          } else {
-            info = infos[r.key_slot];
-            const ScoreResult& score = *scores[r.key_slot];
-            if (!score.ok()) {
-              const Status& status = score.status();
-              out[slot] = Result<BackboneResponse>(status);
-              if (CountFailureMayDegrade(request, status)) {
-                if (std::optional<Result<BackboneResponse>> stale =
-                        TryDegradedResponse(request, keys[r.key_slot])) {
-                  out[slot] = *std::move(stale);
-                  degraded = true;
-                }
-              }
-            } else {
-              if (info.timed) info.extract_start_ns = tracer_.NowNs();
-              out[slot] = BuildResponse(
-                  request, **score, info.cache_hit,
-                  info.cache_hit ? ProfileUse::kBuild : ProfileUse::kPoint);
+          Result<BackboneResponse> response =
+              [&]() -> Result<BackboneResponse> {
+            if (!a.rejected.ok()) return a.rejected;
+            if (!request.cancel.IsNull() && !request.cancel.Check().ok()) {
+              cancellations_.Increment();
+              return request.cancel.Check();
             }
-          }
-          RecordOutcome(request, out[slot]->ok(), degraded, info, begin_ns,
-                        deadline, queue_wait_ns);
+            const KeySlot& key = keys[a.key_slot];
+            info = key.info;
+            return Answer(request, key.key, key.graph, *key.score, &info,
+                          /*may_block=*/false);
+          }();
+          RecordOutcome(request, response, info, begin_ns, deadlines[slot],
+                        queue_wait_ns);
+          out[slot] = std::move(response);
         }
       });
 
@@ -1206,14 +1143,16 @@ obs::AnswerPath BackboneEngine::ClassifyPath(bool ok, bool degraded,
   return obs::AnswerPath::kCold;
 }
 
-void BackboneEngine::RecordOutcome(const BackboneRequest& request, bool ok,
-                                   bool degraded, const ResolveInfo& info,
-                                   int64_t begin_ns,
+void BackboneEngine::RecordOutcome(const BackboneRequest& request,
+                                   const Result<BackboneResponse>& response,
+                                   const ResolveInfo& info, int64_t begin_ns,
                                    SteadyClock::time_point deadline,
                                    int64_t queue_wait_ns) {
   const bool metrics = options_.enable_metrics;
   const bool tracing = tracer_.enabled();
   if (!metrics && !tracing) return;
+  const bool ok = response.ok();
+  const bool degraded = ok && response->degraded;
   const int64_t end_ns = tracer_.NowNs();
   const int64_t total_ns = std::max<int64_t>(end_ns - begin_ns, 0);
   const obs::AnswerPath path = ClassifyPath(ok, degraded, info);

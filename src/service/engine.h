@@ -9,8 +9,9 @@
 // every request that shares a (graph, method, options) key
 // (service/score_cache.h).
 //
-// Request lifecycle:
-//   1. resolve the graph fingerprint against the GraphStore;
+// Request lifecycle, one path for Execute, ExecuteBatch and Submit:
+//   1. admit: a request past its deadline, with a non-finite share, or on
+//      a fingerprint the GraphStore does not hold is answered there;
 //   2. resolve the ScoreKey against the ScoreCache; on a miss, register
 //      the key in the in-flight table and score on the shared pool
 //      (common/parallel.h) — concurrent identical requests coalesce onto
@@ -25,7 +26,8 @@
 //      warm. The profile is built lazily: the request whose resolve
 //      produced the entry answers its one point without it (a walk of
 //      the k kept ranks, O(k + V), core/sweep.h EvaluatePrefix), and the
-//      entry's first hit builds it, once.
+//      entry's first hit builds it, once. A failed resolve may be
+//      answered degraded instead (Failure semantics below).
 //
 // Warm-path contract (pinned by tests/service_test.cc and
 // bench/bench_serving_engine.cc): requests on a cached key advance
@@ -43,13 +45,13 @@
 // Concurrency invariant (deadlock freedom): in-flight score futures are
 // only ever *waited on* from caller context — Execute, the post-fan-out
 // join in ExecuteBatch, or the async dispatcher thread — never from
-// inside a work-stealing task. Tasks may *start* scorings (ExecuteBatch
-// phase 1 resolves distinct cold keys as concurrent tasks, each scoring
-// with full inner parallelism via nested spawns); a task that finds its
-// key already in flight records the future for the caller to await after
-// the task group joins, instead of blocking a worker on it. Tasks
-// therefore always run to completion without blocking on other requests
-// (common/parallel.h blocking rules).
+// inside a work-stealing task. A batch admits every request, then phase
+// 1 runs StartOrJoinScore over its distinct keys as ParallelForDynamic
+// tasks (each scoring with full inner parallelism via nested spawns): a
+// key already in flight hands its future back for the caller to await
+// after the fan-out joins. Phase 2 answers every request on the pool,
+// without the blocking sampled-HSS fallback. Tasks therefore always run
+// to completion without blocking on other requests (common/parallel.h).
 //
 // Failure semantics (the fault-tolerance layer):
 //  * Deadlines + cancellation: BackboneRequest::timeout arms a deadline
@@ -262,7 +264,7 @@ struct BackboneEngineOptions {
   int num_threads = 0;
   /// How long a scoring failure is remembered per key before the engine
   /// re-attempts it (negative caching). <= 0 disables: every request on
-  /// a failing key re-runs the scoring, the pre-PR-4 behavior.
+  /// a failing key re-runs the scoring.
   std::chrono::milliseconds negative_ttl = std::chrono::seconds(30);
   /// When true (the default), a cold key whose graph was registered as a
   /// revision of an ancestor (AddGraphRevision) and whose method supports
@@ -284,8 +286,8 @@ struct BackboneEngineOptions {
   /// is deadline-aware (it never outlives the request budget).
   int max_retries = 3;
 
-  /// Bound on queued Submit batches (admission control). 0 = unbounded
-  /// (the pre-PR-6 behavior). When full, `overload_policy` decides.
+  /// Bound on queued Submit batches (admission control). 0 = unbounded.
+  /// When full, `overload_policy` decides.
   int64_t max_queued_batches = 0;
   OverloadPolicy overload_policy = OverloadPolicy::kRejectNew;
 
@@ -365,13 +367,13 @@ class BackboneEngine {
   /// request instead of recomputing.
   Result<BackboneResponse> Execute(const BackboneRequest& request);
 
-  /// Executes a batch: distinct score keys are resolved first as
-  /// concurrent work-stealing tasks, capped at options.num_threads
-  /// runners (each key computed once — in-batch and cross-execution
-  /// coalescing still hold — with full inner parallelism via nested
-  /// spawns), then the per-request extraction work is distributed over
-  /// the pool. Results align with `requests` and are bit-identical to
-  /// executing each request alone.
+  /// Executes a batch on Execute's path: distinct score keys are resolved
+  /// once each, at most options.num_threads at a time, then every request
+  /// is answered on the pool. Results align with `requests` and are
+  /// bit-identical to executing each request alone. Unlike Execute, a
+  /// request's cancel token pre-empts only its own answer, never a
+  /// scoring its siblings share, and only a warm ancestor may serve it
+  /// degraded (no sampled-HSS fallback).
   std::vector<Result<BackboneResponse>> ExecuteBatch(
       std::span<const BackboneRequest> requests);
 
@@ -452,7 +454,6 @@ class BackboneEngine {
     bool cache_hit = false;      ///< positive cache answered
     bool negative_hit = false;   ///< negative cache answered (failure)
     bool delta_patched = false;  ///< answered by patching a warm ancestor
-    bool coalesced = false;      ///< joined another request's computation
     int retries = 0;             ///< transient-failure re-attempts
     bool timed = false;          ///< span clocks on (tracer enabled)
     /// A clock reading the caller already took at request entry: the
@@ -474,33 +475,51 @@ class BackboneEngine {
 
   /// The non-blocking half of score resolution: positive cache, negative
   /// cache, then either computes the score itself (registering the key
-  /// in-flight; the graph stays pinned in the store for the duration) or
-  /// — when another request already has the key in flight — returns
-  /// nullopt with *pending set to that computation's future. Never waits
-  /// on another request's work, so it is safe both from caller context
-  /// and from inside a work-stealing task (the ExecuteBatch fan-out).
-  /// The *caller* awaits `pending`, from caller context only.
+  /// in-flight) or — when another request has the key in flight —
+  /// returns nullopt with *pending set to that computation's future,
+  /// which the caller awaits from caller context. Never waits on other
+  /// requests' work, so it also runs inside ExecuteBatch's phase-1 tasks.
   std::optional<ScoreResult> StartOrJoinScore(
       const ScoreKey& key, const std::shared_ptr<const Graph>& graph,
       ResolveInfo* info, std::shared_future<ScoreResult>* pending,
-      const CancelToken& cancel = {});
+      const CancelToken& cancel);
 
-  /// Cache lookup + in-flight coalescing + scoring. Caller context only
-  /// (may block on an in-flight future). Sets *cache_hit when the score
-  /// was already resident (warm path — no computation triggered or
-  /// awaited). The join honours `cancel`: a waiter whose budget lapses
-  /// stops waiting (the shared computation keeps running for the
-  /// others), and a waiter that inherits a *foreign* cancellation — the
-  /// starter's budget died, not this caller's — re-enters the resolve
-  /// loop and may become the starter itself. A valid `joined` is a
-  /// computation StartOrJoinScore already handed this caller (the
-  /// ExecuteBatch fan-out): it is awaited as the loop's first round
-  /// instead of a fresh lookup.
+  /// StartOrJoinScore that awaits a join. Caller context only. The join
+  /// honours `cancel`: a waiter whose budget lapses stops waiting (the
+  /// shared computation keeps running for the others), and a waiter that
+  /// inherits a *foreign* cancellation — the starter's budget died, not
+  /// this caller's — re-enters the loop and may become the starter. A
+  /// valid `joined` (a future StartOrJoinScore already handed back) is
+  /// awaited as the first round instead of a fresh lookup.
   ScoreResult GetOrComputeScore(const ScoreKey& key,
                                 const std::shared_ptr<const Graph>& graph,
-                                ResolveInfo* info,
-                                const CancelToken& cancel = {},
+                                ResolveInfo* info, const CancelToken& cancel,
                                 std::shared_future<ScoreResult> joined = {});
+
+  /// Admission: the request's answer when it is past `deadline` at `now`
+  /// (a counted deadline hit), has a non-finite share or names no
+  /// resident graph; otherwise OK with *graph set.
+  Status Admit(const BackboneRequest& request,
+               std::chrono::steady_clock::time_point deadline,
+               std::chrono::steady_clock::time_point now,
+               std::shared_ptr<const Graph>* graph);
+
+  /// GetOrComputeScore with `key`'s graph pinned in the store meanwhile.
+  ScoreResult ResolvePinned(const ScoreKey& key,
+                            const std::shared_ptr<const Graph>& graph,
+                            ResolveInfo* info, const CancelToken& cancel);
+
+  /// An admitted request's response from its resolved `score`: a failure
+  /// is counted and may be served by TryDegraded (never once shutdown has
+  /// begun), a success is assembled by BuildResponse. Only Execute, which
+  /// answers on its caller's thread right after its own lookup, passes
+  /// `may_block`; its traced warm hit's extract span starts at the
+  /// lookup's end reading.
+  Result<BackboneResponse> Answer(const BackboneRequest& request,
+                                  const ScoreKey& key,
+                                  const std::shared_ptr<const Graph>& graph,
+                                  const ScoreResult& score, ResolveInfo* info,
+                                  bool may_block);
 
   /// Counts a failed resolve's deadline hit or cancellation, and returns
   /// whether `request` may be answered degraded instead: it opted in and
@@ -564,20 +583,14 @@ class BackboneEngine {
   };
   WarmAncestor FindWarmAncestor(const ScoreKey& key);
 
-  /// The non-blocking degraded path: answer from a warm lineage
-  /// ancestor's entry, flagged degraded, and queue the exact recompute.
-  /// nullopt when no warm ancestor (or its assembly fails) — the caller
-  /// falls back to the original error. Safe inside work-stealing tasks.
-  std::optional<Result<BackboneResponse>> TryDegradedResponse(
-      const BackboneRequest& request, const ScoreKey& key);
-
-  /// The blocking degraded fallback for HSS without a warm ancestor:
-  /// score a seeded source-sample (options_.degraded_hss_sample) under
-  /// no deadline — sampling bounds the cost by construction — and flag
-  /// the response. Execute-only (may block). nullopt when inapplicable.
-  std::optional<Result<BackboneResponse>> TryDegradedSampledHss(
-      const BackboneRequest& request,
-      const std::shared_ptr<const Graph>& graph);
+  /// A degraded answer, flagged with its provenance, and the exact
+  /// recompute queued: from a warm lineage ancestor's entry (never
+  /// blocks), else, when `may_block`, from HSS scored on a seeded source
+  /// sample (options_.degraded_hss_sample) under no deadline. nullopt
+  /// when neither serves: the caller answers the original error.
+  std::optional<Result<BackboneResponse>> TryDegraded(
+      const BackboneRequest& request, const ScoreKey& key,
+      const std::shared_ptr<const Graph>& graph, bool may_block);
 
   /// Queues a background exact recompute of `request`'s key (stripped of
   /// deadline/cancel/degradation) after a degraded serve. Dropped when
@@ -609,13 +622,14 @@ class BackboneEngine {
   static obs::AnswerPath ClassifyPath(bool ok, bool degraded,
                                       const ResolveInfo& info);
 
-  /// Terminal accounting for one request: records the per-kind and
-  /// per-path latency histograms (when enable_metrics) and commits a
-  /// trace span chain (when this request sampled). Its one clock read
-  /// ends the request and closes the extract span. `begin_ns` is the
-  /// request's dispatch time in tracer_ timebase (0 when tracing off);
-  /// `deadline` as armed (time_point::max() = none).
-  void RecordOutcome(const BackboneRequest& request, bool ok, bool degraded,
+  /// Terminal accounting for one request's final response: records the
+  /// per-kind and per-path latency histograms (when enable_metrics) and
+  /// commits a trace span chain (when this request sampled). Its one
+  /// clock read ends the request and closes the extract span. `begin_ns`
+  /// is the request's dispatch time in tracer_ timebase (0 when tracing
+  /// off); `deadline` as armed (time_point::max() = none).
+  void RecordOutcome(const BackboneRequest& request,
+                     const Result<BackboneResponse>& response,
                      const ResolveInfo& info, int64_t begin_ns,
                      std::chrono::steady_clock::time_point deadline,
                      int64_t queue_wait_ns);

@@ -379,7 +379,7 @@ TEST(NoiseCorrectedGraphTest, RejectsNullDetails) {
 }
 
 TEST(NoiseCorrectedGraphTest, ScoresAndDetailsIdenticalAcrossThreadCounts) {
-  // The parallel sweep (ParallelScoreEdges) must be bit-identical to the
+  // The parallel sweep (ParallelScoreEdgeRanges) must be bit-identical to the
   // serial one, including the per-edge detail table, on a graph large
   // enough to split into several chunks.
   const auto g = GenerateErdosRenyi(

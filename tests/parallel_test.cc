@@ -1,6 +1,6 @@
 // Tests for the parallel-execution subsystem (common/parallel.h) — the
-// work-stealing TaskScheduler/TaskGroup runtime — the ParallelScoreEdges
-// helper, the reusable Dijkstra workspace, and the determinism guarantees
+// work-stealing TaskScheduler/TaskGroup runtime — the ParallelScoreEdgeRanges
+// sweep, the reusable Dijkstra workspace, and the determinism guarantees
 // of the threaded scoring paths: identical scores for every thread count
 // and steal order, serial-equivalent first-error-wins status aggregation,
 // seeded reproducibility of the sampled HSS mode, and the
@@ -256,11 +256,11 @@ TEST(ResolveThreadCountTest, PositivePassesThroughZeroResolvesHardware) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelScoreEdges determinism across thread counts.
+// Scoring determinism across thread counts.
 // ---------------------------------------------------------------------------
 
 Graph MakeScoringGraph(Directedness directedness) {
-  // Large enough (30k edges) that ParallelScoreEdges genuinely splits the
+  // Large enough (30k edges) that the scoring sweep genuinely splits the
   // table into multiple chunks instead of collapsing to one.
   auto g = GenerateErdosRenyi({.num_nodes = 10000,
                                .average_degree = 6.0,
@@ -337,9 +337,28 @@ TEST(ParallelScoreEdgesTest, DoublyStochasticDeterministic) {
   ExpectBitIdenticalAcrossThreads(Method::kDoublyStochastic, g);
 }
 
-TEST(ParallelScoreEdgesTest, ScorerSeesAlignedEdgeIds) {
+/// Runs a per-edge scorer Status(EdgeId, const Edge&, EdgeScore*) as a
+/// range scorer, replaying the first failing id for its exact Status.
+template <typename Scorer>
+Result<std::vector<EdgeScore>> ScoreEachEdge(const Graph& g, int threads,
+                                             const Scorer& score_edge,
+                                             const CancelToken& cancel = {}) {
+  const auto range = [&](int64_t begin, int64_t end, EdgeScore* out) {
+    for (EdgeId id = begin; id < end; ++id) {
+      if (!score_edge(id, g.edge(id), &out[id]).ok()) return id;
+    }
+    return EdgeId{-1};
+  };
+  EdgeScore unused;
+  const auto replay = [&](EdgeId id) {
+    return score_edge(id, g.edge(id), &unused);
+  };
+  return ParallelScoreEdgeRanges(g, threads, range, replay, cancel);
+}
+
+TEST(ParallelScoreEdgeRangesTest, ScorerSeesAlignedEdgeIds) {
   const Graph g = MakeScoringGraph(Directedness::kUndirected);
-  const auto scores = ParallelScoreEdges(
+  const auto scores = ScoreEachEdge(
       g, 4, [&](EdgeId id, const Edge& e, EdgeScore* out) -> Status {
         EXPECT_EQ(e, g.edge(id));
         *out = EdgeScore{static_cast<double>(id), 0.0};
@@ -382,11 +401,11 @@ TEST(ParallelScoreEdgesTest, ErrorFromMidChunkEdgePropagates) {
   }
 }
 
-TEST(ParallelScoreEdgesTest, FirstErrorWinsMatchesSerialSweep) {
+TEST(ParallelScoreEdgeRangesTest, FirstErrorWinsMatchesSerialSweep) {
   const Graph g = MakeGraphWithInvalidEdges();
   // Distinct error messages per edge id let us observe which error won.
   auto scorer_result = [&](int threads) {
-    return ParallelScoreEdges(
+    return ScoreEachEdge(
         g, threads, [](EdgeId id, const Edge& e, EdgeScore* out) -> Status {
           if (e.weight == 0.0) {
             return Status::InvalidArgument("zero weight at edge " +
@@ -410,13 +429,13 @@ TEST(ParallelScoreEdgesTest, FirstErrorWinsMatchesSerialSweep) {
 // Cooperative cancellation inside the scoring loops.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelScoreEdgesTest, PreCancelledTokenStopsBeforeScoring) {
+TEST(ParallelScoreEdgeRangesTest, PreCancelledTokenStopsBeforeScoring) {
   const Graph g = MakeScoringGraph(Directedness::kUndirected);
   CancelSource source;
   source.Cancel();
   std::atomic<int64_t> scored{0};
   for (const int threads : {1, 4}) {
-    const auto result = ParallelScoreEdges(
+    const auto result = ScoreEachEdge(
         g, threads,
         [&](EdgeId, const Edge& e, EdgeScore* out) -> Status {
           scored.fetch_add(1, std::memory_order_relaxed);
@@ -432,11 +451,11 @@ TEST(ParallelScoreEdgesTest, PreCancelledTokenStopsBeforeScoring) {
   EXPECT_LT(scored.load(), g.num_edges());
 }
 
-TEST(ParallelScoreEdgesTest, ExpiredDeadlineReturnsDeadlineExceeded) {
+TEST(ParallelScoreEdgeRangesTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   const Graph g = MakeScoringGraph(Directedness::kUndirected);
   CancelSource source(std::chrono::steady_clock::now() -
                       std::chrono::milliseconds(1));
-  const auto result = ParallelScoreEdges(
+  const auto result = ScoreEachEdge(
       g, 4,
       [](EdgeId, const Edge& e, EdgeScore* out) -> Status {
         *out = EdgeScore{e.weight, 0.0};
@@ -447,7 +466,7 @@ TEST(ParallelScoreEdgesTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
 }
 
-TEST(ParallelScoreEdgesTest, RecordedEdgeErrorOutranksCancellation) {
+TEST(ParallelScoreEdgeRangesTest, RecordedEdgeErrorOutranksCancellation) {
   // An edge error recorded before the token fires beats the cancellation:
   // a serial sweep would have hit that edge before any cancellation check
   // at or past it. Edge 0 errors *and* fires the token, so every later
@@ -455,7 +474,7 @@ TEST(ParallelScoreEdgesTest, RecordedEdgeErrorOutranksCancellation) {
   const Graph g = MakeScoringGraph(Directedness::kUndirected);
   for (const int threads : {1, 4}) {
     CancelSource source;
-    const auto result = ParallelScoreEdges(
+    const auto result = ScoreEachEdge(
         g, threads,
         [&](EdgeId id, const Edge&, EdgeScore*) -> Status {
           if (id == 0) {

@@ -63,6 +63,17 @@ Graph BenchGraph(uint64_t seed = 7, NodeId num_nodes = 300) {
       {.num_nodes = num_nodes, .average_degree = 3.0, .seed = seed});
 }
 
+/// A TopShare request.
+BackboneRequest ShareRequest(uint64_t graph, Method method,
+                             double share = 0.3) {
+  BackboneRequest request;
+  request.graph = graph;
+  request.method = method;
+  request.kind = RequestKind::kTopShare;
+  request.share = share;
+  return request;
+}
+
 // ---------------------------------------------------------------------------
 // GraphFingerprint.
 // ---------------------------------------------------------------------------
@@ -291,11 +302,7 @@ TEST(BackboneEngineTest, WarmRequestsPerformZeroSortsAndZeroRescoring) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(BenchGraph(41));
 
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kNoiseCorrected;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.2;
+  BackboneRequest request = ShareRequest(graph, Method::kNoiseCorrected, 0.2);
   const Result<BackboneResponse> cold = engine.Execute(request);
   ASSERT_TRUE(cold.ok());
   EXPECT_FALSE(cold->cache_hit);
@@ -335,11 +342,7 @@ TEST(BackboneEngineTest, IrrelevantScoreOptionsShareOneCacheEntry) {
   // (MakeScoreKey canonicalization).
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(BenchGraph(40));
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kNoiseCorrected;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.2;
+  BackboneRequest request = ShareRequest(graph, Method::kNoiseCorrected, 0.2);
   request.score_options.hss_sample_seed = 7;
   ASSERT_TRUE(engine.Execute(request).ok());
   request.score_options.hss_sample_seed = 99;
@@ -452,19 +455,11 @@ void ExpectNonFiniteShareRejected(BackboneRequest bad,
   EXPECT_EQ(Metric(engine, "engine.negative_entries"), 0);
 }
 
-BackboneRequest ShareRequest(uint64_t graph, RequestKind kind) {
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kNoiseCorrected;
-  request.kind = kind;
-  return request;
-}
-
 TEST(BackboneEngineTest, NonFiniteTopShareIsInvalidArgument) {
   for (const double share : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     BackboneEngine engine;
     BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(90)),
-                                       RequestKind::kTopShare);
+                                       Method::kNoiseCorrected);
     bad.share = share;
     ExpectNonFiniteShareRejected(bad, engine);
   }
@@ -473,7 +468,8 @@ TEST(BackboneEngineTest, NonFiniteTopShareIsInvalidArgument) {
 TEST(BackboneEngineTest, NonFiniteCoveragePointShareIsInvalidArgument) {
   BackboneEngine engine;
   BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(91)),
-                                     RequestKind::kCoveragePoint);
+                                     Method::kNoiseCorrected);
+  bad.kind = RequestKind::kCoveragePoint;
   bad.share = std::nan("");
   ExpectNonFiniteShareRejected(bad, engine);
 }
@@ -481,7 +477,8 @@ TEST(BackboneEngineTest, NonFiniteCoveragePointShareIsInvalidArgument) {
 TEST(BackboneEngineTest, NonFiniteSweepShareIsInvalidArgument) {
   BackboneEngine engine;
   BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(92)),
-                                     RequestKind::kSweep);
+                                     Method::kNoiseCorrected);
+  bad.kind = RequestKind::kSweep;
   bad.shares = {0.25, std::nan(""), 0.75};
   ExpectNonFiniteShareRejected(bad, engine);
 }
@@ -489,7 +486,8 @@ TEST(BackboneEngineTest, NonFiniteSweepShareIsInvalidArgument) {
 TEST(BackboneEngineTest, NonFiniteStabilityPointShareIsInvalidArgument) {
   BackboneEngine engine;
   BackboneRequest bad = ShareRequest(engine.AddGraph(BenchGraph(93)),
-                                     RequestKind::kStabilityPoint);
+                                     Method::kNoiseCorrected);
+  bad.kind = RequestKind::kStabilityPoint;
   bad.next_graph = engine.AddGraph(BenchGraph(94));
   bad.share = std::nan("");
   ExpectNonFiniteShareRejected(bad, engine);
@@ -499,11 +497,9 @@ TEST(BackboneEngineTest, CoalescesConcurrentIdenticalRequests) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(BenchGraph(43, /*num_nodes=*/800));
 
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kHighSalienceSkeleton;  // slow enough to overlap
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.25;
+  // HSS: slow enough for the requests to overlap.
+  BackboneRequest request =
+      ShareRequest(graph, Method::kHighSalienceSkeleton, 0.25);
 
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
   constexpr int kThreads = 8;
@@ -537,11 +533,9 @@ TEST(BackboneEngineTest, BatchCoalescesDuplicateKeys) {
 
   std::vector<BackboneRequest> batch;
   for (int i = 0; i < 6; ++i) {
-    BackboneRequest request;
-    request.graph = graph;
-    request.method = Method::kNoiseCorrected;
-    request.kind = RequestKind::kTopShare;
-    request.share = 0.1 * (i + 1);  // different points, one key
+    // Different points, one key.
+    BackboneRequest request =
+        ShareRequest(graph, Method::kNoiseCorrected, 0.1 * (i + 1));
     batch.push_back(request);
   }
   BackboneRequest other = batch.front();
@@ -572,11 +566,7 @@ TEST(BackboneEngineTest, DeterministicAcrossThreadCounts) {
     for (const Method method :
          {Method::kNoiseCorrected, Method::kDisparityFilter,
           Method::kMaximumSpanningTree, Method::kNaiveThreshold}) {
-      BackboneRequest request;
-      request.graph = graph;
-      request.method = method;
-      request.kind = RequestKind::kTopShare;
-      request.share = 0.3;
+      BackboneRequest request = ShareRequest(graph, method);
       batch.push_back(request);
       request.kind = RequestKind::kSweep;
       request.shares = {0.2, 0.6, 1.0};
@@ -606,11 +596,8 @@ TEST(BackboneEngineTest, AsyncSubmitMatchesSync) {
 
   std::vector<BackboneRequest> batch;
   for (const double share : {0.1, 0.4, 0.8}) {
-    BackboneRequest request;
-    request.graph = graph;
-    request.method = Method::kDisparityFilter;
-    request.kind = RequestKind::kTopShare;
-    request.share = share;
+    BackboneRequest request =
+        ShareRequest(graph, Method::kDisparityFilter, share);
     batch.push_back(request);
   }
 
@@ -662,12 +649,9 @@ TEST(BackboneEngineTest, NegativeCacheSuppressesRepeatedFailures) {
   const uint64_t graph = engine.AddGraph(BenchGraph(70));
 
   // The HSS cost guard rejects this deterministically: |V| * |E| > 1.
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kHighSalienceSkeleton;
+  BackboneRequest request =
+      ShareRequest(graph, Method::kHighSalienceSkeleton, 0.5);
   request.score_options.hss_max_cost = 1;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.5;
 
   const Result<BackboneResponse> first = engine.Execute(request);
   ASSERT_FALSE(first.ok());
@@ -704,12 +688,9 @@ TEST(BackboneEngineTest, NegativeTtlZeroDisablesNegativeCaching) {
   BackboneEngine engine(options);
   const uint64_t graph = engine.AddGraph(BenchGraph(71));
 
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = Method::kHighSalienceSkeleton;
+  BackboneRequest request =
+      ShareRequest(graph, Method::kHighSalienceSkeleton, 0.5);
   request.score_options.hss_max_cost = 1;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.5;
 
   ASSERT_FALSE(engine.Execute(request).ok());
   ASSERT_FALSE(engine.Execute(request).ok());
@@ -732,11 +713,7 @@ TEST(BackboneEngineTest, GraphByteBudgetEvictsColdGraphs) {
   EXPECT_EQ(Metric(engine, "store.evictions"), 1);
 
   // The least-recently-used fingerprint stopped resolving...
-  BackboneRequest request;
-  request.method = Method::kNaiveThreshold;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.5;
-  request.graph = f1;
+  BackboneRequest request = ShareRequest(f1, Method::kNaiveThreshold, 0.5);
   const Result<BackboneResponse> evicted = engine.Execute(request);
   ASSERT_FALSE(evicted.ok());
   EXPECT_TRUE(evicted.status().IsNotFound());
@@ -914,15 +891,6 @@ Graph TransferWeight(const Graph& base, int64_t transfers, uint64_t seed) {
   return *builder.Build();
 }
 
-BackboneRequest DeltaShareRequest(uint64_t graph, Method method) {
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = method;
-  request.kind = RequestKind::kTopShare;
-  request.share = 0.3;
-  return request;
-}
-
 /// Every extraction-shaped request kind, with budgets on both sides of
 /// the clamp: TopK 0 / 1 / E / E+5, a threshold above every score (an
 /// empty prefix) and GrowUntilConnected.
@@ -1062,13 +1030,13 @@ TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   BackboneEngine cold_engine;
   const uint64_t cold_fp = cold_engine.AddGraph(next);
   const Result<BackboneResponse> cold =
-      cold_engine.Execute(DeltaShareRequest(cold_fp, Method::kNoiseCorrected));
+      cold_engine.Execute(ShareRequest(cold_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(cold.ok());
 
   BackboneEngine engine;
   const uint64_t base_fp = engine.AddGraph(base);
   ASSERT_TRUE(
-      engine.Execute(DeltaShareRequest(base_fp, Method::kNoiseCorrected))
+      engine.Execute(ShareRequest(base_fp, Method::kNoiseCorrected))
           .ok());
   const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
   ASSERT_NE(next_fp, base_fp);
@@ -1076,7 +1044,7 @@ TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   const int64_t sorts_before = ScoreOrder::SortsPerformed();
   const int64_t scores_before = Metric(engine, "engine.scores_computed");
   const Result<BackboneResponse> patched =
-      engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected));
+      engine.Execute(ShareRequest(next_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(patched.ok());
   EXPECT_FALSE(patched->cache_hit);  // it did trigger a (cheap) computation
 
@@ -1094,7 +1062,7 @@ TEST(BackboneEngineTest, RevisionIsPatchedNotRescored) {
   // The patched entry is a first-class cache entry: the next request on
   // the revision is a plain warm hit.
   const Result<BackboneResponse> warm =
-      engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected));
+      engine.Execute(ShareRequest(next_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->cache_hit);
 }
@@ -1109,11 +1077,11 @@ TEST(BackboneEngineTest, RevisionPatchIsDeterministicAcrossThreadCounts) {
     BackboneEngine engine(options);
     const uint64_t base_fp = engine.AddGraph(base);
     ASSERT_TRUE(
-        engine.Execute(DeltaShareRequest(base_fp, Method::kDisparityFilter))
+        engine.Execute(ShareRequest(base_fp, Method::kDisparityFilter))
             .ok());
     const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
     const Result<BackboneResponse> response = engine.Execute(
-        DeltaShareRequest(next_fp, Method::kDisparityFilter));
+        ShareRequest(next_fp, Method::kDisparityFilter));
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
     if (!reference.has_value()) {
@@ -1136,20 +1104,20 @@ TEST(BackboneEngineTest, LineageChainResolvesAcrossUnscoredHops) {
   BackboneEngine engine;
   const uint64_t base_fp = engine.AddGraph(base);
   ASSERT_TRUE(
-      engine.Execute(DeltaShareRequest(base_fp, Method::kNoiseCorrected))
+      engine.Execute(ShareRequest(base_fp, Method::kNoiseCorrected))
           .ok());
   const uint64_t rev1_fp = engine.AddGraphRevision(rev1, base_fp);
   const uint64_t rev2_fp = engine.AddGraphRevision(rev2, rev1_fp);
 
   const Result<BackboneResponse> response =
-      engine.Execute(DeltaShareRequest(rev2_fp, Method::kNoiseCorrected));
+      engine.Execute(ShareRequest(rev2_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
 
   BackboneEngine cold_engine;
   const uint64_t cold_fp = cold_engine.AddGraph(rev2);
   const Result<BackboneResponse> cold =
-      cold_engine.Execute(DeltaShareRequest(cold_fp, Method::kNoiseCorrected));
+      cold_engine.Execute(ShareRequest(cold_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(response->kept_edges, cold->kept_edges);
   EXPECT_EQ(response->coverage, cold->coverage);
@@ -1163,12 +1131,12 @@ TEST(BackboneEngineTest, GlobalMethodsFallBackToFullRescore) {
   const uint64_t base_fp = engine.AddGraph(base);
   ASSERT_TRUE(
       engine
-          .Execute(DeltaShareRequest(base_fp, Method::kHighSalienceSkeleton))
+          .Execute(ShareRequest(base_fp, Method::kHighSalienceSkeleton))
           .ok());
   const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
   const int64_t scores_before = Metric(engine, "engine.scores_computed");
   const Result<BackboneResponse> response = engine.Execute(
-      DeltaShareRequest(next_fp, Method::kHighSalienceSkeleton));
+      ShareRequest(next_fp, Method::kHighSalienceSkeleton));
   ASSERT_TRUE(response.ok());
   // HSS is not incremental: the request full-rescored (and, because the
   // method is unsupported, it does not even count as a fallback attempt).
@@ -1178,7 +1146,7 @@ TEST(BackboneEngineTest, GlobalMethodsFallBackToFullRescore) {
   BackboneEngine cold_engine;
   const uint64_t cold_fp = cold_engine.AddGraph(next);
   const Result<BackboneResponse> cold = cold_engine.Execute(
-      DeltaShareRequest(cold_fp, Method::kHighSalienceSkeleton));
+      ShareRequest(cold_fp, Method::kHighSalienceSkeleton));
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(response->kept_edges, cold->kept_edges);
 }
@@ -1191,11 +1159,11 @@ TEST(BackboneEngineTest, DeltaRescoreCanBeDisabled) {
   BackboneEngine engine(options);
   const uint64_t base_fp = engine.AddGraph(base);
   ASSERT_TRUE(
-      engine.Execute(DeltaShareRequest(base_fp, Method::kNoiseCorrected))
+      engine.Execute(ShareRequest(base_fp, Method::kNoiseCorrected))
           .ok());
   const uint64_t next_fp = engine.AddGraphRevision(next, base_fp);
   ASSERT_TRUE(
-      engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected))
+      engine.Execute(ShareRequest(next_fp, Method::kNoiseCorrected))
           .ok());
   EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 0);
   EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
@@ -1208,7 +1176,7 @@ TEST(BackboneEngineTest, DeltaRescoreCanBeDisabled) {
 /// Each point kind on `graph` with the NC method: TopShare, TopK,
 /// ScoreThreshold and CoveragePoint.
 std::vector<BackboneRequest> PointRequests(uint64_t graph) {
-  BackboneRequest share = DeltaShareRequest(graph, Method::kNoiseCorrected);
+  BackboneRequest share = ShareRequest(graph, Method::kNoiseCorrected);
   BackboneRequest top_k = share;
   top_k.kind = RequestKind::kTopK;
   top_k.k = 41;
@@ -1236,7 +1204,7 @@ TEST(LazyProfileTest, ColdAndDeltaPointRequestsBuildNoProfile) {
   BackboneEngine engine;
   const uint64_t base_fp = engine.AddGraph(base);
   const Result<BackboneResponse> cold =
-      engine.Execute(DeltaShareRequest(base_fp, Method::kNoiseCorrected));
+      engine.Execute(ShareRequest(base_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(cold.ok());
   EXPECT_FALSE(cold->cache_hit);
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 0);
@@ -1244,7 +1212,7 @@ TEST(LazyProfileTest, ColdAndDeltaPointRequestsBuildNoProfile) {
   const uint64_t next_fp =
       engine.AddGraphRevision(TransferWeight(base, 8, 5), base_fp);
   const Result<BackboneResponse> patched =
-      engine.Execute(DeltaShareRequest(next_fp, Method::kNoiseCorrected));
+      engine.Execute(ShareRequest(next_fp, Method::kNoiseCorrected));
   ASSERT_TRUE(patched.ok());
   EXPECT_FALSE(patched->cache_hit);
   EXPECT_EQ(Metric(engine, "engine.delta_rescores"), 1);
@@ -1286,7 +1254,7 @@ TEST(LazyProfileTest, ConcurrentFirstHitsBuildOneProfile) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(IntWeightGraph(25, 2000));
   const BackboneRequest request =
-      DeltaShareRequest(graph, Method::kNoiseCorrected);
+      ShareRequest(graph, Method::kNoiseCorrected);
   const Result<BackboneResponse> cold = engine.Execute(request);
   ASSERT_TRUE(cold.ok());
   ASSERT_EQ(Metric(engine, "engine.profiles_built"), 0);
@@ -1317,7 +1285,7 @@ TEST(LazyProfileTest, ConcurrentFirstHitsBuildOneProfile) {
 TEST(LazyProfileTest, ColdSweepAndGrowBuildTheirProfile) {
   BackboneEngine engine;
   const uint64_t graph = engine.AddGraph(IntWeightGraph(26));
-  BackboneRequest sweep = DeltaShareRequest(graph, Method::kNoiseCorrected);
+  BackboneRequest sweep = ShareRequest(graph, Method::kNoiseCorrected);
   sweep.kind = RequestKind::kSweep;
   sweep.shares = {0.1, 0.3, 0.9};
   const Result<BackboneResponse> cold_sweep = engine.Execute(sweep);
@@ -1325,7 +1293,7 @@ TEST(LazyProfileTest, ColdSweepAndGrowBuildTheirProfile) {
   EXPECT_FALSE(cold_sweep->cache_hit);
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 1);
 
-  BackboneRequest grow = DeltaShareRequest(graph, Method::kDisparityFilter);
+  BackboneRequest grow = ShareRequest(graph, Method::kDisparityFilter);
   grow.kind = RequestKind::kGrowUntilConnected;
   const Result<BackboneResponse> cold_grow = engine.Execute(grow);
   ASSERT_TRUE(cold_grow.ok());
@@ -1347,7 +1315,7 @@ TEST(LazyProfileTest, ColdBatchBuildsNoProfileEvenForARepeatedKey) {
   // `twice` is asked two points in the batch that resolves it; each is
   // evaluated alone, as coalesced waiters on one cold key are in Execute.
   std::vector<BackboneRequest> batch = {
-      DeltaShareRequest(once, Method::kNoiseCorrected),
+      ShareRequest(once, Method::kNoiseCorrected),
       PointRequests(twice)[0], PointRequests(twice)[3]};
   const std::vector<Result<BackboneResponse>> cold =
       engine.ExecuteBatch(batch);
@@ -1455,16 +1423,6 @@ TEST(FaultInjectorTest, DisabledIsInertAndScopesRestore) {
 // ---------------------------------------------------------------------------
 // Deadlines, cancellation, and the failure taxonomy.
 // ---------------------------------------------------------------------------
-
-BackboneRequest ShareRequest(uint64_t graph, Method method,
-                             double share = 0.3) {
-  BackboneRequest request;
-  request.graph = graph;
-  request.method = method;
-  request.kind = RequestKind::kTopShare;
-  request.share = share;
-  return request;
-}
 
 TEST(BackboneEngineFaultTest, DeadlineExceededIsTypedAndNeverNegativeCached) {
   BackboneEngine engine;
@@ -2101,6 +2059,141 @@ TEST(GraphStoreTest, InternRevisionDiffsAgainstResidentBase) {
   EXPECT_EQ(revision.delta.status().code(), Status::Code::kNotFound);
   EXPECT_EQ(revision.stored.fingerprint, GraphFingerprint(other));
   EXPECT_NE(store.Find(revision.stored.fingerprint), nullptr);
+}
+
+
+// ---------------------------------------------------------------------------
+// One request path: Execute, ExecuteBatch and Submit answer alike.
+// ---------------------------------------------------------------------------
+
+enum class EntryPoint { kExecute, kBatch, kSubmit };
+constexpr EntryPoint kEntryPoints[] = {EntryPoint::kExecute,
+                                       EntryPoint::kBatch, EntryPoint::kSubmit};
+
+std::vector<Result<BackboneResponse>> Send(
+    BackboneEngine& engine, EntryPoint entry,
+    const std::vector<BackboneRequest>& requests) {
+  if (entry == EntryPoint::kBatch) return engine.ExecuteBatch(requests);
+  if (entry == EntryPoint::kSubmit) return engine.Submit(requests).get();
+  std::vector<Result<BackboneResponse>> results;
+  for (const BackboneRequest& request : requests) {
+    results.push_back(engine.Execute(request));
+  }
+  return results;
+}
+
+TEST(EntryPointIdentityTest, EveryEntryPointAnswersAlikeColdAndWarm) {
+  // Indexed [warm][request]: Execute's answers at one thread.
+  std::vector<std::vector<Result<BackboneResponse>>> reference;
+  for (const int threads : {1, 4}) {
+    for (const EntryPoint entry : kEntryPoints) {
+      BackboneEngineOptions options;
+      options.num_threads = threads;
+      BackboneEngine engine(options);
+      const uint64_t graph = engine.AddGraph(BenchGraph(47));
+      const uint64_t next = engine.AddGraph(BenchGraph(48));
+      // Every kind under NC, DF and NT, then a repeated key, an unknown
+      // fingerprint and a NaN share.
+      std::vector<BackboneRequest> requests;
+      for (const Method method : {Method::kNoiseCorrected,
+                                  Method::kDisparityFilter,
+                                  Method::kNaiveThreshold}) {
+        BackboneRequest request = ShareRequest(graph, method, 0.5);
+        request.k = 37;
+        request.threshold = 0.5;
+        request.shares = {0.1, 0.5, 0.9};
+        request.next_graph = next;
+        for (int kind = 0; kind < kNumRequestKinds; ++kind) {
+          request.kind = static_cast<RequestKind>(kind);
+          requests.push_back(request);
+        }
+      }
+      requests.push_back(requests[1]);
+      requests.push_back(ShareRequest(0x1234, Method::kNoiseCorrected));
+      requests.push_back(
+          ShareRequest(graph, Method::kNoiseCorrected, std::nan("")));
+      for (const bool warm : {false, true}) {
+        std::vector<Result<BackboneResponse>> got =
+            Send(engine, entry, requests);
+        if (reference.size() < 2) reference.push_back(got);
+        const std::vector<Result<BackboneResponse>>& want = reference[warm];
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_TRUE(got[got.size() - 2].status().IsNotFound());
+        EXPECT_TRUE(got.back().status().IsInvalidArgument());
+        for (size_t i = 0; i + 2 < got.size(); ++i) {
+          SCOPED_TRACE(testing::Message() << threads << " threads, entry "
+                       << static_cast<int>(entry) << ", warm " << warm);
+          ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status().ToString();
+          ExpectSameAnswer(*got[i], *want[i]);
+          EXPECT_EQ(got[i]->stability, want[i]->stability);
+          // Which cold request of a key resolves it depends on the entry
+          // point; in the warm round every request hits.
+          EXPECT_TRUE(got[i]->cache_hit || !warm);
+        }
+      }
+    }
+  }
+}
+
+/// A degradable request on a revision whose base entry is warm, in an
+/// engine that scores the revision in full: the road an injected scoring
+/// stall sends to the warm ancestor.
+BackboneRequest DegradableRevisionRequest(BackboneEngine& engine,
+                                          uint64_t* base) {
+  const Graph base_graph = IntWeightGraph(94);
+  *base = engine.AddGraph(base_graph);
+  EXPECT_TRUE(
+      engine.Execute(ShareRequest(*base, Method::kNoiseCorrected)).ok());
+  BackboneRequest request = ShareRequest(
+      engine.AddGraphRevision(TransferWeight(base_graph, 6, 3), *base),
+      Method::kNoiseCorrected);
+  request.allow_degraded = true;
+  return request;
+}
+
+TEST(EntryPointIdentityTest, WarmAncestorServesEveryEntryPointTillShutdown) {
+  FaultInjector injector(23);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::seconds(30)});
+  BackboneEngineOptions options;
+  options.enable_delta_rescore = false;  // force the (stalled) full path
+  std::optional<BackboneResponse> reference;  // Execute's
+  for (const EntryPoint entry : kEntryPoints) {
+    SCOPED_TRACE(static_cast<int>(entry));
+    BackboneEngine engine(options);
+    uint64_t base = 0;
+    BackboneRequest request = DegradableRevisionRequest(engine, &base);
+    request.timeout = std::chrono::milliseconds(10);
+    ScopedFaultInjection scope(&injector);
+    const std::vector<Result<BackboneResponse>> got =
+        Send(engine, entry, {request});
+    ASSERT_TRUE(got[0].ok()) << got[0].status().ToString();
+    EXPECT_TRUE(got[0]->degraded);
+    EXPECT_EQ(got[0]->degraded_from, base);
+    if (!reference.has_value()) reference = *got[0];
+    EXPECT_EQ(got[0]->kept_edges, reference->kept_edges);
+    EXPECT_EQ(Metric(engine, "engine.degraded_served"), 1);
+    EXPECT_EQ(Metric(engine, "engine.background_refreshes"), 1);
+  }
+
+  // Once shutdown has begun nothing is served degraded: a batch with no
+  // budget of its own, stalled until the destructor cancels its scoring,
+  // answers that cancellation.
+  std::future<std::vector<Result<BackboneResponse>>> future;
+  {
+    BackboneEngine engine(options);
+    uint64_t base = 0;
+    const BackboneRequest request = DegradableRevisionRequest(engine, &base);
+    ScopedFaultInjection scope(&injector);
+    const int64_t stalls = injector.injected(FaultSite::kScoringLatency);
+    future = engine.Submit({request});
+    while (injector.injected(FaultSite::kScoringLatency) == stalls) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const std::vector<Result<BackboneResponse>> got = future.get();
+  EXPECT_TRUE(got[0].status().IsCancelled()) << got[0].status().ToString();
 }
 
 }  // namespace
