@@ -41,7 +41,7 @@ enum class SpanKind : uint8_t {
   /// check. Starts at the entry clock reading in both Execute and
   /// ExecuteBatch (a batch's entry for all its requests).
   kCacheLookup,
-  kLineageWalk,     ///< warm-ancestor search through the lineage map
+  kLineageWalk,     ///< warm-ancestor search through the lineage records
   kDeltaPatch,      ///< incremental rescore from a warm ancestor
   kColdScore,       ///< full from-scratch scoring
   kExtract,         ///< response assembly (sweep / threshold / top-k)

@@ -205,23 +205,8 @@ uint64_t BackboneEngine::AddGraph(Graph graph) {
 
 uint64_t BackboneEngine::AddGraphRevision(Graph graph,
                                           uint64_t base_fingerprint) {
-  // The store diffs the revision against its base once, at submission,
-  // and derives the child's fingerprint from the base's — request-time
-  // patching then starts from precomputed difference lists. An
-  // unresolvable or incomparable base just degrades to lineage-without-
-  // delta (the request path re-diffs or falls back).
-  StoredRevision revision =
-      graphs_.InternRevision(std::move(graph), base_fingerprint);
-  const StoredGraph& stored = revision.stored;
-  std::shared_ptr<const GraphDelta> delta;
-  if (revision.delta.ok()) {
-    delta = std::make_shared<const GraphDelta>(*std::move(revision.delta));
-  }
-  // RegisterLineage ignores self-edges (a revision that dedupes to its
-  // base) and zero fingerprints.
-  cache_.RegisterLineage(stored.fingerprint, base_fingerprint,
-                         std::move(delta));
-  return stored.fingerprint;
+  return graphs_.InternRevision(std::move(graph), base_fingerprint)
+      .stored.fingerprint;
 }
 
 std::shared_ptr<const Graph> BackboneEngine::FindGraph(
@@ -433,8 +418,9 @@ BackboneEngine::ScoreResult BackboneEngine::ComputeScoreWithRetry(
 
 BackboneEngine::WarmAncestor BackboneEngine::FindWarmAncestor(
     const ScoreKey& key) {
-  // Walk the lineage chain for the nearest warm ancestor entry of this
-  // (method, options). Bounded hops guard against cycles a client could
+  // Walk the store's lineage records for the nearest warm ancestor entry
+  // of this (method, options). A hop needs its graph resident: the record
+  // is evicted with it. Bounded hops guard against cycles a client could
   // register; the probe uses Peek so ancestor lookups don't distort the
   // request-facing hit rate. When the warm ancestor is the direct parent,
   // the submission-time delta is already on the lineage record; a deeper
@@ -443,7 +429,7 @@ BackboneEngine::WarmAncestor BackboneEngine::FindWarmAncestor(
   WarmAncestor found;
   uint64_t fingerprint = key.graph;
   for (int hop = 0; hop < kMaxLineageHops; ++hop) {
-    ScoreCache::Lineage lineage = cache_.LineageFor(fingerprint);
+    GraphLineage lineage = graphs_.LineageOf(fingerprint);
     if (lineage.parent == 0 || lineage.parent == key.graph) break;
     if (std::shared_ptr<const CachedScore> entry = cache_.Peek(
             MakeScoreKey(lineage.parent, key.method, key.options))) {

@@ -17,9 +17,11 @@
 //      (common/parallel.h) — concurrent identical requests coalesce onto
 //      the one computation instead of scoring twice. Graphs registered as
 //      revisions (AddGraphRevision) take a third road between "cache" and
-//      "recompute": *patch* — a warm ancestor entry is diffed against the
-//      new graph and only the affected edges are rescored, the score
-//      order merged without a global sort (core/delta_rescore.h);
+//      "recompute": *patch* — the lineage records on the store's entries
+//      lead to a warm ancestor entry, which is diffed against the new
+//      graph (or patched with the submission-time delta) and only the
+//      affected edges are rescored, the score order merged without a
+//      global sort (core/delta_rescore.h);
 //   3. answer the request from the cached artifact chain: extraction
 //      kinds are an O(k + E/64) prefix walk, coverage points are O(1)
 //      reads of the sweep profile, zero rescoring and zero sorts when
@@ -348,12 +350,13 @@ class BackboneEngine {
 
   /// Interns like AddGraph and additionally records `base_fingerprint`
   /// (a previously-interned graph this one revises — the next noisy
-  /// observation of the same network) as the graph's lineage parent in
-  /// the ScoreCache. A later cold request on the new fingerprint then
-  /// resolves a warm ancestor along the lineage chain and patches its
-  /// artifacts instead of rescoring the world (see
-  /// BackboneEngineOptions::enable_delta_rescore). The store diffs the
-  /// graph against a resident base once, here, and derives its
+  /// observation of the same network) as the graph's lineage parent on
+  /// its GraphStore entry, with the delta from the base; the record is
+  /// priced in the store's bytes and evicted with the graph. A later cold
+  /// request on the new fingerprint then resolves a warm ancestor along
+  /// the lineage chain and patches its artifacts instead of rescoring the
+  /// world (see BackboneEngineOptions::enable_delta_rescore). The store
+  /// diffs the graph against a resident base once, here, and derives its
   /// fingerprint from the base's in O(churn) (GraphStore::InternRevision).
   /// base_fingerprint == 0 — or a graph that dedupes to its own base —
   /// degrades to plain AddGraph.
@@ -543,8 +546,8 @@ class BackboneEngine {
   /// negative caching enabled.
   void RememberFailureLocked(const ScoreKey& key, const Status& status);
 
-  /// The incremental fast path for a cold key: walks the cache's lineage
-  /// map (bounded hops) for a warm ancestor entry of the same (method,
+  /// The incremental fast path for a cold key: walks the store's lineage
+  /// records (bounded hops) for a warm ancestor entry of the same (method,
   /// options), diffs the ancestor's graph against `graph`, and patches
   /// scores + order (core/delta_rescore.h, zero global sorts).
   /// Returns nullptr when not applicable — no lineage, no warm ancestor,

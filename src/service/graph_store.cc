@@ -210,7 +210,36 @@ StoredRevision GraphStore::InternRevision(Graph graph,
   if (delta.ok() && !adopted && labeled) {
     delta = ComputeGraphDelta(*base, *stored.graph);
   }
-  return StoredRevision{std::move(stored), std::move(delta)};
+  if (!delta.ok()) {
+    AttachLineage(fingerprint, GraphLineage{base_fingerprint, nullptr});
+    return StoredRevision{std::move(stored), delta.status()};
+  }
+  auto shared = std::make_shared<const GraphDelta>(*std::move(delta));
+  AttachLineage(fingerprint, GraphLineage{base_fingerprint, shared});
+  return StoredRevision{std::move(stored), std::move(shared)};
+}
+
+bool GraphStore::AttachLineage(uint64_t child, GraphLineage lineage) {
+  if (lineage.parent == 0 || lineage.parent == child) return false;
+  const auto delta_bytes = [](const GraphLineage& record) -> int64_t {
+    return record.delta != nullptr ? record.delta->ApproxBytes() : 0;
+  };
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = graphs_.find(child);
+  if (it == graphs_.end()) return false;
+  Entry& entry = it->second;
+  const int64_t grown = delta_bytes(lineage) - delta_bytes(entry.lineage);
+  entry.lineage = std::move(lineage);
+  entry.bytes += grown;
+  resident_bytes_ += grown;
+  TrimLocked(child);
+  return true;
+}
+
+GraphLineage GraphStore::LineageOf(uint64_t fingerprint) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = graphs_.find(fingerprint);
+  return it != graphs_.end() ? it->second.lineage : GraphLineage{};
 }
 
 std::pair<StoredGraph, bool> GraphStore::Adopt(Graph graph,
@@ -276,8 +305,13 @@ void GraphStore::RegisterMetrics(obs::MetricRegistry& registry,
   registry.RegisterGaugeGroup(
       [this, prefix]() {
         std::lock_guard<std::mutex> lock(mu_);
+        int64_t lineage_entries = 0;
+        for (const auto& [fingerprint, entry] : graphs_) {
+          if (entry.lineage.parent != 0) ++lineage_entries;
+        }
         return std::vector<obs::MetricsSnapshot::Value>{
             {prefix + ".graphs", static_cast<int64_t>(graphs_.size())},
+            {prefix + ".lineage_entries", lineage_entries},
             {prefix + ".resident_bytes", resident_bytes_},
             {prefix + ".inserts", inserts_},
             {prefix + ".dedup_hits", dedup_hits_},

@@ -9,12 +9,18 @@
 // edge table. The fingerprint is also the graph half of every ScoreCache
 // key (service/score_cache.h).
 //
+// A graph submitted as a revision of another (InternRevision) also
+// carries its lineage on its entry: the base's fingerprint and the delta
+// from it. The engine's delta road walks these records to a warm
+// ancestor score (service/engine.h).
+//
 // Residency is optionally bounded: under a byte budget (common/bytes.h
-// accounting via ApproxGraphBytes) the least-recently-used unpinned
-// graphs are evicted first, so multi-tenant churn cannot grow resident
-// bytes without bound. Pins are in-flight refcounts: the engine pins a
-// graph while a scoring on it runs, and pinned graphs are never evicted
-// (the budget is exceeded rather than dropping a graph mid-use).
+// accounting via ApproxGraphBytes, plus each entry's lineage delta) the
+// least-recently-used unpinned graphs are evicted first, lineage and
+// all, so multi-tenant churn or an endless revision stream cannot grow
+// resident bytes without bound. Pins are in-flight refcounts: the engine
+// pins a graph while a scoring on it runs, and pinned graphs are never
+// evicted (the budget is exceeded rather than dropping a graph mid-use).
 // Eviction only drops the store's reference — outstanding shared_ptr
 // handles (requests, cached scores) stay valid; the evicted fingerprint
 // simply stops resolving until the graph is re-interned.
@@ -73,12 +79,20 @@ struct StoredGraph {
   std::shared_ptr<const Graph> graph;
 };
 
+/// A revision's lineage, kept on its GraphStore entry: the base it was
+/// submitted against (0 = none) and the delta from that base, null when
+/// the base was not resident or the diff refused.
+struct GraphLineage {
+  uint64_t parent = 0;
+  std::shared_ptr<const GraphDelta> delta;
+};
+
 /// What GraphStore::InternRevision hands back: the interned child, and
 /// the delta from its base, or why there is none (base not resident, or
 /// the diff refused).
 struct StoredRevision {
   StoredGraph stored;
-  Result<GraphDelta> delta;
+  Result<std::shared_ptr<const GraphDelta>> delta;
 };
 
 /// Thread-safe content-addressed store with optional LRU-under-byte-
@@ -113,7 +127,16 @@ class GraphStore {
   /// or the diff refuses (directedness or labels differ), it hashes in
   /// full and returns the reason in place of the delta. The delta indexes
   /// the base's and the resident child's edge tables.
+  ///
+  /// The child's entry records the lineage {base, delta}, priced in its
+  /// bytes and evicted with it. A later revision of the same content
+  /// overwrites the record; one with no delta still records the base. A
+  /// child that dedupes to its own base, or a zero base, records none.
   StoredRevision InternRevision(Graph graph, uint64_t base_fingerprint);
+
+  /// The lineage record of a resident graph (parent == 0 when it has none
+  /// or is not resident). One lookup; does not touch recency.
+  GraphLineage LineageOf(uint64_t fingerprint) const;
 
   /// In-flight refcount: while a fingerprint holds pins the budget never
   /// evicts it. No-op when the fingerprint is not resident. Balance every
@@ -127,9 +150,10 @@ class GraphStore {
   std::vector<StoredGraph> ResidentGraphs() const;
 
   /// Registers this store's counters and occupancy as one gauge group
-  /// (`graphs` resident, `resident_bytes` by ApproxGraphBytes, `inserts`
-  /// that added a graph, `dedup_hits` answered by a resident, budget
-  /// `evictions`, `byte_budget`), read under a single lock acquisition so
+  /// (`graphs` resident, `lineage_entries` among them, `resident_bytes`
+  /// by ApproxGraphBytes plus lineage deltas, `inserts` that added a
+  /// graph, `dedup_hits` answered by a resident, budget `evictions`,
+  /// `byte_budget`), read under a single lock acquisition so
   /// a snapshot never tears, and its operation latency histograms
   /// (intern/evict, populated only while set_metrics_timing(true)) under
   /// `<prefix>.<name>`. `intern_ns` times each Intern (full hash and
@@ -149,13 +173,15 @@ class GraphStore {
  private:
   // Snapshot restore has just checked a decoded graph against its stored
   // fingerprint and interns it under that key through Adopt rather than
-  // hashing it a second time (service/snapshot.cc). Nothing else may
-  // hand the store a key.
+  // hashing it a second time, and reattaches lineage records through
+  // AttachLineage (service/snapshot.cc). Nothing else may hand the store
+  // a key or a lineage record.
   friend struct internal::SnapshotStoreAccess;
 
   struct Entry {
     std::shared_ptr<const Graph> graph;
-    int64_t bytes = 0;
+    GraphLineage lineage;
+    int64_t bytes = 0;  ///< ApproxGraphBytes + the lineage delta's bytes
     int64_t pins = 0;
     std::list<uint64_t>::iterator lru_it;
   };
@@ -164,6 +190,10 @@ class GraphStore {
   /// with it; the bool says whether `graph` was adopted. Either way the
   /// entry becomes most-recently-used.
   std::pair<StoredGraph, bool> Adopt(Graph graph, uint64_t fingerprint);
+  /// Sets (or overwrites) `child`'s lineage record, re-prices its entry
+  /// and trims. False, and no-op, when `child` is not resident or the
+  /// record names no other parent. Recency is untouched.
+  bool AttachLineage(uint64_t child, GraphLineage lineage);
   /// Moves the entry to the MRU front. Precondition: mu_ held.
   void TouchLocked(Entry& entry) const;
   /// Evicts LRU-first unpinned entries until the budget holds (or only

@@ -98,40 +98,6 @@ std::shared_ptr<const CachedScore> ScoreCache::Peek(const ScoreKey& key) {
   return GetLocked(key);
 }
 
-void ScoreCache::RegisterLineage(uint64_t child, uint64_t parent,
-                                 std::shared_ptr<const GraphDelta> delta) {
-  if (child == 0 || parent == 0 || child == parent) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lineage_.size() >= kMaxLineageEntries &&
-      lineage_.find(child) == lineage_.end()) {
-    // Wholesale drop, like the negative cache: the cost is lost patch
-    // opportunities for old revisions, never correctness.
-    bytes_ -= lineage_bytes_;
-    lineage_bytes_ = 0;
-    lineage_.clear();
-  }
-  const auto it = lineage_.find(child);
-  if (it != lineage_.end()) {
-    const int64_t old_bytes =
-        kLineageEntryBytes +
-        (it->second.delta != nullptr ? it->second.delta->ApproxBytes() : 0);
-    bytes_ -= old_bytes;
-    lineage_bytes_ -= old_bytes;
-  }
-  const int64_t new_bytes =
-      kLineageEntryBytes + (delta != nullptr ? delta->ApproxBytes() : 0);
-  lineage_[child] = Lineage{parent, std::move(delta)};
-  bytes_ += new_bytes;
-  lineage_bytes_ += new_bytes;
-  TrimLocked();
-}
-
-ScoreCache::Lineage ScoreCache::LineageFor(uint64_t child) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = lineage_.find(child);
-  return it != lineage_.end() ? it->second : Lineage{};
-}
-
 void ScoreCache::Put(const ScoreKey& key,
                      std::shared_ptr<const CachedScore> score) {
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
@@ -171,17 +137,6 @@ ScoreCache::Entries() const {
   return entries;
 }
 
-std::vector<std::pair<uint64_t, ScoreCache::Lineage>>
-ScoreCache::LineageEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<uint64_t, Lineage>> entries;
-  entries.reserve(lineage_.size());
-  for (const auto& [child, record] : lineage_) {
-    entries.emplace_back(child, record);
-  }
-  return entries;
-}
-
 void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
                                  const std::string& prefix,
                                  const void* owner) {
@@ -196,8 +151,6 @@ void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
             {prefix + ".misses", misses_},
             {prefix + ".evictions", evictions_},
             {prefix + ".entries", static_cast<int64_t>(lru_.size())},
-            {prefix + ".lineage_entries",
-             static_cast<int64_t>(lineage_.size())},
             {prefix + ".bytes", bytes_},
             {prefix + ".byte_budget", byte_budget_},
             {prefix + ".insert_failures", insert_failures_},
@@ -210,13 +163,12 @@ void ScoreCache::RegisterMetrics(obs::MetricRegistry& registry,
 
 void ScoreCache::TrimLocked() {
   if (byte_budget_ <= 0) return;
-  if (bytes_ <= byte_budget_ || lru_.empty()) return;
+  if (bytes_ <= byte_budget_) return;
   obs::ScopedRecord timing(metrics_timing_.load(std::memory_order_relaxed),
                            &evict_ns_);
-  // Lineage bytes count against the budget but only entries are evicted:
-  // the loop stops when the list drains even if lineage alone overflows
-  // (its hard cap bounds that at a few MiB).
-  while (bytes_ > byte_budget_ && !lru_.empty()) {
+  // bytes_ is the sum of the listed entries' prices, so the list cannot
+  // drain while bytes_ is still over a positive budget.
+  while (bytes_ > byte_budget_) {
     const auto& victim = lru_.back();
     bytes_ -= victim.second->bytes();
     index_.erase(victim.first);

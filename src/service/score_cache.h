@@ -40,7 +40,6 @@
 #include "core/registry.h"
 #include "core/scored_edges.h"
 #include "core/sweep.h"
-#include "graph/delta.h"
 #include "graph/graph.h"
 
 namespace netbone {
@@ -196,17 +195,9 @@ class CachedScore {
   int64_t bytes_ = 0;
 };
 
-/// Thread-safe LRU cache of CachedScore entries under a byte budget.
-///
-/// Besides the score entries, the cache keeps a small *lineage map* —
-/// child graph fingerprint -> the base fingerprint it was derived from,
-/// registered by BackboneEngine::AddGraphRevision. The incremental
-/// rescoring path walks it to find a warm ancestor entry to patch from.
-/// Lineage is graph-level (independent of method/options), bounded
-/// (kMaxLineageEntries; the table is dropped wholesale on overflow — the
-/// cost is lost patch opportunities, never correctness), and its bytes
-/// are charged against the same budget as the entries, so the byte
-/// accounting stays honest under eviction.
+/// Thread-safe LRU cache of CachedScore entries under a byte budget. It
+/// holds and prices score entries only; revision lineage lives on the
+/// GraphStore entries (service/graph_store.h).
 class ScoreCache {
  public:
   /// byte_budget <= 0 means unlimited.
@@ -225,25 +216,6 @@ class ScoreCache {
   /// rate.
   std::shared_ptr<const CachedScore> Peek(const ScoreKey& key);
 
-  /// One lineage record: the declared base plus (optionally) the sparse
-  /// delta computed at submission time, so request-time patching starts
-  /// from precomputed difference lists instead of re-diffing the tables.
-  struct Lineage {
-    uint64_t parent = 0;  ///< base fingerprint, 0 = no lineage
-    std::shared_ptr<const GraphDelta> delta;  ///< may be null
-  };
-
-  /// Records `child`'s graph as derived from `parent` (both graph
-  /// fingerprints), with the submission-time delta when the caller has
-  /// one. No-op when either fingerprint is zero or they are equal. A
-  /// re-registration overwrites: the latest declared base wins. The
-  /// delta's bytes are charged to the cache budget.
-  void RegisterLineage(uint64_t child, uint64_t parent,
-                       std::shared_ptr<const GraphDelta> delta = nullptr);
-
-  /// The lineage record for `child` (parent == 0 when none).
-  Lineage LineageFor(uint64_t child) const;
-
   /// Inserts (or replaces) the entry as most-recently-used, then evicts
   /// least-recently-used entries until the budget holds again. The budget
   /// is strict: an entry larger than the whole budget is evicted
@@ -258,15 +230,12 @@ class ScoreCache {
   std::vector<std::pair<ScoreKey, std::shared_ptr<const CachedScore>>>
   Entries() const;
 
-  /// All lineage records (child fingerprint + record), unordered.
-  std::vector<std::pair<uint64_t, Lineage>> LineageEntries() const;
-
   /// Registers this cache's counters and occupancy as one gauge group
-  /// (`hits`, `misses`, `evictions`, `entries`, `lineage_entries`,
-  /// `bytes`, `byte_budget`, `insert_failures` — the last counts Puts the
-  /// fault-injection harness dropped, always 0 in production), read under
-  /// a single lock acquisition so a snapshot never tears, and its operation
-  /// latency histograms (put/evict, populated only while
+  /// (`hits`, `misses`, `evictions`, `entries`, `bytes`, `byte_budget`,
+  /// `insert_failures` — the last counts Puts the fault-injection harness
+  /// dropped, always 0 in production), read under a single lock
+  /// acquisition so a snapshot never tears, and its operation latency
+  /// histograms (put/evict, populated only while
   /// set_metrics_timing(true)) under `<prefix>.<name>`. Get is not
   /// timed: a clock pair would cost about as much as a hit, and a traced
   /// request's cache_lookup span already covers it. The caller owns
@@ -281,14 +250,6 @@ class ScoreCache {
   }
 
  private:
-  /// Approximate bytes one lineage entry occupies (two fingerprints plus
-  /// hash-map node overhead) — the unit the lineage map is priced at.
-  static constexpr int64_t kLineageEntryBytes =
-      static_cast<int64_t>(2 * sizeof(uint64_t) + 4 * sizeof(void*));
-  /// Hard cap on lineage entries (~64k revisions, a few MiB): on
-  /// overflow the table is dropped wholesale, like the negative cache.
-  static constexpr size_t kMaxLineageEntries = 65536;
-
   void TrimLocked();
   std::shared_ptr<const CachedScore> GetLocked(const ScoreKey& key);
 
@@ -306,8 +267,6 @@ class ScoreCache {
   int64_t insert_failures_ = 0;
   LruList lru_;  // front = most recently used
   std::unordered_map<ScoreKey, LruList::iterator, ScoreKeyHash> index_;
-  std::unordered_map<uint64_t, Lineage> lineage_;  // child -> record
-  int64_t lineage_bytes_ = 0;  // lineage map share of bytes_
 
   std::atomic<bool> metrics_timing_{false};
   obs::LatencyHistogram put_ns_;    ///< Put latency (including any trim)

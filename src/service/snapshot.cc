@@ -81,7 +81,7 @@ void EncodeScoreEntrySection(const ScoreKey& key, const CachedScore& entry,
   }
 }
 
-void EncodeLineageSection(uint64_t child, const ScoreCache::Lineage& record,
+void EncodeLineageSection(uint64_t child, const GraphLineage& record,
                           ByteWriter* writer) {
   writer->U64(child);
   writer->U64(record.parent);
@@ -99,10 +99,10 @@ void EncodeLineageSection(uint64_t child, const ScoreCache::Lineage& record,
   }
 }
 
-Result<std::pair<uint64_t, ScoreCache::Lineage>> DecodeLineageSection(
+Result<std::pair<uint64_t, GraphLineage>> DecodeLineageSection(
     ByteReader* reader) {
   NETBONE_ASSIGN_OR_RETURN(const uint64_t child, reader->U64());
-  ScoreCache::Lineage record;
+  GraphLineage record;
   NETBONE_ASSIGN_OR_RETURN(record.parent, reader->U64());
   NETBONE_ASSIGN_OR_RETURN(const uint32_t has_delta, reader->U32());
   if (has_delta > 1) return Status::Corruption("bad lineage delta flag");
@@ -320,6 +320,12 @@ struct SnapshotStoreAccess {
                             uint64_t fingerprint) {
     return store->Adopt(std::move(graph), fingerprint).first;
   }
+  /// Reattaches a decoded lineage record to its resident child; false
+  /// when the child is not resident.
+  static bool AttachLineage(GraphStore* store, uint64_t child,
+                            GraphLineage lineage) {
+    return store->AttachLineage(child, std::move(lineage));
+  }
 };
 
 }  // namespace internal
@@ -375,9 +381,12 @@ std::string BuildSnapshotImage(const GraphStore& store,
     ++stats->entries;
   }
 
-  for (const auto& [child, record] : cache.LineageEntries()) {
+  // Lineage is a fact of the resident graphs that carry it.
+  for (const StoredGraph& resident : residents) {
+    const GraphLineage record = store.LineageOf(resident.fingerprint);
+    if (record.parent == 0) continue;
     ByteWriter payload;
-    EncodeLineageSection(child, record, &payload);
+    EncodeLineageSection(resident.fingerprint, record, &payload);
     emit(SectionType::kLineage, payload.buffer());
     ++stats->lineage;
   }
@@ -529,15 +538,18 @@ Result<SnapshotRestoreReport> RestoreFromImage(
         break;
       }
       case SectionType::kLineage: {
-        Result<std::pair<uint64_t, ScoreCache::Lineage>> lineage =
+        Result<std::pair<uint64_t, GraphLineage>> lineage =
             DecodeLineageSection(&reader);
         if (!lineage.ok()) {
           quarantine(lineage.status());
           break;
         }
-        cache->RegisterLineage(lineage->first, lineage->second.parent,
-                               lineage->second.delta);
-        ++report.lineage_restored;
+        // A child the store does not hold (never resident, or trimmed by
+        // a smaller budget) has nowhere to keep its record: skipped.
+        if (internal::SnapshotStoreAccess::AttachLineage(
+                store, lineage->first, std::move(lineage->second))) {
+          ++report.lineage_restored;
+        }
         break;
       }
       case SectionType::kFooter: {

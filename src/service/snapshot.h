@@ -1,14 +1,15 @@
 // Copyright 2026 The netbone Authors.
 //
 // Crash-safe snapshot/restore of the serving state: the GraphStore's
-// resident graphs plus every ScoreCache entry (ScoredEdges + ScoreOrder +
-// delta provenance, keyed by the run-stable (GraphFingerprint, method,
-// ScoreOptions)) and the lineage map. A restarted engine that restores a
-// snapshot serves the same requests bit-identically with zero rescores
-// and zero sorts — the difference between a cache and a database. The
-// sweep profile is not persisted: it is one linear pass over the order,
-// so a restored entry builds it on first use, exactly as a fresh entry
-// does (CachedScore::profile), and a snapshot write builds none.
+// resident graphs with their lineage records, plus every ScoreCache entry
+// (ScoredEdges + ScoreOrder + delta provenance, keyed by the run-stable
+// (GraphFingerprint, method, ScoreOptions)). A restarted engine that
+// restores a snapshot serves the same requests bit-identically with zero
+// rescores and zero sorts — the difference between a cache and a
+// database. The sweep profile is not persisted: it is one linear pass
+// over the order, so a restored entry builds it on first use, exactly as
+// a fresh entry does (CachedScore::profile), and a snapshot write builds
+// none.
 //
 // File format (all scalars little-endian; the header tags byte order):
 //
@@ -29,6 +30,8 @@
 //     and continue with the next;
 //   * a score entry whose graph section was quarantined -> quarantined
 //     too (never served against a guessed graph);
+//   * a lineage section whose child is not resident in the store ->
+//     skipped, neither restored nor quarantined;
 //   * footer missing or wrong -> the snapshot was torn mid-publish:
 //     everything salvaged so far is kept, committed=false is reported.
 //
@@ -59,7 +62,7 @@ std::string SnapshotFilePath(const std::string& snapshot_dir);
 struct SnapshotWriteStats {
   int64_t graphs = 0;         ///< graph sections written
   int64_t entries = 0;        ///< score-entry sections written
-  int64_t lineage = 0;        ///< lineage sections written
+  int64_t lineage = 0;        ///< lineage sections written (residents')
   int64_t bytes = 0;          ///< total file size
 };
 

@@ -781,7 +781,6 @@ TEST(EngineMetricsTest, FreshEngineCarriesExactlyTheDocumentedNames) {
       "cache.evictions",
       "cache.hits",
       "cache.insert_failures",
-      "cache.lineage_entries",
       "cache.misses",
       "engine.inflight_scores",
       "engine.negative_entries",
@@ -796,6 +795,7 @@ TEST(EngineMetricsTest, FreshEngineCarriesExactlyTheDocumentedNames) {
       "store.evictions",
       "store.graphs",
       "store.inserts",
+      "store.lineage_entries",
       "store.resident_bytes",
   };
   const std::vector<std::string> prefixes = {"engine.", "cache.", "store."};
@@ -1169,6 +1169,116 @@ TEST(BackboneEngineTest, DeltaRescoreCanBeDisabled) {
   EXPECT_EQ(Metric(engine, "engine.scores_computed"), 2);
 }
 
+TEST(BackboneEngineTest, EndlessRevisionStreamPatchesEveryRevision) {
+  // Revisions that never repeat, at high churn, under bounded cache and
+  // graph budgets: each one's lineage is priced and evicted with its
+  // graph, so it never crowds the score entries out of the cache, and
+  // every revision patches from its parent's warm entries.
+  constexpr Method kMethods[] = {Method::kNoiseCorrected,
+                                 Method::kDisparityFilter,
+                                 Method::kNaiveThreshold};
+  constexpr int kRevisions = 60;
+  const Graph base = IntWeightGraph(19, /*num_nodes=*/1200);
+  const auto shared_base = std::make_shared<const Graph>(base);
+  const int64_t entry_bytes =
+      CachedScore::Build(shared_base,
+                         *RunMethod(Method::kNoiseCorrected, *shared_base))
+          ->bytes();
+  BackboneEngineOptions options;
+  options.cache_byte_budget = 8 * entry_bytes;  // about two revisions
+  options.graph_byte_budget = 4 * ApproxGraphBytes(base);
+  BackboneEngine engine(options);
+
+  uint64_t parent = engine.AddGraph(base);
+  for (const Method method : kMethods) {
+    ASSERT_TRUE(engine.Execute(ShareRequest(parent, method)).ok());
+  }
+  ASSERT_EQ(Metric(engine, "engine.scores_computed"), 3);
+  std::vector<uint64_t> seen = {parent};
+  Graph current = base;
+  for (int revision = 1; revision <= kRevisions; ++revision) {
+    SCOPED_TRACE(testing::Message() << "revision " << revision);
+    // A fifth of the edges move a unit of weight per revision.
+    current = TransferWeight(current, base.num_edges() / 10,
+                             static_cast<uint64_t>(1000 + revision));
+    const uint64_t child = engine.AddGraphRevision(current, parent);
+    ASSERT_EQ(std::find(seen.begin(), seen.end(), child), seen.end());
+    seen.push_back(child);
+    for (const Method method : kMethods) {
+      ASSERT_TRUE(engine.Execute(ShareRequest(child, method)).ok());
+    }
+    const obs::MetricsSnapshot stats = engine.Metrics();
+    ASSERT_EQ(Metric(stats, "engine.delta_rescores"), 3 * revision);
+    ASSERT_EQ(Metric(stats, "engine.scores_computed"), 3);
+    ASSERT_GT(Metric(stats, "cache.entries"), 0);
+    ASSERT_LE(Metric(stats, "cache.bytes"), options.cache_byte_budget);
+    ASSERT_LE(Metric(stats, "store.resident_bytes"),
+              options.graph_byte_budget);
+    parent = child;
+  }
+
+  // The last patch answers as a cold engine does.
+  BackboneEngine cold_engine;
+  const uint64_t cold_fp = cold_engine.AddGraph(current);
+  for (const Method method : kMethods) {
+    const Result<BackboneResponse> cold =
+        cold_engine.Execute(ShareRequest(cold_fp, method));
+    const Result<BackboneResponse> warm =
+        engine.Execute(ShareRequest(parent, method));
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm->kept_edges, cold->kept_edges);
+    EXPECT_EQ(warm->coverage, cold->coverage);
+    EXPECT_EQ(warm->weight_share, cold->weight_share);
+  }
+}
+
+TEST(BackboneEngineTest, ColdScoringPinsItsGraphUntilTheEntryIsCached) {
+  // Same-size graphs; the store's budget holds two of them.
+  const Graph base = IntWeightGraph(23);
+  BackboneEngineOptions options;
+  options.graph_byte_budget = 2 * ApproxGraphBytes(base);
+  BackboneEngine engine(options);
+  const uint64_t pinned = engine.AddGraph(base);
+  const auto resident = [&engine](uint64_t fingerprint) {
+    const std::vector<uint64_t> all = engine.ResidentFingerprints();
+    return std::find(all.begin(), all.end(), fingerprint) != all.end();
+  };
+
+  FaultInjector injector(24);
+  injector.Configure(FaultSite::kScoringLatency,
+                     {.probability = 1.0,
+                      .latency = std::chrono::milliseconds(300)});
+  {
+    ScopedFaultInjection scope(&injector);
+    std::optional<Result<BackboneResponse>> result;
+    std::thread worker([&] {
+      result = engine.Execute(ShareRequest(pinned, Method::kNoiseCorrected));
+    });
+    // The latency draw comes after the pin: from here the scoring stalls
+    // with its graph pinned.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Metric(engine, "fault.scoring_latency.draws") < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Two more graphs trim the store past the least recently used one.
+    engine.AddGraph(TransferWeight(base, 4, 1));
+    engine.AddGraph(TransferWeight(base, 4, 2));
+    EXPECT_EQ(Metric(engine, "store.evictions"), 1);
+    EXPECT_TRUE(resident(pinned));
+    worker.join();
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->ok());
+  }
+
+  // Scored and cached: the pin is gone, and the next trim evicts it.
+  engine.AddGraph(TransferWeight(base, 4, 3));
+  EXPECT_FALSE(resident(pinned));
+  EXPECT_EQ(Metric(engine, "store.evictions"), 2);
+}
+
 // ---------------------------------------------------------------------------
 // The lazily built sweep profile (CachedScore::profile).
 // ---------------------------------------------------------------------------
@@ -1336,26 +1446,10 @@ TEST(LazyProfileTest, ColdBatchBuildsNoProfileEvenForARepeatedKey) {
   EXPECT_EQ(Metric(engine, "engine.profiles_built"), 2);
 }
 
-TEST(ScoreCacheTest, LineageIsAccountedAndPeekDoesNotCountHits) {
+TEST(ScoreCacheTest, PeekDoesNotCountHits) {
   ScoreCache cache(/*byte_budget=*/0);
   obs::MetricRegistry cache_metrics;
   cache.RegisterMetrics(cache_metrics, "cache", &cache);
-  const obs::MetricsSnapshot empty = cache_metrics.Snapshot();
-  EXPECT_EQ(Metric(empty, "cache.lineage_entries"), 0);
-
-  cache.RegisterLineage(2, 1);
-  cache.RegisterLineage(3, 2);
-  cache.RegisterLineage(3, 3);  // self-edge: ignored
-  cache.RegisterLineage(0, 1);  // zero child: ignored
-  const obs::MetricsSnapshot with_lineage = cache_metrics.Snapshot();
-  EXPECT_EQ(Metric(with_lineage, "cache.lineage_entries"), 2);
-  EXPECT_GT(Metric(with_lineage, "cache.bytes"),
-            Metric(empty, "cache.bytes"));  // the map is priced
-  EXPECT_EQ(cache.LineageFor(2).parent, 1u);
-  EXPECT_EQ(cache.LineageFor(3).parent, 2u);
-  EXPECT_EQ(cache.LineageFor(7).parent, 0u);
-
-  // Peek is invisible to the hit/miss counters.
   const ScoreKey key = MakeScoreKey(42, Method::kNoiseCorrected, {});
   EXPECT_EQ(cache.Peek(key), nullptr);
   EXPECT_EQ(Metric(cache_metrics, "cache.misses"), 0);
@@ -2043,14 +2137,14 @@ TEST(GraphStoreTest, InternRevisionDiffsAgainstResidentBase) {
 
   StoredRevision revision = store.InternRevision(next, stored_base.fingerprint);
   ASSERT_TRUE(revision.delta.ok());
-  EXPECT_TRUE(revision.delta->totals_equal);
-  EXPECT_EQ(revision.delta->base_edges, base.num_edges());
+  EXPECT_TRUE((*revision.delta)->totals_equal);
+  EXPECT_EQ((*revision.delta)->base_edges, base.num_edges());
   EXPECT_EQ(revision.stored.fingerprint, GraphFingerprint(next));
   EXPECT_EQ(store.Find(revision.stored.fingerprint), revision.stored.graph);
   // Identity mirrors the direct computation.
   const Result<GraphDelta> direct = ComputeGraphDelta(base, next);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(revision.delta->AffectedEdges(), direct->AffectedEdges());
+  EXPECT_EQ((*revision.delta)->AffectedEdges(), direct->AffectedEdges());
 
   // An unknown base: no delta, and the child is still interned under its
   // full hash.
@@ -2061,6 +2155,70 @@ TEST(GraphStoreTest, InternRevisionDiffsAgainstResidentBase) {
   EXPECT_NE(store.Find(revision.stored.fingerprint), nullptr);
 }
 
+
+TEST(GraphStoreTest, LineageIsPricedOnTheChildAndEvictedWithIt) {
+  const Graph base = IntWeightGraph(17, /*num_nodes=*/60);
+  const int64_t one = ApproxGraphBytes(base);
+  {
+    GraphStore store;
+    obs::MetricRegistry store_metrics;
+    store.RegisterMetrics(store_metrics, "store", &store);
+    const uint64_t base_fp = store.Intern(base).fingerprint;
+    const StoredRevision child =
+        store.InternRevision(TransferWeight(base, 3, 21), base_fp);
+    const uint64_t child_fp = child.stored.fingerprint;
+    ASSERT_TRUE(child.delta.ok());
+    const GraphLineage lineage = store.LineageOf(child_fp);
+    EXPECT_EQ(lineage.parent, base_fp);
+    EXPECT_EQ(lineage.delta, *child.delta);  // the one shared record
+    EXPECT_EQ(store.LineageOf(base_fp).parent, 0u);
+    EXPECT_EQ(store.LineageOf(0xdeadbeef).parent, 0u);
+    EXPECT_EQ(Metric(store_metrics, "store.lineage_entries"), 1);
+    EXPECT_EQ(Metric(store_metrics, "store.resident_bytes"),
+              2 * one + lineage.delta->ApproxBytes());
+
+    // A revision that dedupes to its own base records no lineage.
+    EXPECT_EQ(store.InternRevision(base, base_fp).stored.fingerprint,
+              base_fp);
+    EXPECT_EQ(store.LineageOf(base_fp).parent, 0u);
+
+    // A re-registration overwrites, and keeps the parent when the delta
+    // is refused (here: the base is not resident). The old delta's bytes
+    // leave with it.
+    const StoredRevision again =
+        store.InternRevision(TransferWeight(base, 3, 21), 12345u);
+    EXPECT_EQ(again.stored.fingerprint, child_fp);
+    EXPECT_EQ(again.delta.status().code(), Status::Code::kNotFound);
+    EXPECT_EQ(store.LineageOf(child_fp).parent, 12345u);
+    EXPECT_EQ(store.LineageOf(child_fp).delta, nullptr);
+    EXPECT_EQ(Metric(store_metrics, "store.resident_bytes"), 2 * one);
+
+    // LineageOf leaves recency alone: the base stays least recently used.
+    ASSERT_EQ(store.ResidentGraphs().front().fingerprint, base_fp);
+    store.LineageOf(base_fp);
+    EXPECT_EQ(store.ResidentGraphs().front().fingerprint, base_fp);
+  }
+
+  // Under a budget of three graphs, the record leaves with its child.
+  GraphStore store(3 * one);
+  obs::MetricRegistry store_metrics;
+  store.RegisterMetrics(store_metrics, "store", &store);
+  const uint64_t base_fp = store.Intern(base).fingerprint;
+  const Graph child = TransferWeight(base, 3, 22);
+  const uint64_t child_fp =
+      store.InternRevision(child, base_fp).stored.fingerprint;
+  store.Intern(TransferWeight(base, 3, 23));  // sheds the base
+  EXPECT_EQ(store.Find(base_fp), nullptr);
+  EXPECT_EQ(store.LineageOf(child_fp).parent, base_fp);
+  store.Intern(TransferWeight(base, 3, 24));  // sheds the child
+  EXPECT_EQ(store.Find(child_fp), nullptr);
+  EXPECT_EQ(store.LineageOf(child_fp).parent, 0u);
+  EXPECT_EQ(Metric(store_metrics, "store.lineage_entries"), 0);
+  EXPECT_LE(Metric(store_metrics, "store.resident_bytes"), 3 * one);
+  // Re-interned by plain Intern, the child has no lineage.
+  EXPECT_EQ(store.Intern(child).fingerprint, child_fp);
+  EXPECT_EQ(store.LineageOf(child_fp).parent, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // One request path: Execute, ExecuteBatch and Submit answer alike.

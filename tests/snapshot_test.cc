@@ -6,9 +6,10 @@
 // truncations and bit flips at random offsets must never crash, only
 // quarantine — the engine-level warm-restart contract (bit-identical
 // responses, zero rescores, zero sorts; snapshots carry no sweep profile,
-// so a restored entry builds its own on first hit; an old-format file is
-// refused and the engine boots cold), and the three snapshot fault-injection
-// sites (write failure, short read, kill-before-rename).
+// so a restored entry builds its own on first hit; a restored revision
+// patches from its restored ancestor; an old-format file is refused and
+// the engine boots cold), and the three snapshot fault-injection sites
+// (write failure, short read, kill-before-rename).
 
 #include "service/snapshot.h"
 
@@ -773,6 +774,67 @@ TEST(WarmRestartTest, PointOnlyEntriesSnapshotAndRestoreWarm) {
   EXPECT_EQ(Metric(restarted, "engine.delta_rescores"), 0);
   EXPECT_EQ(Metric(restarted, "engine.profiles_built"), 3);
   EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
+  fs::remove_all(dir);
+}
+
+TEST(WarmRestartTest, RevisionLineageSurvivesARestart) {
+  // A base and its revision are interned and only the base is scored.
+  // After a restart the revision's first request patches from the
+  // restored ancestor entry, through the restored lineage record.
+  const std::string dir = TempPath("lineage_restart");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  auto base = GenerateErdosRenyi(
+      {.num_nodes = 250, .average_degree = 3.0, .seed = 35});
+  ASSERT_TRUE(base.ok());
+  GraphBuilder builder(base->directedness());
+  builder.ReserveNodes(base->num_nodes());
+  for (EdgeId id = 0; id < base->num_edges(); ++id) {
+    const Edge& e = base->edge(id);
+    builder.AddEdge(e.src, e.dst, e.weight + (id % 50 == 0 ? 1.0 : 0.0));
+  }
+  const Graph revision = *builder.Build();
+
+  BackboneEngineOptions options;
+  options.snapshot_dir = dir;
+  options.snapshot_on_shutdown = false;
+  BackboneRequest request;
+  request.method = Method::kDisparityFilter;
+  request.kind = RequestKind::kTopShare;
+  request.share = 0.3;
+  uint64_t revision_fp = 0;
+  {
+    BackboneEngine engine(options);
+    request.graph = engine.AddGraph(*base);
+    revision_fp = engine.AddGraphRevision(revision, request.graph);
+    ASSERT_NE(revision_fp, request.graph);
+    ASSERT_TRUE(engine.Execute(request).ok());
+    ASSERT_TRUE(engine.WriteSnapshotNow().ok());
+  }
+
+  BackboneEngine restarted(options);
+  const obs::MetricsSnapshot stats = restarted.Metrics();
+  EXPECT_EQ(Metric(stats, "engine.restored_graphs"), 2);
+  EXPECT_EQ(Metric(stats, "engine.restored_entries"), 1);
+  EXPECT_EQ(Metric(stats, "engine.restored_lineage"), 1);
+  EXPECT_EQ(Metric(stats, "engine.quarantined_sections"), 0);
+  request.graph = revision_fp;
+  const int64_t sorts_before = ScoreOrder::SortsPerformed();
+  const Result<BackboneResponse> patched = restarted.Execute(request);
+  ASSERT_TRUE(patched.ok());
+  EXPECT_FALSE(patched->cache_hit);
+  EXPECT_EQ(Metric(restarted, "engine.delta_rescores"), 1);
+  EXPECT_EQ(Metric(restarted, "engine.scores_computed"), 0);
+  EXPECT_EQ(ScoreOrder::SortsPerformed(), sorts_before);
+
+  BackboneEngine cold_engine;
+  request.graph = cold_engine.AddGraph(revision);
+  const Result<BackboneResponse> cold = cold_engine.Execute(request);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(patched->kept_edges, cold->kept_edges);
+  EXPECT_EQ(patched->kept, cold->kept);
+  EXPECT_EQ(patched->coverage, cold->coverage);
+  EXPECT_EQ(patched->weight_share, cold->weight_share);
   fs::remove_all(dir);
 }
 
